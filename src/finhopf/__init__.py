@@ -16,7 +16,6 @@ from .algebroid import (
     HopfAlgebroid,
     TableAlgebroid,
     check_axioms,
-    import_table_algebroid,
 )
 from .analysis import (
     Analysis,
@@ -40,7 +39,7 @@ from .analysis import (
     solve_primitives,
     t_operator,
 )
-from .enveloping import SectionU, UElement
+from .enveloping import UElement
 from .errors import (
     AnalysisError,
     CoherenceError,
@@ -60,9 +59,8 @@ from .groupoid import (
     FiniteGroupoid,
     GroupoidIsomorphism,
     groupoid_isomorphic,
-    validate_groupoid,
 )
-from .liebundle import BundleAction, LieBundle, LieFiber, validate_action, validate_bundle
+from .liebundle import BundleAction, LieBundle, LieFiber
 from .linalg import QMatrix, rational_eigenvalues, rational_roots
 from .modelio import (
     MODEL_SCHEMA,
@@ -107,7 +105,6 @@ __all__ = [
     "RankMismatch",
     "Rational",
     "RoundTripReport",
-    "SectionU",
     "SizeGuardExceeded",
     "SolverIncomplete",
     "SpectralGroupoid",
@@ -127,7 +124,6 @@ __all__ = [
     "conjugate_by_pair",
     "funs3_model",
     "groupoid_isomorphic",
-    "import_table_algebroid",
     "load_carrier",
     "load_model",
     "make_good_pair",
@@ -143,9 +139,6 @@ __all__ = [
     "solve_grouplikes_at",
     "solve_primitives",
     "t_operator",
-    "validate_action",
-    "validate_bundle",
-    "validate_groupoid",
     "validate_model",
     "z2line_model",
 ]

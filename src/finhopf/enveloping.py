@@ -23,7 +23,7 @@ from math import comb
 from .errors import DimensionMismatch, TruncationOverflow
 from .liebundle import LieFiber
 from .linalg import QMatrix
-from .rationals import rat, rat_str
+from .rationals import add_terms, rat, rat_str
 
 Monomial = tuple[int, ...]
 
@@ -79,25 +79,20 @@ def _straighten(fiber: LieFiber, word, coeff: Fraction):
     Bracket terms shorten the word, so the degree never rises above the
     input length; the caller is responsible for the truncation check.
     """
-    out = {}
+    done = []
     stack = [(tuple(word), coeff)]
     while stack:
         w, c = stack.pop()
         descent = next((i for i in range(len(w) - 1) if w[i] > w[i + 1]), None)
         if descent is None:
-            m = mono_from_word(w, fiber.dim)
-            acc = out.get(m, _ZERO) + c
-            if acc:
-                out[m] = acc
-            elif m in out:
-                del out[m]
+            done.append((mono_from_word(w, fiber.dim), c))
             continue
         x, y = w[descent], w[descent + 1]
         stack.append((w[:descent] + (y, x) + w[descent + 2:], c))
         for k, ck in enumerate(fiber.bracket_coeffs(x, y)):
             if ck:
                 stack.append((w[:descent] + (k,) + w[descent + 2:], c * ck))
-    return out
+    return add_terms({}, done)
 
 
 @dataclass(frozen=True)
@@ -146,14 +141,7 @@ class UElement:
 
     def __add__(self, other: "UElement") -> "UElement":
         self._compatible(other)
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            acc = terms.get(m, _ZERO) + c
-            if acc:
-                terms[m] = acc
-            else:
-                terms.pop(m, None)
-        return self._like(terms)
+        return self._like(add_terms(dict(self.terms), other.terms.items()))
 
     def __sub__(self, other: "UElement") -> "UElement":
         return self + (-other)
@@ -179,12 +167,6 @@ class UElement:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def degree(self) -> int:
-        return max((mono_degree(m) for m in self.terms), default=0)
-
-    def graded(self, k: int) -> "UElement":
-        return self._like({m: c for m, c in self.terms.items() if mono_degree(m) == k})
-
     def _compatible(self, other):
         if (
             self.fiber != other.fiber
@@ -207,12 +189,7 @@ class UElement:
                         total, self.truncation,
                         "product of stored monomials; no silent truncation",
                     )
-                for m, c in _straighten(self.fiber, w1 + mono_word(m2), c1 * c2).items():
-                    acc = out.get(m, _ZERO) + c
-                    if acc:
-                        out[m] = acc
-                    else:
-                        del out[m]
+                add_terms(out, _straighten(self.fiber, w1 + mono_word(m2), c1 * c2).items())
         return self._like(out)
 
     __mul__ = mul
@@ -234,14 +211,10 @@ class UElement:
                     for left, w in splits
                     for b in range(a + 1)
                 ]
-            for left, weight in splits:
-                right = tuple(a - b for a, b in zip(m, left))
-                key = (left, right)
-                acc = out.get(key, _ZERO) + c * weight
-                if acc:
-                    out[key] = acc
-                else:
-                    del out[key]
+            add_terms(out, (
+                ((left, tuple(a - b for a, b in zip(m, left))), c * weight)
+                for left, weight in splits
+            ))
         return out
 
     def counit(self) -> Fraction:
@@ -253,12 +226,7 @@ class UElement:
         for m, c in self.terms.items():
             word = mono_word(m)[::-1]
             sign = -_ONE if len(word) % 2 else _ONE
-            for mm, cc in _straighten(self.fiber, word, c * sign).items():
-                acc = out.get(mm, _ZERO) + cc
-                if acc:
-                    out[mm] = acc
-                else:
-                    del out[mm]
+            add_terms(out, _straighten(self.fiber, word, c * sign).items())
         return self._like(out)
 
     def transport(self, matrix: QMatrix, target_fiber: LieFiber, target_point: str) -> "UElement":
@@ -284,12 +252,7 @@ class UElement:
                     if matrix.entry(i, j)
                 ]
             for w, cc in images:
-                for mm, c2 in _straighten(target_fiber, w, cc).items():
-                    acc = out.get(mm, _ZERO) + c2
-                    if acc:
-                        out[mm] = acc
-                    else:
-                        del out[mm]
+                add_terms(out, _straighten(target_fiber, w, cc).items())
         return UElement(target_fiber, target_point, self.truncation, out)
 
     # -- rendering ---------------------------------------------------------
@@ -316,37 +279,3 @@ def mono_text(m: Monomial, names) -> str:
         elif a > 1:
             parts.append(f"{names[i]}^{a}")
     return "".join(parts)
-
-
-@dataclass(frozen=True)
-class SectionU:
-    """A section of the bundle of truncated enveloping algebras.
-
-    Operations act pointwise, so sections form the product of the fiberwise
-    Hopf algebras; embedded over unit arrows they are the functions-on-M
-    shaped subalgebra of a convolution algebroid.
-    """
-
-    values: dict  # point -> UElement
-
-    def value(self, point: str) -> UElement:
-        return self.values[point]
-
-    def mul(self, other: "SectionU") -> "SectionU":
-        if set(self.values) != set(other.values):
-            raise DimensionMismatch("sections over different point sets")
-        return SectionU({p: u.mul(other.values[p]) for p, u in self.values.items()})
-
-    def antipode(self) -> "SectionU":
-        return SectionU({p: u.antipode() for p, u in self.values.items()})
-
-    def counit(self) -> dict:
-        return {p: u.counit() for p, u in self.values.items()}
-
-    def __add__(self, other: "SectionU") -> "SectionU":
-        if set(self.values) != set(other.values):
-            raise DimensionMismatch("sections over different point sets")
-        return SectionU({p: u + other.values[p] for p, u in self.values.items()})
-
-    def __eq__(self, other):
-        return isinstance(other, SectionU) and self.values == other.values

@@ -254,10 +254,6 @@ class FiniteGroupoid:
         )
 
 
-def validate_groupoid(g: FiniteGroupoid) -> list[str]:
-    return g.validate()
-
-
 @dataclass(frozen=True)
 class Bisection:
     """A set of arrows whose sources, and whose targets, are all distinct."""

@@ -145,10 +145,6 @@ class LieBundle:
         return report
 
 
-def validate_bundle(b: LieBundle) -> list[str]:
-    return b.validate()
-
-
 @dataclass(frozen=True)
 class BundleAction:
     """An arrow-indexed family of fiber transports."""
@@ -203,7 +199,3 @@ class BundleAction:
             if m1 * m2 != m12:
                 report.append(f"functoriality fails on ({g1!r}, {g2!r})")
         return report
-
-
-def validate_action(a: BundleAction) -> list[str]:
-    return a.validate()

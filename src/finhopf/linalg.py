@@ -9,7 +9,7 @@ reduced echelon form with pivot entries 1.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 from .errors import DimensionMismatch
 from .rationals import rat
@@ -309,7 +309,7 @@ def rational_roots(coeffs) -> list[Fraction]:
         return roots
     scale = 1
     for c in coeffs:
-        scale = scale * c.denominator // _gcd(scale, c.denominator)
+        scale = lcm(scale, c.denominator)
     ints = [int(c * scale) for c in coeffs]
     lead, const = ints[-1], ints[0]
     seen = set(roots)
@@ -325,12 +325,6 @@ def rational_roots(coeffs) -> list[Fraction]:
                     seen.add(cand)
                     roots.append(cand)
     return sorted(roots)
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def rational_eigenvalues(m: QMatrix) -> list[Fraction]:

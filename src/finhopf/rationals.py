@@ -11,6 +11,8 @@ from fractions import Fraction
 
 Rational = Fraction
 
+_ZERO = Fraction(0)
+
 
 def rat(value) -> Fraction:
     """Coerce an int, a string like ``"3/4"`` or ``"-2"``, or a Fraction.
@@ -38,3 +40,20 @@ def rat_str(value: Fraction) -> str:
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
+
+
+def add_terms(out: dict, pairs) -> dict:
+    """Add ``(key, coeff)`` pairs into the zero-free map ``out``, in place.
+
+    A key whose coefficient cancels is removed, so ``out`` stays zero-free.
+    Every sparse coefficient map in the package (PBW monomials, carrier
+    labels, same-target label tuples) is accumulated through here.
+    """
+    get = out.get
+    for key, c in pairs:
+        acc = get(key, _ZERO) + c
+        if acc:
+            out[key] = acc
+        else:
+            out.pop(key, None)
+    return out

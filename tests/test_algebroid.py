@@ -256,3 +256,19 @@ def test_non_involutive_antipode_caught_by_suite():
     assert not report.ok
     assert any(c.name in ("antipode_involutive", "axiom_iv_antipode_on_base")
                for c in report.failures())
+
+
+def test_law_counts_golden_on_pairh3_at_truncation_2():
+    """Pins how many samples each law checks and how many overflow.
+
+    At truncation 2 most products overflow, so these counts move whenever
+    the suite changes how it draws, skips or redraws samples.
+    """
+    model = pairh3_model()
+    model["truncation"] = 2
+    report = check_axioms(carrier_from_model(model), samples=20, seed=1, degree_cap=2)
+    assert report.ok
+    assert report.resampled == 318
+    assert [c.checked for c in report.checks] == [
+        2, 2, 20, 20, 20, 2, 20, 20, 20, 20, 20, 20, 20,
+    ]

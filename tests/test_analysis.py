@@ -405,3 +405,14 @@ def test_analyze_bundles_every_stage():
     assert analysis.prim_action is not None
     assert analysis.theta is not None
     assert analysis.decision.verdict == "ISO"
+
+
+def test_theta_hom_check_counts_golden():
+    theta = analyze(z2line()).theta
+    assert [(c.name, c.ok, c.checked) for c in theta.hom_checks] == [
+        ("theta_multiplicative", True, 12),
+        ("theta_counit", True, 12),
+        ("theta_comultiplicative", True, 12),
+        ("theta_antipode", True, 12),
+        ("theta_on_base", True, 1),
+    ]
