@@ -214,12 +214,7 @@ class FiberTensor:
         return FiberTensor(self.carrier, self.arity - 1 + width, out)
 
     def delta_leg(self, leg) -> "FiberTensor":
-        carrier = self.carrier
-
-        def expand(label):
-            return [((l1, l2), c) for (l1, l2), c in carrier.delta_label(label)]
-
-        return self._splice(leg, expand, width=2)
+        return self._splice(leg, self.carrier.delta_label, width=2)
 
     def counit_leg(self, leg) -> "FiberTensor":
         carrier = self.carrier
@@ -670,7 +665,7 @@ class TableAlgebroid(HopfAlgebroid):
         return AlgebroidElement(self, out)
 
     def delta_label(self, label):
-        return tuple((pair, c) for pair, c in self._delta[label])
+        return self._delta[label]
 
     def counit_label(self, label):
         return self._counit[label]

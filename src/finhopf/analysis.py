@@ -50,7 +50,6 @@ from .linalg import QMatrix, rational_eigenvalues
 from .rationals import add_terms
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 TABLE_GROUPLIKE_DIM_BOUND = 12
 DEFAULT_TABLE_TRUNCATION = 4
@@ -91,17 +90,10 @@ class PrimBasis:
 
     def contains(self, element: AlgebroidElement) -> bool:
         """Exact membership of an element in the primitive span."""
-        for p in element.target_points():
-            block = element.coords_at(p)
-            basis = self.per_point.get(p, [])
-            if not basis:
-                if any(block):
-                    return False
-                continue
-            m = QMatrix.from_columns([b.coords_at(p) for b in basis], rows=len(block))
-            if m.solve(block) is None:
-                return False
-        return True
+        return all(
+            self.coords_in_basis(element.at_point(p), p) is not None
+            for p in element.target_points()
+        )
 
     def coords_in_basis(self, element: AlgebroidElement, point):
         """Coordinates of a single-fiber element in the basis at ``point``."""
@@ -115,56 +107,12 @@ class PrimBasis:
         return m.solve(block)
 
 
-def _primitivity_rows_for_arrow(carrier: ConvolutionAlgebroid, arrow):
-    """The exact subsystem of the primitivity equation for one arrow block.
+def solve_primitives(carrier: HopfAlgebroid) -> PrimBasis:
+    """The canonical echelonized basis of the primitive module, with flags.
 
-    The equation delta(a) = eta (x) a + a (x) eta decouples over arrows: the
-    coproduct of a component over g lands on (g, g) label pairs, while the
-    unit-leg terms land on pairs mixing g with the unit arrow at target(g).
-    For a non-unit arrow those mixed rows read off the coefficients directly.
+    At each point y the equation delta(a) = eta (x) a + a (x) eta is one
+    exact system over the labels at y, with a row per label pair.
     """
-    g = arrow
-    y = carrier.groupoid.target[g]
-    unit_arrow = carrier.groupoid.units[y]
-    fiber = carrier.bundle.fiber(y)
-    monos = [m for (h, m) in carrier.labels_at(y) if h == g]
-    empty = tuple([0] * fiber.dim)
-    rows = {}
-
-    def add(row_key, col, coeff):
-        row = rows.setdefault(row_key, {})
-        row[col] = row.get(col, _ZERO) + coeff
-
-    for col, m in enumerate(monos):
-        for ((_, m1), (_, m2)), c in carrier.delta_label((g, m)):
-            add(("dd", m1, m2), col, c)
-        if g == unit_arrow:
-            add(("dd", empty, m), col, -_ONE)
-            add(("dd", m, empty), col, -_ONE)
-        else:
-            add(("eta-left", m), col, -_ONE)
-            add(("eta-right", m), col, -_ONE)
-    matrix = QMatrix(
-        [[rows[k].get(c, _ZERO) for c in range(len(monos))] for k in sorted(rows)],
-        cols=len(monos),
-    )
-    return monos, matrix
-
-
-def _solve_primitives_constructed(carrier: ConvolutionAlgebroid):
-    per_point = {}
-    for y in carrier.base.points:
-        basis = []
-        for g in carrier.groupoid.arrows_into(y):
-            monos, matrix = _primitivity_rows_for_arrow(carrier, g)
-            for v in matrix.nullspace():
-                coeffs = {(g, m): c for m, c in zip(monos, v) if c}
-                basis.append(AlgebroidElement(carrier, coeffs))
-        per_point[y] = basis
-    return per_point
-
-
-def _solve_primitives_table(carrier: HopfAlgebroid):
     per_point = {}
     for y in carrier.base.points:
         labels = carrier.labels_at(y)
@@ -194,15 +142,6 @@ def _solve_primitives_table(carrier: HopfAlgebroid):
             coeffs = {l: c for l, c in zip(labels, v) if c}
             basis.append(AlgebroidElement(carrier, coeffs))
         per_point[y] = basis
-    return per_point
-
-
-def solve_primitives(carrier: HopfAlgebroid) -> PrimBasis:
-    """The canonical echelonized basis of the primitive module, with flags."""
-    if isinstance(carrier, ConvolutionAlgebroid):
-        per_point = _solve_primitives_constructed(carrier)
-    else:
-        per_point = _solve_primitives_table(carrier)
     prim = PrimBasis(carrier, per_point)
 
     elements = prim.elements

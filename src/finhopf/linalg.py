@@ -1,9 +1,11 @@
-"""Exact dense linear algebra over the rationals.
+"""Exact linear algebra over the rationals.
 
-Everything here is plain Gaussian elimination with the first nonzero entry
-as pivot, so results are canonical: ``rref`` is the reduced row echelon form,
-and ``nullspace`` returns the unique basis of the kernel that is itself in
-reduced echelon form with pivot entries 1.
+Matrices are stored dense, but all elimination happens in ``QMatrix.rref``
+on sparse rows: each row is reduced against the pivot rows found so far,
+and back substitution finishes the job.  The reduced row echelon form is
+unique, so results are canonical: ``rank``, ``solve`` and ``inverse`` read
+it off, and ``nullspace`` returns the unique basis of the kernel that is
+itself in reduced echelon form with pivot entries 1.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from fractions import Fraction
 from math import isqrt, lcm
 
 from .errors import DimensionMismatch
-from .rationals import rat
+from .rationals import add_terms, rat
 
 Vector = tuple[Fraction, ...]
 
@@ -22,6 +24,37 @@ _ONE = Fraction(1)
 
 def vec(values) -> Vector:
     return tuple(rat(v) for v in values)
+
+
+def _eliminate(rows):
+    """Pivot columns, ascending, and the fully reduced rows of sparse rows.
+
+    Rows are zero-free ``{col: Fraction}`` maps, reduced in place.  A pivot
+    row is kept with entry 1 at its pivot and nothing to the left of it, so
+    reducing an incoming row against the pivots in ascending order clears
+    every pivot column; what is left, normalized, is a new pivot row.  Back
+    substitution from the last pivot up then clears each pivot column above
+    its pivot.
+    """
+    pivot_rows = {}
+    for row in rows:
+        while True:
+            p = min((c for c in row if c in pivot_rows), default=None)
+            if p is None:
+                break
+            f = row[p]
+            add_terms(row, ((c, -f * x) for c, x in pivot_rows[p].items()))
+        if row:
+            lead = min(row)
+            inv = _ONE / row[lead]
+            pivot_rows[lead] = {c: x * inv for c, x in row.items()}
+    pivots = tuple(sorted(pivot_rows))
+    for p in reversed(pivots):
+        row = pivot_rows[p]
+        for q in [c for c in row if c != p and c in pivot_rows]:
+            f = row[q]
+            add_terms(row, ((c, -f * x) for c, x in pivot_rows[q].items()))
+    return pivots, [pivot_rows[p] for p in pivots]
 
 
 class QMatrix:
@@ -154,60 +187,15 @@ class QMatrix:
 
     def rref(self):
         """Reduced row echelon form and the tuple of pivot columns."""
-        m = [list(r) for r in self.data]
-        pivots = []
-        r = 0
-        for c in range(self.cols):
-            if r == self.rows:
-                break
-            pivot_row = next((i for i in range(r, self.rows) if m[i][c]), None)
-            if pivot_row is None:
-                continue
-            m[r], m[pivot_row] = m[pivot_row], m[r]
-            inv = _ONE / m[r][c]
-            m[r] = [x * inv for x in m[r]]
-            for i in range(self.rows):
-                if i != r and m[i][c]:
-                    f = m[i][c]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-            pivots.append(c)
-            r += 1
-        return QMatrix(m, cols=self.cols), tuple(pivots)
+        pivots, reduced = _eliminate(
+            {j: x for j, x in enumerate(r) if x} for r in self.data
+        )
+        dense = [[row.get(j, _ZERO) for j in range(self.cols)] for row in reduced]
+        dense += [[_ZERO] * self.cols] * (self.rows - len(dense))
+        return QMatrix(dense, cols=self.cols), pivots
 
     def rank(self) -> int:
-        # Columns that never share a row with each other can be eliminated
-        # independently; splitting into those components first keeps block
-        # matrices (common downstream) far away from cubic cost in the
-        # full dimension.
-        components = self._column_components()
-        if len(components) <= 1:
-            return len(self.rref()[1])
-        total = 0
-        for cols in components:
-            rows = sorted({i for j in cols for i in range(self.rows) if self.data[i][j]})
-            sub = QMatrix([[self.data[i][j] for j in cols] for i in rows], cols=len(cols))
-            total += len(sub.rref()[1])
-        return total
-
-    def _column_components(self):
-        parent = list(range(self.cols))
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for row in self.data:
-            support = [j for j, x in enumerate(row) if x]
-            for a, b in zip(support, support[1:]):
-                ra, rb = find(a), find(b)
-                if ra != rb:
-                    parent[ra] = rb
-        groups = {}
-        for j in range(self.cols):
-            groups.setdefault(find(j), []).append(j)
-        return [sorted(g) for g in groups.values()]
+        return len(self.rref()[1])
 
     def nullspace(self):
         """Canonical kernel basis: echelonized rows with pivot entries 1."""

@@ -84,16 +84,22 @@ def _get(obj, key, path, kind=None):
     if key not in obj:
         raise ModelFormatError(f"{path}.{key}", "missing field")
     value = obj[key]
-    if kind is not None and not isinstance(value, kind):
+    if kind is not None and (
+        not isinstance(value, kind) or (kind is int and isinstance(value, bool))
+    ):
         raise ModelFormatError(f"{path}.{key}", f"expected {kind.__name__}")
     return value
+
+
+def _names(values, path, what):
+    for i, v in enumerate(values):
+        _expect(isinstance(v, str), f"{path}[{i}]", f"{what} must be a string")
 
 
 def _base_space(model):
     points = _get(model, "base", "model", list)
     _expect(bool(points), "model.base", "at least one point required")
-    for i, p in enumerate(points):
-        _expect(isinstance(p, str), f"model.base[{i}]", "point must be a string")
+    _names(points, "model.base", "point")
     try:
         return BaseSpace(tuple(points))
     except ValueError as exc:
@@ -111,11 +117,16 @@ def _groupoid(model, base):
         target[arrows[-1]] = _get(entry, "tgt", path, str)
     units = _get(g, "units", "model.groupoid", dict)
     inverse = _get(g, "inverse", "model.groupoid", dict)
+    for key, table in (("units", units), ("inverse", inverse)):
+        for k, v in table.items():
+            _expect(isinstance(v, str), f"model.groupoid.{key}.{k}",
+                    "arrow id must be a string")
     compose = {}
     for i, entry in enumerate(_get(g, "compose", "model.groupoid", list)):
         path = f"model.groupoid.compose[{i}]"
         _expect(isinstance(entry, list) and len(entry) == 3, path,
                 "expected [g, h, g after h]")
+        _names(entry, path, "arrow id")
         compose[(entry[0], entry[1])] = entry[2]
     try:
         return FiniteGroupoid(base, arrows, source, target, units, inverse, compose)
@@ -125,8 +136,7 @@ def _groupoid(model, base):
 
 def _fiber(entry, path):
     basis = _get(entry, "basis", path, list)
-    for i, name in enumerate(basis):
-        _expect(isinstance(name, str), f"{path}.basis[{i}]", "name must be a string")
+    _names(basis, f"{path}.basis", "name")
     index = {n: i for i, n in enumerate(basis)}
     _expect(len(index) == len(basis), f"{path}.basis", "duplicate generator names")
     sparse = []
@@ -209,6 +219,7 @@ def _table_carrier(model, base):
         path = f"model.table.mul[{i}]"
         _expect(isinstance(entry, list) and len(entry) == 3, path,
                 "expected [left, right, coefficients]")
+        _names(entry[:2], path, "label")
         mul_table[(entry[0], entry[1])] = _coeff_map(entry[2], path)
     delta_table = {}
     for name, entries in _get(t, "delta", "model.table", dict).items():
@@ -218,6 +229,7 @@ def _table_carrier(model, base):
         for i, entry in enumerate(entries):
             _expect(isinstance(entry, list) and len(entry) == 3, f"{path}[{i}]",
                     "expected [left, right, coefficient]")
+            _names(entry[:2], f"{path}[{i}]", "label")
             clean[(entry[0], entry[1])] = _scalar(entry[2], f"{path}[{i}]")
         delta_table[name] = clean
     counit_table = {

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finhopf.errors import DimensionMismatch
 from finhopf.linalg import QMatrix, rational_eigenvalues, rational_roots
@@ -12,6 +14,95 @@ from finhopf.rationals import rat
 
 def F(x):
     return Fraction(x)
+
+
+# A dense Gauss-Jordan reference, independent of the library's sparse core:
+# first nonzero entry in the column as pivot, every other row cleared.
+def dense_rref(data, cols):
+    m = [list(r) for r in data]
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r == len(m):
+            break
+        pivot_row = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return m, tuple(pivots)
+
+
+def dense_nullspace(data, cols):
+    reduced, pivots = dense_rref(data, cols)
+    raw = []
+    for f in (c for c in range(cols) if c not in pivots):
+        v = [F(0)] * cols
+        v[f] = F(1)
+        for r, p in enumerate(pivots):
+            v[p] = -reduced[r][f]
+        raw.append(v)
+    return [tuple(r) for r in dense_rref(raw, cols)[0]]
+
+
+def dense_solve(data, cols, rhs):
+    reduced, pivots = dense_rref([list(r) + [b] for r, b in zip(data, rhs)], cols + 1)
+    if cols in pivots:
+        return None
+    x = [F(0)] * cols
+    for r, p in enumerate(pivots):
+        x[p] = reduced[r][cols]
+    return tuple(x)
+
+
+def dense_inverse(data, n):
+    ident = [[F(int(i == j)) for j in range(n)] for i in range(n)]
+    reduced, pivots = dense_rref([list(r) + e for r, e in zip(data, ident)], 2 * n)
+    if pivots != tuple(range(n)):
+        return None
+    return QMatrix([r[n:] for r in reduced], cols=n)
+
+
+ENTRIES = st.sampled_from(
+    [F(0)] * 6 + [F(1), F(-1), F(2), F(-3), Fraction(1, 2), Fraction(-5, 3),
+                  Fraction(10**12, 7), Fraction(-7, 10**12)]
+)
+
+
+def dense_matrices(max_rows=6, max_cols=6):
+    return st.integers(0, max_rows).flatmap(
+        lambda r: st.integers(0, max_cols).flatmap(
+            lambda c: st.lists(
+                st.lists(ENTRIES, min_size=c, max_size=c), min_size=r, max_size=r
+            ).map(lambda rows: QMatrix(rows, cols=c))
+        )
+    )
+
+
+def block_diagonal(blocks):
+    rows = sum(b.rows for b in blocks)
+    cols = sum(b.cols for b in blocks)
+    dense = [[F(0)] * cols for _ in range(rows)]
+    r0 = c0 = 0
+    for b in blocks:
+        for i, row in enumerate(b.data):
+            dense[r0 + i][c0:c0 + b.cols] = row
+        r0 += b.rows
+        c0 += b.cols
+    return QMatrix(dense, cols=cols)
+
+
+MATRICES = st.one_of(
+    dense_matrices(),
+    st.lists(dense_matrices(3, 3), min_size=1, max_size=3).map(block_diagonal),
+)
 
 
 def test_rref_golden():
@@ -101,20 +192,25 @@ def test_block_rank_matches_dense_rank():
         blocks = []
         for _b in range(rng.randint(1, 3)):
             r, c = rng.randint(1, 3), rng.randint(1, 3)
-            blocks.append([[rng.randint(-2, 2) for _ in range(c)] for _ in range(r)])
-        rows = sum(len(b) for b in blocks)
-        cols = sum(len(b[0]) for b in blocks)
-        dense = [[0] * cols for _ in range(rows)]
-        r0 = c0 = 0
-        for b in blocks:
-            for i, row in enumerate(b):
-                for j, x in enumerate(row):
-                    dense[r0 + i][c0 + j] = x
-            r0 += len(b)
-            c0 += len(b[0])
-        m = QMatrix(dense, cols=cols)
-        # reference: rank by pivot count of a plain rref
-        assert m.rank() == len(m.rref()[1])
+            blocks.append(QMatrix([[rng.randint(-2, 2) for _ in range(c)] for _ in range(r)]))
+        m = block_diagonal(blocks)
+        # reference: rank by pivot count of the dense oracle
+        assert m.rank() == len(dense_rref(m.data, m.cols)[1])
+
+
+@settings(derandomize=True, database=None, max_examples=300)
+@given(MATRICES, st.data())
+def test_sparse_core_matches_dense_oracle(m, data):
+    reduced, pivots = dense_rref(m.data, m.cols)
+    assert m.rref() == (QMatrix(reduced, cols=m.cols), pivots)
+    assert m.rank() == len(pivots)
+    assert m.nullspace() == dense_nullspace(m.data, m.cols)
+    rhs = data.draw(st.lists(ENTRIES, min_size=m.rows, max_size=m.rows))
+    x = data.draw(st.lists(ENTRIES, min_size=m.cols, max_size=m.cols))
+    for b in (rhs, m.matvec(x)):
+        assert m.solve(b) == dense_solve(m.data, m.cols, b)
+    assert m.solve(m.matvec(x)) is not None
+    assert m.inverse() == (dense_inverse(m.data, m.rows) if m.rows == m.cols else None)
 
 
 def test_matrix_arithmetic_and_immutability():

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from finhopf.cli import EXIT_INPUT_ERROR, main
 from finhopf.errors import ModelFormatError
 from finhopf.modelio import (
     FORMAT_NAME,
@@ -126,3 +127,38 @@ def test_format_constants():
     model = z2line_model()
     assert model["format"] == FORMAT_NAME
     assert model["version"] == FORMAT_VERSION
+
+
+def _set(model, keys, value):
+    *path, last = keys
+    for k in path:
+        model = model[k]
+    model[last] = value
+
+
+@pytest.mark.parametrize("preset, keys, value, where", [
+    pytest.param(z2line_model, ("groupoid", "compose", 0, 0), ["e"],
+                 "model.groupoid.compose[0][0]", id="compose-list"),
+    pytest.param(z2line_model, ("groupoid", "units", "x"), ["e"],
+                 "model.groupoid.units.x", id="units-list"),
+    pytest.param(z2line_model, ("groupoid", "inverse", "e"), {"e": 1},
+                 "model.groupoid.inverse.e", id="inverse-dict"),
+    pytest.param(funs3_model, ("table", "mul", 0, 0), ["d012"],
+                 "model.table.mul[0][0]", id="mul-list"),
+    pytest.param(funs3_model, ("table", "delta", "d012", 0, 1), ["d012"],
+                 "model.table.delta.d012[0][1]", id="delta-list"),
+    pytest.param(z2line_model, ("truncation",), True, "model.truncation", id="truncation-bool"),
+    pytest.param(z2line_model, ("version",), True, "model.version", id="version-bool"),
+])
+def test_malformed_identifiers_are_model_errors(preset, keys, value, where, tmp_path, capsys):
+    model = preset()
+    _set(model, keys, value)
+    with pytest.raises(ModelFormatError) as err:
+        validate_model(model)
+    assert err.value.path == where
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["validate", str(path)])
+    assert exit_info.value.code == EXIT_INPUT_ERROR
+    assert where in capsys.readouterr().err
