@@ -330,18 +330,6 @@ class HopfAlgebroid(ABC):
             self._labels_at = cache
         return cache.get(point, ())
 
-    def label_index(self, label) -> int:
-        index = getattr(self, "_label_index", None)
-        if index is None:
-            index = {l: i for i, l in enumerate(self.labels)}
-            self._label_index = index
-        return index[label]
-
-    def element(self, coeffs) -> AlgebroidElement:
-        for label in coeffs:
-            self.label_index(label)  # raises KeyError on foreign labels
-        return AlgebroidElement(self, coeffs)
-
     def zero(self) -> AlgebroidElement:
         return AlgebroidElement(self, {})
 
@@ -402,7 +390,7 @@ class ConvolutionAlgebroid(HopfAlgebroid):
 
     An element assigns to each arrow g a truncated enveloping-algebra element
     in the fiber over target(g).  The product is convolution: the coefficient
-    of g in a*b sums a(h) * (h . b(k)) over factorizations g = h after k,
+    of g in a*b sums a(h) * (h . b(k)) over the pairs with g = h after k,
     where h acts by transporting the source fiber along the arrow.
     """
 
@@ -448,43 +436,31 @@ class ConvolutionAlgebroid(HopfAlgebroid):
         fiber = self.bundle.fiber(self.groupoid.target[g])
         return f"{mono_text(m, fiber.basis)}@{g}"
 
-    def uelement(self, a: AlgebroidElement, arrow) -> UElement:
-        fiber = self.bundle.fiber(self.groupoid.target[arrow])
-        terms = {m: c for (g, m), c in a.coeffs.items() if g == arrow}
-        return UElement(fiber, self.groupoid.target[arrow], self.truncation, terms)
-
-    def from_uelements(self, per_arrow) -> AlgebroidElement:
-        coeffs = {}
-        for g, u in per_arrow.items():
-            for m, c in u.terms.items():
-                coeffs[(g, m)] = c
-        return AlgebroidElement(self, coeffs)
-
-    def arrow_support(self, a: AlgebroidElement):
-        return sorted({g for (g, _m) in a.coeffs})
+    def _per_arrow(self, a: AlgebroidElement):
+        """The parts of ``a`` as ``(arrow, UElement)`` pairs, in sorted arrow order."""
+        parts = {}
+        for (g, m), c in a.coeffs.items():
+            parts.setdefault(g, {})[m] = c
+        target = self.groupoid.target
+        return [
+            (g, UElement(self.bundle.fiber(target[g]), target[g], self.truncation, parts[g]))
+            for g in sorted(parts)
+        ]
 
     def mul(self, a: AlgebroidElement, b: AlgebroidElement) -> AlgebroidElement:
         self._own(a, b)
-        a_arrows = {g: self.uelement(a, g) for g in self.arrow_support(a)}
-        b_arrows = {g: self.uelement(b, g) for g in self.arrow_support(b)}
+        compose, target = self.groupoid.compose_table, self.groupoid.target
+        right = self._per_arrow(b)
         out = {}
-        for g, pairs in self.groupoid.factorizations.items():
-            acc = None
-            for h, k in pairs:
-                u = a_arrows.get(h)
-                v = b_arrows.get(k)
-                if u is None or v is None:
+        for h, u in self._per_arrow(a):
+            y = target[h]
+            for k, v in right:
+                g = compose.get((h, k))
+                if g is None:
                     continue
-                moved = v.transport(
-                    self.action.matrix(h),
-                    self.bundle.fiber(self.groupoid.target[h]),
-                    self.groupoid.target[h],
-                )
-                term = u.mul(moved)
-                acc = term if acc is None else acc + term
-            if acc is not None and not acc.is_zero():
-                out[g] = acc
-        return self.from_uelements(out)
+                moved = v.transport(self.action.matrix(h), self.bundle.fiber(y), y)
+                add_terms(out, (((g, m), c) for m, c in u.mul(moved).terms.items()))
+        return AlgebroidElement(self, out)
 
     def delta_label(self, label):
         if label not in self._delta_cache:
@@ -511,7 +487,9 @@ class ConvolutionAlgebroid(HopfAlgebroid):
                 self.bundle.fiber(self.groupoid.target[ginv]),
                 self.groupoid.target[ginv],
             )
-            self._antipode_cache[label] = self.from_uelements({ginv: moved})
+            self._antipode_cache[label] = AlgebroidElement(
+                self, {(ginv, m): c for m, c in moved.terms.items()}
+            )
         return self._antipode_cache[label]
 
     def unit_at(self, point):
@@ -700,9 +678,15 @@ class AxiomCheck:
     checked: int
     witness: str | None = None
 
+    @property
+    def status(self) -> str:
+        """``fail`` on a witness, ``inconclusive`` when no sample was checked."""
+        if not self.ok:
+            return "fail"
+        return "pass" if self.checked else "inconclusive"
+
     def to_json(self):
-        out = {"name": self.name, "status": "pass" if self.ok else "fail",
-               "checked": self.checked}
+        out = {"name": self.name, "status": self.status, "checked": self.checked}
         if self.witness:
             out["witness"] = self.witness
         return out
@@ -716,10 +700,14 @@ class AxiomReport:
 
     @property
     def ok(self) -> bool:
-        return all(c.ok for c in self.checks)
+        """True only when every law passed on at least one sample."""
+        return all(c.status == "pass" for c in self.checks)
 
     def failures(self):
         return [c for c in self.checks if not c.ok]
+
+    def inconclusive(self):
+        return [c for c in self.checks if c.status == "inconclusive"]
 
     def to_json(self):
         return {
@@ -732,13 +720,13 @@ class AxiomReport:
     def text(self) -> str:
         lines = []
         for c in self.checks:
-            status = "PASS" if c.ok else "FAIL"
-            line = f"{status} {c.name} (checked {c.checked})"
+            line = f"{c.status.upper()} {c.name} (checked {c.checked})"
             if c.witness:
                 line += f"\n     witness: {c.witness}"
             lines.append(line)
+        overall = "FAIL" if self.failures() else "INCONCLUSIVE" if self.inconclusive() else "PASS"
         lines.append(
-            f"{'PASS' if self.ok else 'FAIL'} overall"
+            f"{overall} overall"
             + (f" ({self.resampled} overflow resamples)" if self.resampled else "")
         )
         return "\n".join(lines)

@@ -96,15 +96,24 @@ class PrimBasis:
         )
 
     def coords_in_basis(self, element: AlgebroidElement, point):
-        """Coordinates of a single-fiber element in the basis at ``point``."""
+        """Coordinates of a single-fiber element in the basis at ``point``.
+
+        The basis at a point is a reduced echelon form with pivot entries 1,
+        so the coordinates are the element's entries at the pivot labels (the
+        first label of each basis vector); they are the answer exactly when
+        they rebuild the element, and None means it is outside the span.
+        """
         if any(t != point for t in element.target_points()):
             return None
+        labels = self.carrier.labels_at(point)
         basis = self.per_point.get(point, [])
-        block = element.coords_at(point)
-        if not basis:
-            return () if not any(block) else None
-        m = QMatrix.from_columns([b.coords_at(point) for b in basis], rows=len(block))
-        return m.solve(block)
+        coords = tuple(
+            element.coeffs.get(next(l for l in labels if l in b.coeffs), _ZERO) for b in basis
+        )
+        rebuilt = {}
+        for b, c in zip(basis, coords):
+            add_terms(rebuilt, ((l, c * x) for l, x in b.coeffs.items()))
+        return coords if rebuilt == element.coeffs else None
 
 
 def solve_primitives(carrier: HopfAlgebroid) -> PrimBasis:
@@ -776,9 +785,14 @@ def analyze(carrier: HopfAlgebroid, samples: int = 60, seed: int = 11,
         if not skip_axioms:
             analysis.axiom_report = check_axioms(carrier, samples=samples, seed=seed)
             report.axioms_ok = analysis.axiom_report.ok
-            if not analysis.axiom_report.ok:
+            if analysis.axiom_report.failures():
                 failing = ", ".join(c.name for c in analysis.axiom_report.failures())
                 raise AnalysisError("axioms", f"axiom checks failed: {failing}")
+            if analysis.axiom_report.inconclusive():
+                unchecked = ", ".join(c.name for c in analysis.axiom_report.inconclusive())
+                raise AnalysisError(
+                    "axioms", f"axiom checks inconclusive (no sample checked): {unchecked}"
+                )
 
         stage = "primitives"
         analysis.prim = solve_primitives(carrier)
@@ -820,6 +834,11 @@ def analyze(carrier: HopfAlgebroid, samples: int = 60, seed: int = 11,
             if not check.ok:
                 raise AnalysisError(
                     "theta", f"homomorphy check {check.name} failed: {check.witness}"
+                )
+        for check in theta.hom_checks:
+            if check.status == "inconclusive":
+                raise AnalysisError(
+                    "theta", f"homomorphy check {check.name} inconclusive: no sample checked"
                 )
         for p in carrier.base.points:
             dom, cod = theta.dims_at(p)

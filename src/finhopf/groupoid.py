@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 from .errors import SizeGuardExceeded
 from .rationals import rat, rat_str
@@ -190,16 +189,6 @@ class FiniteGroupoid:
             g for g in sorted(self.arrows)
             if self.source[g] == x and self.target[g] == y
         )
-
-    @cached_property
-    def factorizations(self):
-        """For each arrow g, every ordered pair (h, k) with h∘k = g."""
-        table = {g: [] for g in self.arrows}
-        for (h, k), g in self.compose_table.items():
-            table[g].append((h, k))
-        for g in table:
-            table[g].sort()
-        return table
 
     def validate(self) -> list[str]:
         """All groupoid-law violations, each naming the offending arrows."""

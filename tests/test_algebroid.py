@@ -1,21 +1,27 @@
 """Carrier-level behaviour: convolution goldens, axiom suite, table import."""
 
+import random
 from fractions import Fraction
+from functools import cache, partial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finhopf.algebroid import (
+    AlgebroidElement,
     ConvolutionAlgebroid,
     FiberTensor,
     TableAlgebroid,
     check_axioms,
 )
+from finhopf.enveloping import UElement
 from finhopf.errors import CoherenceError, DimensionMismatch, TruncationOverflow
 from finhopf.groupoid import BaseFun, BaseSpace
 from finhopf.liebundle import BundleAction, LieBundle, LieFiber
 from finhopf.linalg import QMatrix
 from finhopf.modelio import carrier_from_model
-from finhopf.models import funs3_model, pairh3_model, z2line_model
+from finhopf.models import funs3_model, pairh3_model, random_model, z2line_model
 
 from test_groupoid import z2
 
@@ -272,3 +278,87 @@ def test_law_counts_golden_on_pairh3_at_truncation_2():
     assert [c.checked for c in report.checks] == [
         2, 2, 20, 20, 20, 2, 20, 20, 20, 20, 20, 20, 20,
     ]
+
+
+def test_zero_samples_are_inconclusive_not_a_pass():
+    carrier = carrier_from_model(pairh3_model())
+    for samples in (0, -3):
+        report = check_axioms(carrier, samples=samples, seed=1)
+        statuses = {c.name: c.status for c in report.checks}
+        # the base laws run on every point, the sampled ones on nothing
+        assert statuses["axiom_i_counit_on_base"] == "pass"
+        assert statuses["associativity"] == "inconclusive"
+        assert not report.failures() and not report.ok
+        assert report.to_json()["ok"] is False
+        assert "INCONCLUSIVE associativity (checked 0)" in report.text()
+        assert report.text().endswith("INCONCLUSIVE overall")
+
+
+def factorization_walk(carrier, a, b):
+    """The convolution product as a walk over every factorization of every arrow.
+
+    This is the textbook reading of the definition, kept as an oracle: for
+    each arrow g it sums a(h) * (h . b(k)) over the sorted pairs h after k = g.
+    """
+    groupoid = carrier.groupoid
+    factorizations = {g: [] for g in groupoid.arrows}
+    for (h, k), g in groupoid.compose_table.items():
+        factorizations[g].append((h, k))
+
+    def part(x, arrow):
+        y = groupoid.target[arrow]
+        terms = {m: c for (g, m), c in x.coeffs.items() if g == arrow}
+        return UElement(carrier.bundle.fiber(y), y, carrier.truncation, terms)
+
+    a_arrows = {h: part(a, h) for h, _m in a.coeffs}
+    b_arrows = {k: part(b, k) for k, _m in b.coeffs}
+    coeffs = {}
+    for g, pairs in factorizations.items():
+        acc = None
+        for h, k in sorted(pairs):
+            if h not in a_arrows or k not in b_arrows:
+                continue
+            y = groupoid.target[h]
+            moved = b_arrows[k].transport(carrier.action.matrix(h), carrier.bundle.fiber(y), y)
+            term = a_arrows[h].mul(moved)
+            acc = term if acc is None else acc + term
+        if acc is not None:
+            coeffs.update({(g, m): c for m, c in acc.terms.items()})
+    return AlgebroidElement(carrier, coeffs)
+
+
+def pairh3_at_3_model():
+    model = pairh3_model()
+    model["truncation"] = 3
+    return model
+
+
+ORACLE_MODELS = [z2line_model, pairh3_at_3_model] + [partial(random_model, s) for s in range(8)]
+
+
+@cache
+def oracle_carrier(index):
+    return carrier_from_model(ORACLE_MODELS[index]())
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(
+    st.integers(0, len(ORACLE_MODELS) - 1),
+    st.integers(0, 2**32),
+    st.integers(0, 3),
+    st.integers(1, 4),
+)
+def test_support_driven_product_matches_factorization_walk(index, seed, cap, max_arrows):
+    carrier = oracle_carrier(index)
+    rng = random.Random(seed)
+    a, b = (
+        carrier.random_element(rng, degree_cap=cap, max_arrows=max_arrows, max_terms=3)
+        for _ in range(2)
+    )
+    try:
+        expected = factorization_walk(carrier, a, b)
+    except TruncationOverflow:
+        with pytest.raises(TruncationOverflow):
+            carrier.mul(a, b)
+        return
+    assert carrier.mul(a, b) == expected

@@ -1,9 +1,12 @@
 """Structure analysis: primitives, grouplikes, spectral groupoid, theta."""
 
+import functools
+import random
 from fractions import Fraction
 
 import pytest
 
+from finhopf import analysis as analysis_module
 from finhopf.algebroid import ConvolutionAlgebroid, FiberTensor, TableAlgebroid
 from finhopf.analysis import (
     analyze,
@@ -24,9 +27,9 @@ from finhopf.errors import NotAGoodPair, SolverIncomplete
 from finhopf.groupoid import BaseFun, BaseSpace, groupoid_isomorphic
 from finhopf.linalg import QMatrix
 from finhopf.modelio import carrier_from_model
-from finhopf.models import funs3_model, pairh3_model, z2line_model
+from finhopf.models import funs3_model, pairh3_model, random_model, z2line_model
 
-from test_algebroid import h3_z2_carrier, z2line
+from test_algebroid import h3_z2_carrier, pairh3_at_3_model, z2line
 
 
 def pairh3():
@@ -416,3 +419,92 @@ def test_theta_hom_check_counts_golden():
         ("theta_antipode", True, 12),
         ("theta_on_base", True, 1),
     ]
+
+
+def test_zero_sample_axiom_laws_make_analyze_an_error():
+    analysis = analyze(carrier_from_model(random_model(3)), samples=0)
+    decision = analysis.decision
+    assert decision.verdict == "ERROR"
+    assert decision.axioms_ok is False
+    stage, message = decision.stage_error
+    assert stage == "axioms"
+    assert message.startswith("axiom checks inconclusive") and "associativity" in message
+
+
+def test_zero_sample_theta_laws_make_analyze_an_error(monkeypatch):
+    monkeypatch.setattr(
+        analysis_module, "build_theta",
+        functools.partial(analysis_module.build_theta, hom_samples=0),
+    )
+    analysis = analyze(z2line(), samples=20, seed=3)
+    assert [c.status for c in analysis.theta.hom_checks] == ["inconclusive"] * 4 + ["pass"]
+    assert analysis.decision.verdict == "ERROR"
+    assert analysis.decision.stage_error == (
+        "theta", "homomorphy check theta_multiplicative inconclusive: no sample checked",
+    )
+
+
+def _solve_coords(prim, element, point):
+    """Coordinates by exact elimination against the basis columns."""
+    if any(t != point for t in element.target_points()):
+        return None
+    basis = prim.per_point.get(point, [])
+    block = element.coords_at(point)
+    if not basis:
+        return () if not any(block) else None
+    m = QMatrix.from_columns([b.coords_at(point) for b in basis], rows=len(block))
+    return m.solve(block)
+
+
+def test_pivot_coordinates_match_elimination():
+    rng = random.Random(5)
+    for carrier in (z2line(), pairh3(), funs3(), h3_z2_carrier(z_sign=1)):
+        prim = solve_primitives(carrier)
+        for p in carrier.base.points:
+            basis = prim.per_point.get(p, [])
+            candidates = [carrier.zero(), *basis]
+            for _ in range(6):
+                combo = carrier.zero()
+                for b in basis:
+                    combo = combo + b.scale(rng.randint(-3, 3))
+                candidates += [combo, combo + carrier.random_element(rng).at_point(p)]
+            candidates += [carrier.random_element(rng) for _ in range(6)]
+            for element in candidates:
+                assert prim.coords_in_basis(element, p) == _solve_coords(prim, element, p)
+
+
+def renamed(model):
+    """The model with points and arrows renamed so that their sorted orders reverse."""
+    groupoid = model["groupoid"]
+    points = sorted(model["base"])
+    arrows = sorted(a["id"] for a in groupoid["arrows"])
+    pmap = {p: f"q{len(points) - i:02d}" for i, p in enumerate(points)}
+    amap = {g: f"z{len(arrows) - i:02d}" for i, g in enumerate(arrows)}
+    out = dict(model, base=[pmap[p] for p in model["base"]])
+    out["groupoid"] = {
+        "arrows": [
+            {"id": amap[a["id"]], "src": pmap[a["src"]], "tgt": pmap[a["tgt"]]}
+            for a in groupoid["arrows"]
+        ],
+        "units": {pmap[p]: amap[g] for p, g in groupoid["units"].items()},
+        "inverse": {amap[g]: amap[h] for g, h in groupoid["inverse"].items()},
+        "compose": [[amap[g] for g in row] for row in groupoid["compose"]],
+    }
+    out["bundle"] = [dict(f, point=pmap[f["point"]]) for f in model["bundle"]]
+    out["action"] = [dict(e, arrow=amap[e["arrow"]]) for e in model["action"]]
+    return out, pmap
+
+
+@pytest.mark.parametrize("make_model", [
+    z2line_model, pairh3_at_3_model, *(functools.partial(random_model, s) for s in range(3)),
+])
+def test_renaming_points_and_arrows_keeps_the_decision(make_model):
+    model = make_model()
+    other, pmap = renamed(model)
+    before = analyze(carrier_from_model(model), samples=20).decision
+    after = analyze(carrier_from_model(other), samples=20).decision
+    assert before.verdict == "ISO"
+    assert after.verdict == before.verdict
+    assert after.prim_ranks == {pmap[p]: r for p, r in before.prim_ranks.items()}
+    assert after.spectral_arrows == before.spectral_arrows
+    assert after.theta == {pmap[p]: v for p, v in before.theta.items()}

@@ -65,6 +65,21 @@ def test_check_axioms(model_files, capsys):
     assert "FAIL" in out
 
 
+def test_zero_samples_are_inconclusive(model_files, capsys):
+    code, out, _ = run(["check-axioms", model_files["pairh3"], "--samples", "0",
+                        "--json"], capsys)
+    assert code == EXIT_PROPERTY_FAILS
+    data = json.loads(out)
+    assert data["ok"] is False
+    by_name = {c["name"]: c for c in data["checks"]}
+    assert by_name["associativity"] == {
+        "name": "associativity", "status": "inconclusive", "checked": 0,
+    }
+    code, out, _ = run(["check-axioms", model_files["pairh3"], "--samples", "0"], capsys)
+    assert code == EXIT_PROPERTY_FAILS
+    assert out.rstrip().endswith("INCONCLUSIVE overall")
+
+
 def test_check_axioms_json(model_files, capsys):
     code, out, _ = run(["check-axioms", model_files["funs3"], "--json"], capsys)
     assert code == EXIT_OK

@@ -122,16 +122,6 @@ def test_associativity_violation_reported():
     assert g.validate()
 
 
-def test_factorizations_cover_composition():
-    g = pair_groupoid(["x", "y"])
-    for arrow, pairs in g.factorizations.items():
-        for h, k in pairs:
-            assert g.compose(h, k) == arrow
-    # every composable pair appears exactly once
-    total = sum(len(v) for v in g.factorizations.values())
-    assert total == len(g.compose_table)
-
-
 def test_hom_and_arrow_queries():
     g = pair_groupoid(["x", "y"])
     assert g.hom("x", "y") == ("ayx",)
