@@ -46,7 +46,7 @@ from .errors import (
 )
 from .groupoid import BaseFun, FiniteGroupoid, groupoid_isomorphic
 from .liebundle import BundleAction, LieBundle, LieFiber
-from .linalg import QMatrix, rational_eigenvalues
+from .linalg import QMatrix, nullspace_of_rows, rational_eigenvalues
 from .rationals import add_terms
 
 _ZERO = Fraction(0)
@@ -120,7 +120,7 @@ def solve_primitives(carrier: HopfAlgebroid) -> PrimBasis:
     """The canonical echelonized basis of the primitive module, with flags.
 
     At each point y the equation delta(a) = eta (x) a + a (x) eta is one
-    exact system over the labels at y, with a row per label pair.
+    exact system over the labels at y, with a sparse row per label pair.
     """
     per_point = {}
     for y in carrier.base.points:
@@ -133,8 +133,7 @@ def solve_primitives(carrier: HopfAlgebroid) -> PrimBasis:
         rows = {}
 
         def add(row_key, col, coeff):
-            row = rows.setdefault(row_key, {})
-            row[col] = row.get(col, _ZERO) + coeff
+            add_terms(rows.setdefault(row_key, {}), ((col, coeff),))
 
         for col, l in enumerate(labels):
             for (l1, l2), c in carrier.delta_label(l):
@@ -142,12 +141,8 @@ def solve_primitives(carrier: HopfAlgebroid) -> PrimBasis:
             for l0, c0 in unit.coeffs.items():
                 add((idx[l0], idx[l]), col, -c0)
                 add((idx[l], idx[l0]), col, -c0)
-        matrix = QMatrix(
-            [[rows[k].get(c, _ZERO) for c in range(len(labels))] for k in sorted(rows)],
-            cols=len(labels),
-        )
         basis = []
-        for v in matrix.nullspace():
+        for v in nullspace_of_rows([rows[k] for k in sorted(rows)], len(labels)):
             coeffs = {l: c for l, c in zip(labels, v) if c}
             basis.append(AlgebroidElement(carrier, coeffs))
         per_point[y] = basis

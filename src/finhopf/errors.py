@@ -9,12 +9,14 @@ class TruncationOverflow(FinhopfError):
     """A product would produce a monomial beyond the degree bound.
 
     Raised eagerly: no result is ever silently truncated.  ``degree`` is the
-    degree that was requested, ``truncation`` the bound that was exceeded.
+    degree that was requested, ``truncation`` the bound that was exceeded,
+    ``detail`` what was being computed.
     """
 
     def __init__(self, degree, truncation, detail=""):
         self.degree = degree
         self.truncation = truncation
+        self.detail = detail
         msg = f"degree {degree} exceeds truncation bound {truncation}"
         if detail:
             msg += f" ({detail})"

@@ -1,11 +1,13 @@
 """Exact linear algebra over the rationals.
 
-Matrices are stored dense, but all elimination happens in ``QMatrix.rref``
-on sparse rows: each row is reduced against the pivot rows found so far,
-and back substitution finishes the job.  The reduced row echelon form is
-unique, so results are canonical: ``rank``, ``solve`` and ``inverse`` read
-it off, and ``nullspace`` returns the unique basis of the kernel that is
-itself in reduced echelon form with pivot entries 1.
+Matrices are stored dense, but all elimination happens on sparse rows in
+one helper, ``_eliminate``: each row is reduced against the pivot rows
+found so far, and back substitution finishes the job.  The reduced row
+echelon form is unique, so results are canonical: ``rank``, ``solve`` and
+``inverse`` read it off ``QMatrix.rref``, and ``nullspace_of_rows`` (behind
+``QMatrix.nullspace``, and fed sparse systems directly) returns the unique
+basis of the kernel that is itself in reduced echelon form with pivot
+entries 1.
 """
 
 from __future__ import annotations
@@ -55,6 +57,29 @@ def _eliminate(rows):
             f = row[q]
             add_terms(row, ((c, -f * x) for c, x in pivot_rows[q].items()))
     return pivots, [pivot_rows[p] for p in pivots]
+
+
+def nullspace_of_rows(rows, cols):
+    """Canonical kernel basis of a system given as sparse rows.
+
+    ``rows`` are zero-free ``{col: Fraction}`` maps over ``cols`` unknowns,
+    consumed by the elimination.  The basis vectors are dense tuples: the
+    unique basis of the kernel that is itself in reduced echelon form with
+    pivot entries 1.
+    """
+    pivots, reduced = _eliminate(rows)
+    pivot_set = set(pivots)
+    raw = []
+    for f in range(cols):
+        if f in pivot_set:
+            continue
+        v = {f: _ONE}
+        for p, row in zip(pivots, reduced):
+            if f in row:
+                v[p] = -row[f]
+        raw.append(v)
+    _, canonical = _eliminate(raw)
+    return [tuple(row.get(j, _ZERO) for j in range(cols)) for row in canonical]
 
 
 class QMatrix:
@@ -199,20 +224,9 @@ class QMatrix:
 
     def nullspace(self):
         """Canonical kernel basis: echelonized rows with pivot entries 1."""
-        reduced, pivots = self.rref()
-        pivot_set = set(pivots)
-        free = [c for c in range(self.cols) if c not in pivot_set]
-        raw = []
-        for f in free:
-            v = [_ZERO] * self.cols
-            v[f] = _ONE
-            for r, p in enumerate(pivots):
-                v[p] = -reduced.data[r][f]
-            raw.append(v)
-        if not raw:
-            return []
-        canonical, _ = QMatrix(raw, cols=self.cols).rref()
-        return [canonical.row(i) for i in range(len(raw))]
+        return nullspace_of_rows(
+            ({j: x for j, x in enumerate(r) if x} for r in self.data), self.cols
+        )
 
     def solve(self, rhs):
         """Any exact solution of ``self @ x = rhs``, or None if inconsistent."""

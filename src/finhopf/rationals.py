@@ -11,8 +11,6 @@ from fractions import Fraction
 
 Rational = Fraction
 
-_ZERO = Fraction(0)
-
 
 def rat(value) -> Fraction:
     """Coerce an int, a string like ``"3/4"`` or ``"-2"``, or a Fraction.
@@ -45,15 +43,19 @@ def rat_str(value: Fraction) -> str:
 def add_terms(out: dict, pairs) -> dict:
     """Add ``(key, coeff)`` pairs into the zero-free map ``out``, in place.
 
-    A key whose coefficient cancels is removed, so ``out`` stays zero-free.
+    A key whose coefficient cancels is removed, so ``out`` stays zero-free;
+    a new key stores ``c`` itself, so callers pass Fractions.
     Every sparse coefficient map in the package (PBW monomials, carrier
     labels, same-target label tuples) is accumulated through here.
     """
     get = out.get
     for key, c in pairs:
-        acc = get(key, _ZERO) + c
-        if acc:
+        acc = get(key)
+        if acc is None:
+            if c:
+                out[key] = c
+        elif acc := acc + c:
             out[key] = acc
         else:
-            out.pop(key, None)
+            del out[key]
     return out

@@ -1,12 +1,13 @@
 """End-to-end command line behaviour and exit codes."""
 
+import hashlib
 import json
 
 import pytest
 
 from finhopf.cli import EXIT_INPUT_ERROR, EXIT_OK, EXIT_PROPERTY_FAILS, main
 from finhopf.modelio import FORMAT_NAME, save_model
-from finhopf.models import funs3_model, pairh3_model, z2line_model
+from finhopf.models import funs3_model, pairh3_model, random_model, z2line_model
 
 
 def run(args, capsys):
@@ -162,3 +163,57 @@ def test_schema_prints_documentation(capsys):
 def test_missing_subcommand_is_an_input_error(capsys):
     code, _, _ = run([], capsys)
     assert code == EXIT_INPUT_ERROR
+
+
+def pairh3_at(truncation):
+    model = pairh3_model()
+    model["truncation"] = truncation
+    return model
+
+
+GOLDEN_MODELS = {
+    "z2line": z2line_model,
+    "funs3": funs3_model,
+    "pairh3-N1": lambda: pairh3_at(1),
+    "pairh3-N3": lambda: pairh3_at(3),
+    "random-0": lambda: random_model(0),
+    "random-1": lambda: random_model(1),
+    "random-2": lambda: random_model(2),
+}
+
+# (exit code, sha256 of the --json stdout).  pairh3 at N=1 pins the text of
+# the overflow that stops its primitive stage.
+CLI_GOLDENS = {
+    ("z2line", "cgk"): (0, "58701062a67a67451e8aad64bcd80bc90a98be0e6533af09fc4fe6deb6e08306"),
+    ("z2line", "roundtrip"): (0, "b879ada7446dce6145775d498e9cec47f00740f34d4d883e9247cfc99bdaec11"),
+    ("z2line", "check-axioms"): (0, "8191a0e2de20ef61678ba2145628bb97d9c13acea0054e721d5fdb33d60febd8"),
+    ("funs3", "cgk"): (1, "f5790cf1d5289d6b6c68c0abba359c9efbba53ef8db73780fe86044ab5671400"),
+    ("funs3", "roundtrip"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("funs3", "check-axioms"): (0, "84932f89f666975a47f62ff3d4d951eda814db3d8c0d2a41a7e463d57df35a97"),
+    ("pairh3-N1", "cgk"): (2, "c4919bf1f4bdcc407fb4fed9e6c5fc6af9fb301df2b6480574e4e5df9bc64d01"),
+    ("pairh3-N1", "roundtrip"): (1, "955133d5315b5892cb836dc7a397804c3f0121868832f58517ca5febe96ee0e2"),
+    ("pairh3-N1", "check-axioms"): (0, "a3b8eac70ecc876dcd373cff7e023e22b900f050075911d87fdb20458adf2033"),
+    ("pairh3-N3", "cgk"): (0, "9ca3fbe355405472f39937e8126fc3c58d7e7e15a3c754c3e87ee98dcbf11fce"),
+    ("pairh3-N3", "roundtrip"): (0, "5dfafbc61d521d5e0dd767c2713b95ccbf70a08246bf8203d4903196527ec93d"),
+    ("pairh3-N3", "check-axioms"): (0, "a3b8eac70ecc876dcd373cff7e023e22b900f050075911d87fdb20458adf2033"),
+    ("random-0", "cgk"): (0, "cf3930d4febf882b60a3bab18c5654490f978fc6ba8f1922c14149ce658fa55f"),
+    ("random-0", "roundtrip"): (0, "f5849a70b4a1a06147619d15f631a4c17cf593c9b65bfb0a638cd7cd29d71057"),
+    ("random-0", "check-axioms"): (0, "a3b8eac70ecc876dcd373cff7e023e22b900f050075911d87fdb20458adf2033"),
+    ("random-1", "cgk"): (0, "8a0fae60c4daf2f13a6958a70b16bf43112910ce27dd2f5a2d1b351aad08f4a7"),
+    ("random-1", "roundtrip"): (0, "9f8e023caa06513aeb57ca42b8ec46db16fdc0f881cc1aa1d0fbe3a910562998"),
+    ("random-1", "check-axioms"): (0, "8191a0e2de20ef61678ba2145628bb97d9c13acea0054e721d5fdb33d60febd8"),
+    ("random-2", "cgk"): (0, "b31be6772adee4f9631420f88e0fbd88a7fa87be19c3a744121d84539feab00a"),
+    ("random-2", "roundtrip"): (0, "3f849ad36781fb14c63767a855470f96db1a7e201a0dd34958a19db4153e0e63"),
+    ("random-2", "check-axioms"): (0, "8191a0e2de20ef61678ba2145628bb97d9c13acea0054e721d5fdb33d60febd8"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_MODELS))
+def test_json_output_goldens(name, tmp_path, capsys):
+    path = tmp_path / f"{name}.json"
+    save_model(GOLDEN_MODELS[name](), path)
+    for command in ("cgk", "roundtrip", "check-axioms"):
+        extra = ["--samples", "30"] if command == "check-axioms" else []
+        code, out, _ = run([command, str(path), "--json", *extra], capsys)
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert (code, digest) == CLI_GOLDENS[(name, command)], command
