@@ -682,7 +682,7 @@ def _map_tensor(tensor: FiberTensor, theta: ThetaMap) -> FiberTensor:
     out = {}
     for (l1, l2), c in tensor.data.items():
         e1, e2 = theta.images[l1], theta.images[l2]
-        add_terms(out, pair_terms(theta.codomain, e1.coeffs, e2.coeffs, c))
+        add_terms(out, pair_terms(theta.codomain, e1.coeffs.items(), e2.coeffs.items(), c))
     return FiberTensor(theta.codomain, 2, out)
 
 

@@ -23,6 +23,7 @@ from finhopf.liebundle import BundleAction, LieBundle, LieFiber
 from finhopf.linalg import QMatrix
 from finhopf.modelio import carrier_from_model
 from finhopf.models import funs3_model, pairh3_model, random_model, z2line_model
+from finhopf.rationals import add_terms
 
 from test_groupoid import z2
 
@@ -131,7 +132,7 @@ def test_corrupted_action_breaks_associativity_with_witness():
 def test_corrupted_action_breaks_antipode_convolution():
     carrier = h3_z2_carrier(z_sign=-1)
     a = carrier.basis_element(("s", (1, 1, 0)))  # PQ d_s
-    lhs = carrier.delta(a).collapse([carrier.antipode, lambda e: e])
+    lhs = carrier.delta(a).collapse()
     rhs = carrier.embed(carrier.counit(carrier.antipode(a)))
     assert lhs != rhs
 
@@ -184,6 +185,17 @@ def test_element_carrier_safety():
     b = z2line()
     with pytest.raises(DimensionMismatch):
         a.mul(a.one(), b.one())
+
+
+def test_products_across_carriers_raise():
+    for make in (z2line, lambda: carrier_from_model(funs3_model())):
+        a, b = make(), make()
+        x_a, y_b = a.basis_element(a.labels[0]), b.basis_element(b.labels[0])
+        for left, right in ((x_a, y_b), (y_b, x_a)):
+            with pytest.raises(DimensionMismatch):
+                a.mul(left, right)
+        with pytest.raises(DimensionMismatch):
+            a.delta(x_a).mul_pairwise(b.delta(y_b))
 
 
 # ---------------------------------------------------------------------------
@@ -432,6 +444,122 @@ def test_products_on_a_warm_carrier_match_a_fresh_carrier(index, seed, cap):
     expected = product(fresh)
     assert product(warm) == expected
     assert product(warm) == expected
+
+
+# Test-local copies of the per-carrier product loops, and of the tensor leg
+# operations built on them, that ``HopfAlgebroid.mul`` replaced: the shared
+# loop must reproduce their insertion order and their overflow reports.
+
+def by_arrow(coeffs):
+    """``(arrow, [(monomial, c), ...])`` pairs in sorted arrow order."""
+    parts = {}
+    for (g, m), c in coeffs.items():
+        parts.setdefault(g, []).append((m, c))
+    return sorted(parts.items())
+
+
+def loop_mul(carrier, a, b):
+    product = carrier.mul_label
+    out = {}
+    if carrier.kind == "table":
+        for n1, c1 in a.coeffs.items():
+            for n2, c2 in b.coeffs.items():
+                c12 = c1 * c2
+                add_terms(out, ((n, c12 * c) for n, c in product(n1, n2)))
+        return AlgebroidElement(carrier, out)
+    compose = carrier.groupoid.compose_table
+    right = by_arrow(b.coeffs)
+    for h, left_terms in by_arrow(a.coeffs):
+        for k, right_terms in right:
+            if (h, k) not in compose:
+                continue
+            for m1, c1 in left_terms:
+                for m2, c2 in right_terms:
+                    c12 = c1 * c2
+                    add_terms(out, ((l, c12 * c) for l, c in product((h, m1), (k, m2))))
+    return AlgebroidElement(carrier, out)
+
+
+def loop_pair_terms(carrier, left: dict, right: dict, scale):
+    target = carrier.label_target
+    for l1, c1 in left.items():
+        t1 = target(l1)
+        c1 = scale * c1
+        for l2, c2 in right.items():
+            if target(l2) == t1:
+                yield (l1, l2), c1 * c2
+
+
+def loop_mul_pairwise(s, t):
+    carrier = s.carrier
+    out = {}
+    for (a1, a2), c in s.data.items():
+        for (b1, b2), d in t.data.items():
+            left = loop_mul(carrier, carrier.basis_element(a1), carrier.basis_element(b1))
+            if left.is_zero():
+                continue
+            right = loop_mul(carrier, carrier.basis_element(a2), carrier.basis_element(b2))
+            if right.is_zero():
+                continue
+            add_terms(out, loop_pair_terms(carrier, left.coeffs, right.coeffs, c * d))
+    return FiberTensor(carrier, 2, out)
+
+
+def loop_collapse(t):
+    carrier = t.carrier
+    leg_maps = [carrier.antipode, lambda e: e]
+    out = {}
+    for key, c in t.data.items():
+        acc = None
+        for leg, label in enumerate(key):
+            factor = leg_maps[leg](carrier.basis_element(label))
+            acc = factor if acc is None else loop_mul(carrier, acc, factor)
+            if acc.is_zero():
+                break
+        if acc is not None:
+            add_terms(out, ((l, c * x) for l, x in acc.coeffs.items()))
+    return AlgebroidElement(carrier, out)
+
+
+@cache
+def order_carrier(index):
+    """The carriers of ``ORACLE_MODELS``, then ``funs3`` and ``tiny_table()``."""
+    if index < len(ORACLE_MODELS):
+        return oracle_carrier(index)
+    return carrier_from_model(funs3_model()) if index == len(ORACLE_MODELS) else tiny_table()
+
+
+def ordered(compute):
+    """The ordered terms of a product, or the message of its overflow."""
+    try:
+        result = compute()
+    except TruncationOverflow as exc:
+        return str(exc)
+    return list((result.data if isinstance(result, FiberTensor) else result.coeffs).items())
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(
+    st.integers(0, len(ORACLE_MODELS) + 1),
+    st.integers(0, 2**32),
+    st.integers(0, 3),
+)
+def test_products_keep_the_order_of_the_per_carrier_loops(index, seed, cap):
+    carrier = order_carrier(index)
+    rng = random.Random(seed)
+
+    def draw():
+        if carrier.kind == "convolution":
+            return carrier.random_element(rng, degree_cap=cap, max_arrows=3, max_terms=3)
+        labels = rng.sample(carrier.labels, k=rng.randint(1, min(4, carrier.dim)))
+        return AlgebroidElement(carrier, {l: rng.choice([-2, -1, 1, 3]) for l in labels})
+
+    a, b = draw(), draw()
+    da, db, ab = carrier.delta(a), carrier.delta(b), FiberTensor.of_pair(a, b)
+    assert ordered(lambda: carrier.mul(a, b)) == ordered(lambda: loop_mul(carrier, a, b))
+    assert ordered(lambda: da.mul_pairwise(db)) == ordered(lambda: loop_mul_pairwise(da, db))
+    for t in (da, ab):
+        assert ordered(t.collapse) == ordered(lambda: loop_collapse(t))
 
 
 def test_non_injective_action_overflows_label_by_label():
