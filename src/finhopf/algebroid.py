@@ -14,7 +14,16 @@ Comultiplications land in the fiberwise tensor square: since the left action
 on both legs goes along targets, mixed-target terms vanish, and a tensor is
 stored per point as coefficients over same-target label pairs.
 
-``check_axioms`` evaluates the full axiom suite: counit/comultiplication/
+Scalars: inside this module coefficients are kept as ``rationals.exact``
+returns them, integral ones as plain ``int`` (almost all structure constants
+are) and the rest as ``Fraction``; the label-level structure constants
+(``mul_label``, ``delta_label``, ``counit_label``) are in the same form.
+Every coefficient an element, tensor or coordinate tuple exposes
+(``coeffs``, ``data``, ``coords_at``) is a ``Fraction``.  The module only
+adds, subtracts and multiplies coefficients, which is exact on mixed
+operands; it never divides.
+
+``check_axioms`` evaluates the full axiom suite: counit, comultiplication and
 antipode restricted to the base, balanced coproduct values, multiplicativity
 of counit and coproduct, the antipode anti-homomorphism and convolution
 identities, coassociativity, both counit laws, involutivity, and
@@ -28,7 +37,7 @@ from __future__ import annotations
 import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from fractions import Fraction
+from types import MappingProxyType
 
 from .errors import (
     CoherenceError,
@@ -43,41 +52,54 @@ from .enveloping import (
     monomials_up_to,
     unit_mono,
 )
-from .rationals import add_terms, rat, rat_str
+from .rationals import add_terms, exact, rat, rat_str
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+_ZERO = 0
+_ONE = 1
+
+
+def _fraction_view(coeffs):
+    """A read-only ``{key: Fraction}`` copy of an internal coefficient map."""
+    return MappingProxyType({k: rat(c) for k, c in coeffs.items()})
 
 
 class AlgebroidElement:
     """A finitely supported coefficient map over a carrier's basis labels."""
 
-    __slots__ = ("carrier", "coeffs")
+    __slots__ = ("carrier", "_c", "_view")
 
     def __init__(self, carrier, coeffs):
         self.carrier = carrier
         clean = {}
         for label, c in coeffs.items():
-            c = rat(c)
+            c = exact(c)
             if c:
                 clean[label] = c
-        self.coeffs = clean
+        self._c = clean
+        self._view = None
+
+    @property
+    def coeffs(self):
+        """The nonzero coefficients as ``{label: Fraction}``, read-only."""
+        if self._view is None:
+            self._view = _fraction_view(self._c)
+        return self._view
 
     def __add__(self, other: "AlgebroidElement") -> "AlgebroidElement":
         self._same_carrier(other)
-        return AlgebroidElement(self.carrier, add_terms(dict(self.coeffs), other.coeffs.items()))
+        return AlgebroidElement(self.carrier, add_terms(dict(self._c), other._c.items()))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return AlgebroidElement(self.carrier, {l: -c for l, c in self.coeffs.items()})
+        return AlgebroidElement(self.carrier, {l: -c for l, c in self._c.items()})
 
     def scale(self, c) -> "AlgebroidElement":
-        c = rat(c)
+        c = exact(c)
         if not c:
             return AlgebroidElement(self.carrier, {})
-        return AlgebroidElement(self.carrier, {l: c * x for l, x in self.coeffs.items()})
+        return AlgebroidElement(self.carrier, {l: c * x for l, x in self._c.items()})
 
     def __rmul__(self, c):
         return self.scale(c)
@@ -91,32 +113,33 @@ class AlgebroidElement:
         return (
             isinstance(other, AlgebroidElement)
             and self.carrier is other.carrier
-            and self.coeffs == other.coeffs
+            and self._c == other._c
         )
 
     def __hash__(self):
         raise TypeError("algebroid elements are not hashable")
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._c
 
     def target_points(self) -> set:
-        return {self.carrier.label_target(l) for l in self.coeffs}
+        return {self.carrier.label_target(l) for l in self._c}
 
     def at_point(self, point) -> "AlgebroidElement":
         """The component supported on labels with the given target."""
         return AlgebroidElement(
             self.carrier,
-            {l: c for l, c in self.coeffs.items() if self.carrier.label_target(l) == point},
+            {l: c for l, c in self._c.items() if self.carrier.label_target(l) == point},
         )
 
     def coords_at(self, point) -> tuple:
-        labels = self.carrier.labels_at(point)
-        return tuple(self.coeffs.get(l, _ZERO) for l in labels)
+        """The ``Fraction`` coefficients of the labels at ``point``, in label order."""
+        get = self._c.get
+        return tuple(rat(get(l, _ZERO)) for l in self.carrier.labels_at(point))
 
     def signature(self):
         """A deterministic, hashable fingerprint used for exact matching."""
-        return tuple(sorted((self.carrier.format_label(l), rat_str(c)) for l, c in self.coeffs.items()))
+        return tuple(sorted((self.carrier.format_label(l), rat_str(c)) for l, c in self._c.items()))
 
     def text(self) -> str:
         return self.carrier.format_element(self)
@@ -130,7 +153,7 @@ class AlgebroidElement:
 
 def _scaled(element: AlgebroidElement, c):
     """The terms of ``c * element``, for accumulation with ``add_terms``."""
-    return ((l, c * x) for l, x in element.coeffs.items())
+    return ((l, c * x) for l, x in element._c.items())
 
 
 def pair_terms(carrier, left, right, scale=_ONE):
@@ -147,14 +170,14 @@ def pair_terms(carrier, left, right, scale=_ONE):
 class FiberTensor:
     """A fiberwise tensor power: coefficients over same-target label tuples."""
 
-    __slots__ = ("carrier", "arity", "data")
+    __slots__ = ("carrier", "arity", "_d", "_view")
 
     def __init__(self, carrier, arity, data):
         self.carrier = carrier
         self.arity = arity
         clean = {}
         for key, c in data.items():
-            c = rat(c)
+            c = exact(c)
             if not c:
                 continue
             if len(key) != arity:
@@ -165,7 +188,15 @@ class FiberTensor:
                     f"tensor key {key} mixes target points {sorted(targets)}"
                 )
             clean[key] = c
-        self.data = clean
+        self._d = clean
+        self._view = None
+
+    @property
+    def data(self):
+        """The nonzero coefficients as ``{label tuple: Fraction}``, read-only."""
+        if self._view is None:
+            self._view = _fraction_view(self._d)
+        return self._view
 
     @classmethod
     def zero(cls, carrier, arity=2):
@@ -178,7 +209,7 @@ class FiberTensor:
         Mixed-target terms die in the balanced tensor, so only same-target
         label pairs are kept.
         """
-        terms = pair_terms(a.carrier, a.coeffs.items(), b.coeffs.items())
+        terms = pair_terms(a.carrier, a._c.items(), b._c.items())
         return cls(a.carrier, 2, add_terms({}, terms))
 
     def __eq__(self, other):
@@ -186,28 +217,28 @@ class FiberTensor:
             isinstance(other, FiberTensor)
             and self.carrier is other.carrier
             and self.arity == other.arity
-            and self.data == other.data
+            and self._d == other._d
         )
 
     def __add__(self, other):
         if self.carrier is not other.carrier or self.arity != other.arity:
             raise DimensionMismatch("tensor shapes differ")
-        return FiberTensor(self.carrier, self.arity, add_terms(dict(self.data), other.data.items()))
+        return FiberTensor(self.carrier, self.arity, add_terms(dict(self._d), other._d.items()))
 
     def __sub__(self, other):
         return self + other.scale(-1)
 
     def scale(self, c):
-        c = rat(c)
-        return FiberTensor(self.carrier, self.arity, {k: c * x for k, x in self.data.items()})
+        c = exact(c)
+        return FiberTensor(self.carrier, self.arity, {k: c * x for k, x in self._d.items()})
 
     def is_zero(self):
-        return not self.data
+        return not self._d
 
     def _splice(self, leg, expansion_of_label, width=1):
         """Replace one leg by an expansion label -> [(labels..., coeff)]."""
         out = {}
-        for key, c in self.data.items():
+        for key, c in self._d.items():
             add_terms(out, (
                 (key[:leg] + repl + key[leg + 1:], c * w)
                 for repl, w in expansion_of_label(key[leg])
@@ -233,7 +264,7 @@ class FiberTensor:
         def expand(label):
             if label not in cache:
                 prod = carrier.mul(carrier.basis_element(label), element)
-                cache[label] = [((l,), c) for l, c in prod.coeffs.items()]
+                cache[label] = [((l,), c) for l, c in prod._c.items()]
             return cache[label]
 
         return self._splice(leg, expand, width=1)
@@ -247,8 +278,8 @@ class FiberTensor:
             raise DimensionMismatch("tensors belong to different carriers")
         product = carrier.mul_label
         out = {}
-        for (a1, a2), c in self.data.items():
-            for (b1, b2), d in other.data.items():
+        for (a1, a2), c in self._d.items():
+            for (b1, b2), d in other._d.items():
                 left = product(a1, b1)
                 if not left:
                     continue
@@ -267,7 +298,7 @@ class FiberTensor:
             raise DimensionMismatch("collapse needs an arity-2 tensor")
         carrier = self.carrier
         out = {}
-        for (l1, l2), c in self.data.items():
+        for (l1, l2), c in self._d.items():
             prod = carrier.mul(carrier.antipode_label(l1), carrier.basis_element(l2))
             add_terms(out, _scaled(prod, c))
         return AlgebroidElement(carrier, out)
@@ -275,7 +306,7 @@ class FiberTensor:
     def to_element(self) -> AlgebroidElement:
         if self.arity != 1:
             raise DimensionMismatch("only arity-1 tensors collapse to elements")
-        return AlgebroidElement(self.carrier, {key[0]: c for key, c in self.data.items()})
+        return AlgebroidElement(self.carrier, {key[0]: c for key, c in self._d.items()})
 
 
 class HopfAlgebroid(ABC):
@@ -301,7 +332,7 @@ class HopfAlgebroid(ABC):
     def delta_label(self, label): ...
 
     @abstractmethod
-    def counit_label(self, label) -> Fraction: ...
+    def counit_label(self, label): ...
 
     @abstractmethod
     def antipode_label(self, label) -> AlgebroidElement: ...
@@ -329,18 +360,29 @@ class HopfAlgebroid(ABC):
         return cache.get(point, ())
 
     def _blocks(self, coeffs) -> tuple:
-        """An operand's terms in blocks; ``mul`` visits block pairs, then terms, in order."""
-        return (coeffs.items(),)
+        """An operand's terms as ``(key, terms)`` blocks.
+
+        ``mul`` visits block pairs, then terms, in order, and skips a block
+        pair that ``_blocks_meet`` rules out.  The default is one block.
+        """
+        return ((None, coeffs.items()),)
+
+    def _blocks_meet(self, key1, key2) -> bool:
+        """False when no label of block ``key1`` times one of ``key2`` can be nonzero."""
+        return True
 
     def mul(self, a: AlgebroidElement, b: AlgebroidElement) -> AlgebroidElement:
         """The one bilinear loop over ``mul_label``; its order fixes results and overflows."""
         if a.carrier is not self or b.carrier is not self:
             raise DimensionMismatch("element belongs to another carrier")
         product = self.mul_label
-        right = self._blocks(b.coeffs)
+        meet = self._blocks_meet
+        right = self._blocks(b._c)
         out = {}
-        for left_terms in self._blocks(a.coeffs):
-            for right_terms in right:
+        for key1, left_terms in self._blocks(a._c):
+            for key2, right_terms in right:
+                if not meet(key1, key2):
+                    continue
                 for l1, c1 in left_terms:
                     for l2, c2 in right_terms:
                         c12 = c1 * c2
@@ -355,13 +397,13 @@ class HopfAlgebroid(ABC):
 
     def delta(self, a: AlgebroidElement) -> FiberTensor:
         data = {}
-        for l, c in a.coeffs.items():
+        for l, c in a._c.items():
             add_terms(data, ((key, c * w) for key, w in self.delta_label(l)))
         return FiberTensor(self, 2, data)
 
     def counit(self, a: AlgebroidElement) -> BaseFun:
         values = {p: _ZERO for p in self.base.points}
-        for l, c in a.coeffs.items():
+        for l, c in a._c.items():
             s = self.counit_label(l)
             if s:
                 values[self.label_target(l)] += c * s
@@ -369,7 +411,7 @@ class HopfAlgebroid(ABC):
 
     def antipode(self, a: AlgebroidElement) -> AlgebroidElement:
         out = {}
-        for l, c in a.coeffs.items():
+        for l, c in a._c.items():
             add_terms(out, _scaled(self.antipode_label(l), c))
         return AlgebroidElement(self, out)
 
@@ -393,12 +435,12 @@ class HopfAlgebroid(ABC):
         return self.counit(self.mul(a, self.embed(r)))
 
     def format_element(self, a: AlgebroidElement) -> str:
-        if not a.coeffs:
+        if not a._c:
             return "0"
         order = {l: i for i, l in enumerate(self.labels)}
         parts = []
-        for l in sorted(a.coeffs, key=order.get):
-            parts.append(f"{rat_str(a.coeffs[l])}*{self.format_label(l)}")
+        for l in sorted(a._c, key=order.get):
+            parts.append(f"{rat_str(a._c[l])}*{self.format_label(l)}")
         return " + ".join(parts)
 
 
@@ -478,7 +520,7 @@ class ConvolutionAlgebroid(HopfAlgebroid):
                 v = UElement(self.bundle.fiber(x), x, self.truncation, {m2: _ONE})
                 moved = v.transport(self.action.matrix(h), fiber, y)
                 try:
-                    entry = tuple(((g, m), c) for m, c in u.mul(moved).terms.items())
+                    entry = tuple(((g, m), exact(c)) for m, c in u.mul(moved).terms.items())
                 except TruncationOverflow as exc:
                     entry = exc.with_traceback(None)
             self._products[(l1, l2)] = entry
@@ -493,7 +535,12 @@ class ConvolutionAlgebroid(HopfAlgebroid):
         parts = {}
         for label, c in coeffs.items():
             parts.setdefault(label[0], []).append((label, c))
-        return [parts[g] for g in sorted(parts)]
+        return [(g, parts[g]) for g in sorted(parts)]
+
+    def _blocks_meet(self, h, k):
+        # Arrows that do not compose give ``()`` for every label pair and
+        # never overflow, so skipping them changes no result.
+        return (h, k) in self.groupoid.compose_table
 
     def delta_label(self, label):
         if label not in self._delta_cache:
@@ -501,7 +548,7 @@ class ConvolutionAlgebroid(HopfAlgebroid):
             fiber = self.bundle.fiber(self.groupoid.target[g])
             u = UElement(fiber, self.groupoid.target[g], self.truncation, {m: _ONE})
             self._delta_cache[label] = tuple(
-                (((g, m1), (g, m2)), c) for (m1, m2), c in sorted(u.delta().items())
+                (((g, m1), (g, m2)), exact(c)) for (m1, m2), c in sorted(u.delta().items())
             )
         return self._delta_cache[label]
 
@@ -543,7 +590,7 @@ class ConvolutionAlgebroid(HopfAlgebroid):
                 monos = self._monomials[key] = monomials_up_to(*key)
             for _ in range(rng.randint(1, max_terms)):
                 m = rng.choice(monos)
-                coeffs[(g, m)] = rat(rng.choice(pool))
+                coeffs[(g, m)] = rng.choice(pool)
         return AlgebroidElement(self, coeffs)
 
     def validate(self):
@@ -594,14 +641,14 @@ class TableAlgebroid(HopfAlgebroid):
                         f"base embedding at {x!r} touches {n!r} with target "
                         f"{self._targets[n]!r}"
                     )
-        self._r_embed = {x: {n: rat(c) for n, c in v.items() if rat(c)} for x, v in r_embed.items()}
+        self._r_embed = {x: {n: exact(c) for n, c in v.items() if exact(c)} for x, v in r_embed.items()}
 
         self._mul = {}
         for (n1, n2), v in mul_table.items():
             if n1 not in name_set or n2 not in name_set:
                 raise CoherenceError(f"product table uses unknown pair ({n1!r}, {n2!r})")
             check_vector(v, f"product ({n1!r}, {n2!r})")
-            entry = tuple((n, rat(c)) for n, c in v.items() if rat(c))
+            entry = tuple((n, exact(c)) for n, c in v.items() if exact(c))
             for n, _c in entry:
                 if self._targets[n] != self._targets[n1]:
                     raise CoherenceError(
@@ -617,7 +664,7 @@ class TableAlgebroid(HopfAlgebroid):
             for (n1, n2), c in entries.items():
                 if n1 not in name_set or n2 not in name_set:
                     raise CoherenceError(f"coproduct of {n!r} uses unknown names")
-                c = rat(c)
+                c = exact(c)
                 if not c:
                     continue
                 if self._targets[n1] != self._targets[n] or self._targets[n2] != self._targets[n]:
@@ -627,12 +674,12 @@ class TableAlgebroid(HopfAlgebroid):
                 clean[(n1, n2)] = c
             self._delta[n] = tuple(sorted(clean.items()))
 
-        self._counit = {n: rat(counit_table.get(n, 0)) for n in self._names}
+        self._counit = {n: exact(counit_table.get(n, 0)) for n in self._names}
         self._antipode = {}
         for n in self._names:
             v = antipode_table.get(n, {})
             check_vector(v, f"antipode of {n!r}")
-            self._antipode[n] = {m: rat(c) for m, c in v.items() if rat(c)}
+            self._antipode[n] = {m: exact(c) for m, c in v.items() if exact(c)}
 
         self._labels = self._names
         self._check_units()
@@ -686,7 +733,7 @@ class TableAlgebroid(HopfAlgebroid):
         pool = [-3, -2, -1, 1, 2, 3]
         k = rng.randint(1, min(2, len(self._names)))
         chosen = rng.sample(list(self._names), k=k)
-        return AlgebroidElement(self, {n: rat(rng.choice(pool)) for n in chosen})
+        return AlgebroidElement(self, {n: rng.choice(pool) for n in chosen})
 
     def validate(self):
         return []  # structural coherence is enforced at import time

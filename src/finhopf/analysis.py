@@ -46,7 +46,7 @@ from .errors import (
 )
 from .groupoid import BaseFun, FiniteGroupoid, groupoid_isomorphic
 from .liebundle import BundleAction, LieBundle, LieFiber
-from .linalg import QMatrix, nullspace_of_rows, rational_eigenvalues
+from .linalg import QMatrix, nullspace_of_rows, rank_of_rows, rational_eigenvalues
 from .rationals import add_terms
 
 _ZERO = Fraction(0)
@@ -611,17 +611,21 @@ def build_theta(carrier: HopfAlgebroid, gsp: SpectralGroupoid, prim: PrimBasis,
     ranks = {}
     for p in carrier.base.points:
         dom_labels = domain.labels_at(p)
-        cod_labels = carrier.labels_at(p)
-        cols = []
-        for l in dom_labels:
+        # one sparse row per codomain label, over the domain labels at p
+        rows = {l: {} for l in carrier.labels_at(p)}
+        for j, l in enumerate(dom_labels):
             img = images[l]
             if any(t != p for t in img.target_points()):
                 raise AnalysisError(
                     "theta", f"image of {domain.format_label(l)} leaves the fiber at {p!r}"
                 )
-            cols.append(img.coords_at(p))
-        matrices[p] = QMatrix.from_columns(cols, rows=len(cod_labels))
-        ranks[p] = matrices[p].rank()
+            for k, c in img.coeffs.items():
+                rows[k][j] = c
+        width = len(dom_labels)
+        matrices[p] = QMatrix(
+            [[row.get(j, _ZERO) for j in range(width)] for row in rows.values()], cols=width
+        )
+        ranks[p] = rank_of_rows(rows.values())
 
     theta = ThetaMap(domain, carrier, images, matrices, ranks)
     theta.hom_checks = _verify_theta_hom(theta, hom_samples, seed, truncation)

@@ -3,11 +3,12 @@
 Matrices are stored dense, but all elimination happens on sparse rows in
 one helper, ``_eliminate``: each row is reduced against the pivot rows
 found so far, and back substitution finishes the job.  The reduced row
-echelon form is unique, so results are canonical: ``rank``, ``solve`` and
-``inverse`` read it off ``QMatrix.rref``, and ``nullspace_of_rows`` (behind
-``QMatrix.nullspace``, and fed sparse systems directly) returns the unique
-basis of the kernel that is itself in reduced echelon form with pivot
-entries 1.
+echelon form is unique, so results are canonical: ``solve`` and ``inverse``
+read it off ``QMatrix.rref``, ``rank_of_rows`` (behind ``QMatrix.rank``)
+counts its pivots, and ``nullspace_of_rows`` (behind ``QMatrix.nullspace``)
+returns the unique basis of the kernel that is itself in reduced echelon
+form with pivot entries 1.  The two ``_of_rows`` functions also take sparse
+systems directly.
 """
 
 from __future__ import annotations
@@ -57,6 +58,14 @@ def _eliminate(rows):
             f = row[q]
             add_terms(row, ((c, -f * x) for c, x in pivot_rows[q].items()))
     return pivots, [pivot_rows[p] for p in pivots]
+
+
+def rank_of_rows(rows) -> int:
+    """The rank of a system given as zero-free sparse ``{col: value}`` rows.
+
+    The rows are consumed by the elimination.
+    """
+    return len(_eliminate(rows)[0])
 
 
 def nullspace_of_rows(rows, cols):
@@ -112,7 +121,7 @@ class QMatrix:
 
     @classmethod
     def from_columns(cls, columns, rows=None) -> "QMatrix":
-        columns = [vec(c) for c in columns]
+        columns = [tuple(c) for c in columns]  # __init__ coerces each cell
         if not columns:
             return cls([], cols=0) if rows is None else cls.zeros(rows, 0)
         height = len(columns[0])
@@ -220,7 +229,7 @@ class QMatrix:
         return QMatrix(dense, cols=self.cols), pivots
 
     def rank(self) -> int:
-        return len(self.rref()[1])
+        return rank_of_rows({j: x for j, x in enumerate(r) if x} for r in self.data)
 
     def nullspace(self):
         """Canonical kernel basis: echelonized rows with pivot entries 1."""

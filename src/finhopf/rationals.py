@@ -1,8 +1,16 @@
 """Exact rational scalars and their textual form.
 
-All arithmetic in this package is exact.  Scalars are ``fractions.Fraction``
-values, which are always stored in lowest terms with a positive denominator;
-floats are rejected everywhere so no rounding can sneak in.
+All arithmetic in this package is exact.  Every scalar that a public object
+exposes is a ``fractions.Fraction``, always in lowest terms with a positive
+denominator; floats are rejected everywhere so no rounding can sneak in.
+
+One layer works over the integers first: the carrier layer (``algebroid``)
+keeps its coefficients as ``exact`` returns them, integral ones as plain
+``int`` and the rest as ``Fraction``.  Its elements and tensors expose their
+coefficients and coordinates as ``Fraction``s; only its label-level
+structure constants keep the internal form.  It only adds, subtracts and
+multiplies, which are exact on mixed ``int`` and ``Fraction`` operands; it
+never divides, since ``int / int`` is a float.
 """
 
 from __future__ import annotations
@@ -30,6 +38,17 @@ def rat(value) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"not a rational literal: {value!r}") from exc
     raise TypeError(f"cannot coerce {type(value).__name__} to a rational")
+
+
+def exact(value):
+    """``rat(value)``, but an integral value comes back as a plain ``int``.
+
+    Accepts and rejects exactly what ``rat`` does.
+    """
+    if type(value) is int:
+        return value
+    value = rat(value)
+    return value.numerator if value.denominator == 1 else value
 
 
 def rat_str(value: Fraction) -> str:

@@ -1,13 +1,16 @@
 """Carrier-level behaviour: convolution goldens, axiom suite, table import."""
 
+import ast
 import random
 from fractions import Fraction
 from functools import cache, partial
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from finhopf import algebroid
 from finhopf.algebroid import (
     AlgebroidElement,
     ConvolutionAlgebroid,
@@ -23,7 +26,7 @@ from finhopf.liebundle import BundleAction, LieBundle, LieFiber
 from finhopf.linalg import QMatrix
 from finhopf.modelio import carrier_from_model
 from finhopf.models import funs3_model, pairh3_model, random_model, z2line_model
-from finhopf.rationals import add_terms
+from finhopf.rationals import add_terms, rat_str
 
 from test_groupoid import z2
 
@@ -581,3 +584,152 @@ def test_non_injective_action_overflows_label_by_label():
     with pytest.raises(TruncationOverflow) as exc:
         carrier.mul(a, b)
     assert (exc.value.degree, exc.value.truncation) == (2, 1)
+
+
+# Carriers whose structure constants are not all integers: the coefficients
+# inside the carrier layer are then a mix of ints and Fractions.
+
+def rational_heisenberg_pair_model():
+    """``pairh3`` at N=3 with [P, Q] = -3/7 Z and a rational transport x -> y."""
+    model = pairh3_at_3_model()
+    for fiber in model["bundle"]:
+        fiber["brackets"] = [["P", "Q", {"Z": "-3/7"}]]
+    move = QMatrix([["1/2", 0, 0], [0, 1, 0], ["3/4", 0, "1/2"]])
+    for arrow, m in (("ayx", move), ("axy", move.inverse())):
+        entry = next(e for e in model["action"] if e["arrow"] == arrow)
+        entry["matrix"] = [[rat_str(x) for x in row] for row in m.data]
+    return model
+
+
+def rational_solvable_z2_model():
+    """[X, Y] = Y/2 over a point; the flip sends X to X + 2/5 Y and Y to -Y."""
+    model = z2line_model()
+    model["bundle"] = [
+        {"point": "x", "basis": ["X", "Y"], "brackets": [["X", "Y", {"Y": "1/2"}]]}
+    ]
+    model["action"] = [
+        {"arrow": "e", "matrix": [[1, 0], [0, 1]]},
+        {"arrow": "s", "matrix": [[1, 0], ["2/5", -1]]},
+    ]
+    model["truncation"] = 3
+    return model
+
+
+RATIONAL_MODELS = [rational_heisenberg_pair_model, rational_solvable_z2_model]
+RATIONAL_SCALES = (Fraction(10**12, 7), Fraction(-3, 7), Fraction(1, 2), 1, -2)
+
+
+@cache
+def rational_order_carrier(index):
+    """The carriers of ``RATIONAL_MODELS``, then those of ``order_carrier``."""
+    if index < len(RATIONAL_MODELS):
+        return carrier_from_model(RATIONAL_MODELS[index]())
+    return order_carrier(index - len(RATIONAL_MODELS))
+
+
+def test_rational_models_are_valid_and_have_non_integral_constants():
+    for model in RATIONAL_MODELS:
+        carrier = carrier_from_model(model())
+        assert carrier.validate() == []
+        constants = set()
+        for l1 in carrier.labels:
+            for l2 in carrier.labels:
+                try:
+                    constants.update(c for _l, c in carrier.mul_label(l1, l2))
+                except TruncationOverflow:
+                    pass
+        assert any(Fraction(c).denominator > 1 for c in constants)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(
+    st.integers(0, len(RATIONAL_MODELS) + len(ORACLE_MODELS) + 1),
+    st.integers(0, 2**32),
+    st.integers(0, 3),
+)
+def test_products_with_non_integral_coefficients_keep_the_per_carrier_loops(index, seed, cap):
+    carrier = rational_order_carrier(index)
+    rng = random.Random(seed)
+
+    def draw():
+        if carrier.kind == "convolution":
+            x = carrier.random_element(rng, degree_cap=cap, max_arrows=3, max_terms=3)
+            labels = list(x.coeffs)
+        else:
+            labels = rng.sample(carrier.labels, k=rng.randint(1, min(4, carrier.dim)))
+        return AlgebroidElement(carrier, {l: rng.choice(RATIONAL_SCALES) for l in labels})
+
+    a, b = draw(), draw()
+    da, db, ab = carrier.delta(a), carrier.delta(b), FiberTensor.of_pair(a, b)
+    assert ordered(lambda: carrier.mul(a, b)) == ordered(lambda: loop_mul(carrier, a, b))
+    assert ordered(lambda: da.mul_pairwise(db)) == ordered(lambda: loop_mul_pairwise(da, db))
+    for t in (da, ab):
+        assert ordered(t.collapse) == ordered(lambda: loop_collapse(t))
+
+
+def all_fractions(values):
+    return all(type(c) is Fraction for c in values)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [z2line_model, pairh3_model] + [partial(random_model, s) for s in range(4)],
+    ids=["z2line", "pairh3"] + [f"random{s}" for s in range(4)],
+)
+def test_public_coefficients_are_fractions(model):
+    carrier = carrier_from_model(model())
+    rng = random.Random(7)
+    elements, tensors, fiber_elements = [], [], []
+
+    def keep(out, compute):
+        try:
+            out.append(compute())
+        except TruncationOverflow:
+            pass
+
+    for _ in range(5):
+        a, b = (carrier.random_element(rng, degree_cap=1) for _ in range(2))
+        da, db = carrier.delta(a), carrier.delta(b)
+        elements += [a, a.scale(Fraction(1, 2)), carrier.antipode(a), a - b,
+                     carrier.embed(carrier.counit(a)), carrier.antipode_label(carrier.labels[-1])]
+        keep(elements, lambda: carrier.mul(a, b))
+        keep(elements, da.collapse)
+        tensors += [da, FiberTensor.of_pair(a, b), da.delta_leg(0), da.counit_leg(1)]
+        keep(tensors, lambda: da.mul_pairwise(db))
+        for g in {g for g, _m in a.coeffs}:
+            y = carrier.groupoid.target[g]
+            terms = {m: c for (h, m), c in a.coeffs.items() if h == g}
+            u = UElement(carrier.bundle.fiber(y), y, carrier.truncation, terms)
+            fiber_elements += [u, u.antipode()]
+            keep(fiber_elements, lambda: u.mul(u))
+            assert all_fractions(u.delta().values())
+    for e in elements:
+        assert all_fractions(e.coeffs.values())
+        for p in carrier.base.points:
+            assert all_fractions(e.coords_at(p))
+    for t in tensors:
+        assert all_fractions(t.data.values())
+    for u in fiber_elements:
+        assert all_fractions(u.terms.values())
+
+
+def test_coefficient_views_are_read_only():
+    carrier = z2line()
+    x = carrier.basis_element(("s", (1,)))
+    with pytest.raises(TypeError):
+        x.coeffs[("e", (0,))] = 1
+    with pytest.raises(TypeError):
+        carrier.delta(x).data[(("e", (0,)), ("e", (0,)))] = 1
+    with pytest.raises(AttributeError):
+        x.coeffs = {}
+
+
+def test_carrier_layer_has_no_true_division():
+    """Coefficients there may be ints, and ``int / int`` is a float."""
+    tree = ast.parse(Path(algebroid.__file__).read_text())
+    divisions = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)
+    ]
+    assert divisions == []

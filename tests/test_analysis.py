@@ -29,7 +29,12 @@ from finhopf.linalg import QMatrix
 from finhopf.modelio import carrier_from_model
 from finhopf.models import funs3_model, pairh3_model, random_model, z2line_model
 
-from test_algebroid import h3_z2_carrier, pairh3_at_3_model, z2line
+from test_algebroid import (
+    h3_z2_carrier,
+    pairh3_at_3_model,
+    rational_heisenberg_pair_model,
+    z2line,
+)
 
 
 def pairh3():
@@ -351,6 +356,22 @@ def test_theta_detects_missing_group_algebra_part():
     assert theta.ranks["pt"] == 2
     assert not theta.all_bijective
     assert theta.witness_outside_image("pt") is not None
+
+
+@pytest.mark.parametrize("model", [
+    z2line_model, funs3_model, pairh3_at_3_model, rational_heisenberg_pair_model,
+])
+def test_theta_matrices_match_the_dense_columns_and_their_rank(model):
+    carrier = carrier_from_model(model())
+    prim = solve_primitives(carrier)
+    gsp = build_spectral_groupoid(carrier)
+    theta = build_theta(carrier, gsp, prim, build_prim_action(carrier, gsp, prim))
+    for p in carrier.base.points:
+        m = theta.matrices[p]
+        columns = [theta.images[l].coords_at(p) for l in theta.domain.labels_at(p)]
+        assert m == QMatrix.from_columns(columns, rows=len(carrier.labels_at(p)))
+        assert all(type(x) is Fraction for row in m.data for x in row)
+        assert theta.ranks[p] == len(m.rref()[1]) == m.rank()
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from finhopf.errors import DimensionMismatch
 from finhopf.linalg import QMatrix, rational_eigenvalues, rational_roots
-from finhopf.rationals import rat
+from finhopf.rationals import exact, rat
 
 
 def F(x):
@@ -233,3 +233,25 @@ def test_rat_rejects_floats_and_bools():
         rat(0.5)
     with pytest.raises(TypeError):
         rat(True)
+
+
+def test_exact_keeps_integral_values_as_ints():
+    for value, expected in ((3, 3), (F(6), 6), ("-4/2", -2), ("3/4", Fraction(3, 4)),
+                            (Fraction(10**12, 7), Fraction(10**12, 7))):
+        assert exact(value) == expected
+        assert type(exact(value)) is type(expected)
+    for bad in (0.5, 2.0, True):
+        with pytest.raises(TypeError):
+            exact(bad)
+    with pytest.raises(ValueError):
+        exact("1/0")
+
+
+def test_from_columns_coerces_each_cell_into_the_transposed_matrix():
+    m = QMatrix.from_columns([[1, "1/2"], (F(3), 0)])
+    assert m.data == ((F(1), F(3)), (Fraction(1, 2), F(0)))
+    assert all(type(x) is Fraction for row in m.data for x in row)
+    with pytest.raises(TypeError):
+        QMatrix.from_columns([[0.5]])
+    with pytest.raises(DimensionMismatch):
+        QMatrix.from_columns([[1, 2], [3]])
