@@ -17,7 +17,8 @@ stored per point as coefficients over same-target label pairs.
 Scalars: inside this module coefficients are kept as ``rationals.exact``
 returns them, integral ones as plain ``int`` (almost all structure constants
 are) and the rest as ``Fraction``; the label-level structure constants
-(``mul_label``, ``delta_label``, ``counit_label``) are in the same form.
+(``mul_label``, ``delta_label``, ``antipode_label``: ``((key, c), ...)``
+terms; ``counit_label``: one scalar) are in the same form.
 Every coefficient an element, tensor or coordinate tuple exposes
 (``coeffs``, ``data``, ``coords_at``) is a ``Fraction``.  The module only
 adds, subtracts and multiplies coefficients, which is exact on mixed
@@ -151,9 +152,12 @@ class AlgebroidElement:
             raise DimensionMismatch("elements belong to different carriers")
 
 
-def _scaled(element: AlgebroidElement, c):
-    """The terms of ``c * element``, for accumulation with ``add_terms``."""
-    return ((l, c * x) for l, x in element._c.items())
+def _linear(coeffs, image):
+    """The one linear fold: the coefficient map of ``sum c * image(key)``, keys in order."""
+    out = {}
+    for key, c in coeffs.items():
+        add_terms(out, ((k, c * w) for k, w in image(key)))
+    return out
 
 
 def pair_terms(carrier, left, right, scale=_ONE):
@@ -237,34 +241,29 @@ class FiberTensor:
 
     def _splice(self, leg, expansion_of_label, width=1):
         """Replace one leg by an expansion label -> [(labels..., coeff)]."""
-        out = {}
-        for key, c in self._d.items():
-            add_terms(out, (
-                (key[:leg] + repl + key[leg + 1:], c * w)
-                for repl, w in expansion_of_label(key[leg])
-            ))
-        return FiberTensor(self.carrier, self.arity - 1 + width, out)
+        def image(key):
+            head, tail = key[:leg], key[leg + 1:]
+            return ((head + repl + tail, w) for repl, w in expansion_of_label(key[leg]))
+
+        return FiberTensor(self.carrier, self.arity - 1 + width, _linear(self._d, image))
 
     def delta_leg(self, leg) -> "FiberTensor":
         return self._splice(leg, self.carrier.delta_label, width=2)
 
     def counit_leg(self, leg) -> "FiberTensor":
-        carrier = self.carrier
-
-        def expand(label):
-            c = carrier.counit_label(label)
-            return [((), c)] if c else []
-
-        return self._splice(leg, expand, width=0)
+        counit = self.carrier.counit_label
+        return self._splice(leg, lambda label: (((), counit(label)),), width=0)
 
     def right_mul_leg(self, leg, element: AlgebroidElement) -> "FiberTensor":
         carrier = self.carrier
+        if element.carrier is not carrier:
+            raise DimensionMismatch("element belongs to another carrier")
         cache = {}
 
         def expand(label):
             if label not in cache:
-                prod = carrier.mul(carrier.basis_element(label), element)
-                cache[label] = [((l,), c) for l, c in prod._c.items()]
+                prod = carrier._product(((label, _ONE),), element._c.items())
+                cache[label] = [((l,), c) for l, c in prod.items()]
             return cache[label]
 
         return self._splice(leg, expand, width=1)
@@ -276,12 +275,17 @@ class FiberTensor:
         carrier = self.carrier
         if other.carrier is not carrier:
             raise DimensionMismatch("tensors belong to different carriers")
-        product = carrier.mul_label
+        product, block, meet = carrier.mul_label, carrier._block, carrier._blocks_meet
+        terms = [(b1, b2, block(b1), block(b2), d) for (b1, b2), d in other._d.items()]
         out = {}
         for (a1, a2), c in self._d.items():
-            for (b1, b2), d in other._d.items():
+            k1, k2 = block(a1), block(a2)
+            for b1, b2, j1, j2, d in terms:
+                # The left leg is multiplied first, so it raises any overflow first.
+                if not meet(k1, j1):
+                    continue
                 left = product(a1, b1)
-                if not left:
+                if not left or not meet(k2, j2):
                     continue
                 right = product(a2, b2)
                 if right:
@@ -297,11 +301,11 @@ class FiberTensor:
         if self.arity != 2:
             raise DimensionMismatch("collapse needs an arity-2 tensor")
         carrier = self.carrier
-        out = {}
-        for (l1, l2), c in self._d.items():
-            prod = carrier.mul(carrier.antipode_label(l1), carrier.basis_element(l2))
-            add_terms(out, _scaled(prod, c))
-        return AlgebroidElement(carrier, out)
+
+        def image(key):
+            return carrier._product(carrier.antipode_label(key[0]), ((key[1], _ONE),)).items()
+
+        return AlgebroidElement(carrier, _linear(self._d, image))
 
     def to_element(self) -> AlgebroidElement:
         if self.arity != 1:
@@ -335,7 +339,7 @@ class HopfAlgebroid(ABC):
     def counit_label(self, label): ...
 
     @abstractmethod
-    def antipode_label(self, label) -> AlgebroidElement: ...
+    def antipode_label(self, label) -> tuple: ...
 
     @abstractmethod
     def random_element(self, rng, degree_cap=None) -> AlgebroidElement: ...
@@ -359,27 +363,25 @@ class HopfAlgebroid(ABC):
             self._labels_at = cache
         return cache.get(point, ())
 
-    def _blocks(self, coeffs) -> tuple:
-        """An operand's terms as ``(key, terms)`` blocks.
-
-        ``mul`` visits block pairs, then terms, in order, and skips a block
-        pair that ``_blocks_meet`` rules out.  The default is one block.
-        """
-        return ((None, coeffs.items()),)
+    def _block(self, label):
+        """The key of the product block holding ``label``; one block by default."""
+        return None
 
     def _blocks_meet(self, key1, key2) -> bool:
         """False when no label of block ``key1`` times one of ``key2`` can be nonzero."""
         return True
 
-    def mul(self, a: AlgebroidElement, b: AlgebroidElement) -> AlgebroidElement:
-        """The one bilinear loop over ``mul_label``; its order fixes results and overflows."""
-        if a.carrier is not self or b.carrier is not self:
-            raise DimensionMismatch("element belongs to another carrier")
+    def _product(self, left, right) -> dict:
+        """The one bilinear loop over ``mul_label``, on ``(label, c)`` term sequences.
+
+        It visits block pairs in sorted key order, skipping those ``_blocks_meet``
+        rules out, then terms in order; that fixes the result's order and overflow.
+        """
         product = self.mul_label
         meet = self._blocks_meet
-        right = self._blocks(b._c)
+        right = self._blocks(right)
         out = {}
-        for key1, left_terms in self._blocks(a._c):
+        for key1, left_terms in self._blocks(left):
             for key2, right_terms in right:
                 if not meet(key1, key2):
                     continue
@@ -387,7 +389,19 @@ class HopfAlgebroid(ABC):
                     for l2, c2 in right_terms:
                         c12 = c1 * c2
                         add_terms(out, ((l, c12 * c) for l, c in product(l1, l2)))
-        return AlgebroidElement(self, out)
+        return out
+
+    def _blocks(self, terms) -> list:
+        parts = {}
+        for label, c in terms:
+            parts.setdefault(self._block(label), []).append((label, c))
+        return sorted(parts.items())
+
+    def mul(self, a: AlgebroidElement, b: AlgebroidElement) -> AlgebroidElement:
+        """The product of two elements of this carrier."""
+        if a.carrier is not self or b.carrier is not self:
+            raise DimensionMismatch("element belongs to another carrier")
+        return AlgebroidElement(self, self._product(a._c.items(), b._c.items()))
 
     def zero(self) -> AlgebroidElement:
         return AlgebroidElement(self, {})
@@ -396,33 +410,20 @@ class HopfAlgebroid(ABC):
         return AlgebroidElement(self, {label: _ONE})
 
     def delta(self, a: AlgebroidElement) -> FiberTensor:
-        data = {}
-        for l, c in a._c.items():
-            add_terms(data, ((key, c * w) for key, w in self.delta_label(l)))
-        return FiberTensor(self, 2, data)
+        return FiberTensor(self, 2, _linear(a._c, self.delta_label))
 
     def counit(self, a: AlgebroidElement) -> BaseFun:
-        values = {p: _ZERO for p in self.base.points}
-        for l, c in a._c.items():
-            s = self.counit_label(l)
-            if s:
-                values[self.label_target(l)] += c * s
-        return BaseFun(self.base, tuple(values[p] for p in self.base.points))
+        values = _linear(a._c, lambda l: ((self.label_target(l), self.counit_label(l)),))
+        return BaseFun(self.base, tuple(values.get(p, _ZERO) for p in self.base.points))
 
     def antipode(self, a: AlgebroidElement) -> AlgebroidElement:
-        out = {}
-        for l, c in a._c.items():
-            add_terms(out, _scaled(self.antipode_label(l), c))
-        return AlgebroidElement(self, out)
+        return AlgebroidElement(self, _linear(a._c, self.antipode_label))
 
     def embed(self, f: BaseFun) -> AlgebroidElement:
         if f.base != self.base:
             raise DimensionMismatch("function lives on a different base")
-        out = {}
-        for p, v in zip(self.base.points, f.values):
-            if v:
-                add_terms(out, _scaled(self.unit_at(p), v))
-        return AlgebroidElement(self, out)
+        values = {p: v for p, v in zip(self.base.points, f.values) if v}
+        return AlgebroidElement(self, _linear(values, lambda p: self.unit_at(p)._c.items()))
 
     @abstractmethod
     def unit_at(self, point) -> AlgebroidElement: ...
@@ -528,14 +529,11 @@ class ConvolutionAlgebroid(HopfAlgebroid):
             raise TruncationOverflow(entry.degree, entry.truncation, entry.detail)
         return entry
 
-    def _blocks(self, coeffs):
+    def _block(self, label):
         # One block per arrow, arrows sorted, terms in insertion order: an
         # overflow is raised at the arrow pair and left term where the
         # per-arrow product of enveloping-algebra elements raises it.
-        parts = {}
-        for label, c in coeffs.items():
-            parts.setdefault(label[0], []).append((label, c))
-        return [(g, parts[g]) for g in sorted(parts)]
+        return label[0]
 
     def _blocks_meet(self, h, k):
         # Arrows that do not compose give ``()`` for every label pair and
@@ -567,8 +565,8 @@ class ConvolutionAlgebroid(HopfAlgebroid):
                 self.bundle.fiber(self.groupoid.target[ginv]),
                 self.groupoid.target[ginv],
             )
-            self._antipode_cache[label] = AlgebroidElement(
-                self, {(ginv, m): c for m, c in moved.terms.items()}
+            self._antipode_cache[label] = tuple(
+                ((ginv, m), exact(c)) for m, c in moved.terms.items()
             )
         return self._antipode_cache[label]
 
@@ -679,7 +677,7 @@ class TableAlgebroid(HopfAlgebroid):
         for n in self._names:
             v = antipode_table.get(n, {})
             check_vector(v, f"antipode of {n!r}")
-            self._antipode[n] = {m: exact(c) for m, c in v.items() if exact(c)}
+            self._antipode[n] = tuple((m, exact(c)) for m, c in v.items() if exact(c))
 
         self._labels = self._names
         self._check_units()
@@ -724,7 +722,7 @@ class TableAlgebroid(HopfAlgebroid):
         return self._counit[label]
 
     def antipode_label(self, label):
-        return AlgebroidElement(self, dict(self._antipode[label]))
+        return self._antipode[label]
 
     def unit_at(self, point):
         return AlgebroidElement(self, dict(self._r_embed[point]))

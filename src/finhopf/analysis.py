@@ -32,6 +32,7 @@ from .algebroid import (
     ConvolutionAlgebroid,
     FiberTensor,
     HopfAlgebroid,
+    _linear,
     check_axioms,
     pair_terms,
     run_law,
@@ -110,9 +111,7 @@ class PrimBasis:
         coords = tuple(
             element.coeffs.get(next(l for l in labels if l in b.coeffs), _ZERO) for b in basis
         )
-        rebuilt = {}
-        for b, c in zip(basis, coords):
-            add_terms(rebuilt, ((l, c * x) for l, x in b.coeffs.items()))
+        rebuilt = _linear(dict(enumerate(coords)), lambda i: basis[i].coeffs.items())
         return coords if rebuilt == element.coeffs else None
 
 
@@ -425,7 +424,7 @@ def _weakly_grouplike_partner(carrier, witness):
             if lam:
                 partner[l2] = lam  # each label l2 heads exactly one column
     partner = AlgebroidElement(carrier, partner)
-    if carrier.delta(witness) != FiberTensor.of_pair(witness, partner):
+    if tensor != FiberTensor.of_pair(witness, partner):
         return None
     return partner
 
@@ -540,11 +539,8 @@ class ThetaMap:
     hom_checks: list = field(default_factory=list)
 
     def apply(self, u: AlgebroidElement) -> AlgebroidElement:
-        return AlgebroidElement(self.codomain, add_terms({}, (
-            (k, c * x)
-            for l, c in u.coeffs.items()
-            for k, x in self.images[l].coeffs.items()
-        )))
+        terms = _linear(u.coeffs, lambda l: self.images[l].coeffs.items())
+        return AlgebroidElement(self.codomain, terms)
 
     def dims_at(self, point):
         return (
@@ -583,21 +579,22 @@ def build_theta(carrier: HopfAlgebroid, gsp: SpectralGroupoid, prim: PrimBasis,
     product_cache = {}
 
     def monomial_product(point, mono):
+        """The primitives' product in PBW order: the prefix's product times the last letter."""
+        if not any(mono):
+            return carrier.unit_at(point)
         key = (point, mono)
         if key not in product_cache:
-            acc = carrier.unit_at(point)
-            basis = prim.per_point.get(point, [])
-            for i, power in enumerate(mono):
-                for _ in range(power):
-                    try:
-                        acc = carrier.mul(acc, basis[i])
-                    except TruncationOverflow:
-                        raise TruncationOverflow(
-                            sum(mono),
-                            getattr(carrier, "truncation", truncation),
-                            f"decomposition map needs truncation >= {sum(mono)}",
-                        ) from None
-            product_cache[key] = acc
+            last = max(i for i, power in enumerate(mono) if power)
+            prefix = mono[:last] + (mono[last] - 1,) + mono[last + 1:]
+            try:
+                acc = monomial_product(point, prefix)
+                product_cache[key] = carrier.mul(acc, prim.per_point.get(point, [])[last])
+            except TruncationOverflow:
+                raise TruncationOverflow(
+                    sum(mono),
+                    getattr(carrier, "truncation", truncation),
+                    f"decomposition map needs truncation >= {sum(mono)}",
+                ) from None
         return product_cache[key]
 
     images = {}
@@ -775,23 +772,22 @@ class Analysis:
 
 
 def analyze(carrier: HopfAlgebroid, samples: int = 60, seed: int = 11,
-            theta_truncation=None, skip_axioms: bool = False) -> Analysis:
+            theta_truncation=None) -> Analysis:
     """Run the full pipeline, collecting artifacts and the decision report."""
     analysis = Analysis(carrier)
     report = analysis.decision
     stage = "axioms"
     try:
-        if not skip_axioms:
-            analysis.axiom_report = check_axioms(carrier, samples=samples, seed=seed)
-            report.axioms_ok = analysis.axiom_report.ok
-            if analysis.axiom_report.failures():
-                failing = ", ".join(c.name for c in analysis.axiom_report.failures())
-                raise AnalysisError("axioms", f"axiom checks failed: {failing}")
-            if analysis.axiom_report.inconclusive():
-                unchecked = ", ".join(c.name for c in analysis.axiom_report.inconclusive())
-                raise AnalysisError(
-                    "axioms", f"axiom checks inconclusive (no sample checked): {unchecked}"
-                )
+        analysis.axiom_report = check_axioms(carrier, samples=samples, seed=seed)
+        report.axioms_ok = analysis.axiom_report.ok
+        if analysis.axiom_report.failures():
+            failing = ", ".join(c.name for c in analysis.axiom_report.failures())
+            raise AnalysisError("axioms", f"axiom checks failed: {failing}")
+        if analysis.axiom_report.inconclusive():
+            unchecked = ", ".join(c.name for c in analysis.axiom_report.inconclusive())
+            raise AnalysisError(
+                "axioms", f"axiom checks inconclusive (no sample checked): {unchecked}"
+            )
 
         stage = "primitives"
         analysis.prim = solve_primitives(carrier)

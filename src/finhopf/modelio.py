@@ -286,17 +286,23 @@ def save_model(model, path) -> None:
         fh.write(model_to_text(model))
 
 
-def load_model(path):
+def _read_document(path):
+    """The parsed JSON document at ``path``, not yet validated as a model."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            document = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise ModelFormatError(str(path), f"cannot read file: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ModelFormatError(str(path), f"invalid JSON: {exc}") from None
+
+
+def load_model(path):
+    document = _read_document(path)
     validate_model(document)
     return document
 
 
 def load_carrier(path) -> HopfAlgebroid:
-    return carrier_from_model(load_model(path))
+    # Building the carrier validates the document, so it is built only once.
+    return carrier_from_model(_read_document(path))

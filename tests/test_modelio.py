@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from finhopf.algebroid import ConvolutionAlgebroid, TableAlgebroid
 from finhopf.cli import EXIT_INPUT_ERROR, main
 from finhopf.errors import ModelFormatError
 from finhopf.modelio import (
@@ -113,14 +114,46 @@ def test_incoherent_table_rejected_as_model_error():
 
 def test_unreadable_file_reports_path(tmp_path):
     path = tmp_path / "missing.json"
-    with pytest.raises(ModelFormatError) as err:
-        load_model(path)
-    assert err.value.path == str(path)
-
     bad = tmp_path / "bad.json"
     bad.write_text("{not json", encoding="utf-8")
-    with pytest.raises(ModelFormatError):
-        load_model(bad)
+    for load in (load_model, load_carrier):
+        with pytest.raises(ModelFormatError) as err:
+            load(path)
+        assert err.value.path == str(path)
+        with pytest.raises(ModelFormatError) as err:
+            load(bad)
+        assert err.value.path == str(bad)
+
+
+@pytest.mark.parametrize("preset, kind", [
+    (pairh3_model, ConvolutionAlgebroid),
+    (funs3_model, TableAlgebroid),
+], ids=["convolution", "table"])
+def test_load_carrier_builds_the_carrier_once(preset, kind, tmp_path, monkeypatch):
+    path = tmp_path / "model.json"
+    save_model(preset(), path)
+    built = []
+    init = kind.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(kind, "__init__", counting_init)
+    carrier = load_carrier(path)
+    assert built == [carrier]
+
+
+def test_load_carrier_reports_what_validate_model_reports(tmp_path):
+    model = z2line_model()
+    model["truncation"] = -1
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    with pytest.raises(ModelFormatError) as expected:
+        validate_model(model)
+    with pytest.raises(ModelFormatError) as err:
+        load_carrier(path)
+    assert (err.value.path, str(err.value)) == (expected.value.path, str(expected.value))
 
 
 def test_format_constants():
