@@ -177,13 +177,8 @@ class FiberTensor:
     __slots__ = ("carrier", "arity", "_d", "_view")
 
     def __init__(self, carrier, arity, data):
-        self.carrier = carrier
-        self.arity = arity
-        clean = {}
-        for key, c in data.items():
-            c = exact(c)
-            if not c:
-                continue
+        self._keep(carrier, arity, data)
+        for key in self._d:
             if len(key) != arity:
                 raise DimensionMismatch(f"key {key} has wrong arity")
             targets = {carrier.label_target(l) for l in key}
@@ -191,8 +186,21 @@ class FiberTensor:
                 raise CoherenceError(
                     f"tensor key {key} mixes target points {sorted(targets)}"
                 )
-            clean[key] = c
-        self._d = clean
+
+    @classmethod
+    def _fiberwise(cls, carrier, arity, data) -> "FiberTensor":
+        """A tensor built by a carrier operation, without the key checks: its keys
+        are fiberwise by construction (``pair_terms`` keeps same-target pairs, a
+        convolution coproduct stays on one arrow, table import rejects tables
+        whose coproduct is not fiberwise or whose product leaves the grading)."""
+        tensor = cls.__new__(cls)
+        tensor._keep(carrier, arity, data)
+        return tensor
+
+    def _keep(self, carrier, arity, data):
+        self.carrier = carrier
+        self.arity = arity
+        self._d = add_terms({}, ((key, exact(c)) for key, c in data.items()))
         self._view = None
 
     @property
@@ -203,10 +211,6 @@ class FiberTensor:
         return self._view
 
     @classmethod
-    def zero(cls, carrier, arity=2):
-        return cls(carrier, arity, {})
-
-    @classmethod
     def of_pair(cls, a: AlgebroidElement, b: AlgebroidElement) -> "FiberTensor":
         """The image of a (x) b in the fiberwise tensor square.
 
@@ -214,7 +218,7 @@ class FiberTensor:
         label pairs are kept.
         """
         terms = pair_terms(a.carrier, a._c.items(), b._c.items())
-        return cls(a.carrier, 2, add_terms({}, terms))
+        return cls._fiberwise(a.carrier, 2, add_terms({}, terms))
 
     def __eq__(self, other):
         return (
@@ -227,14 +231,14 @@ class FiberTensor:
     def __add__(self, other):
         if self.carrier is not other.carrier or self.arity != other.arity:
             raise DimensionMismatch("tensor shapes differ")
-        return FiberTensor(self.carrier, self.arity, add_terms(dict(self._d), other._d.items()))
+        return self._fiberwise(self.carrier, self.arity, add_terms(dict(self._d), other._d.items()))
 
     def __sub__(self, other):
         return self + other.scale(-1)
 
     def scale(self, c):
         c = exact(c)
-        return FiberTensor(self.carrier, self.arity, {k: c * x for k, x in self._d.items()})
+        return self._fiberwise(self.carrier, self.arity, {k: c * x for k, x in self._d.items()})
 
     def is_zero(self):
         return not self._d
@@ -245,7 +249,7 @@ class FiberTensor:
             head, tail = key[:leg], key[leg + 1:]
             return ((head + repl + tail, w) for repl, w in expansion_of_label(key[leg]))
 
-        return FiberTensor(self.carrier, self.arity - 1 + width, _linear(self._d, image))
+        return self._fiberwise(self.carrier, self.arity - 1 + width, _linear(self._d, image))
 
     def delta_leg(self, leg) -> "FiberTensor":
         return self._splice(leg, self.carrier.delta_label, width=2)
@@ -290,7 +294,7 @@ class FiberTensor:
                 right = product(a2, b2)
                 if right:
                     add_terms(out, pair_terms(carrier, left, right, c * d))
-        return FiberTensor(carrier, 2, out)
+        return self._fiberwise(carrier, 2, out)
 
     def collapse(self) -> AlgebroidElement:
         """The antipode convolution: the sum of ``c * S(l1) * l2`` over the terms.
@@ -410,7 +414,7 @@ class HopfAlgebroid(ABC):
         return AlgebroidElement(self, {label: _ONE})
 
     def delta(self, a: AlgebroidElement) -> FiberTensor:
-        return FiberTensor(self, 2, _linear(a._c, self.delta_label))
+        return FiberTensor._fiberwise(self, 2, _linear(a._c, self.delta_label))
 
     def counit(self, a: AlgebroidElement) -> BaseFun:
         values = _linear(a._c, lambda l: ((self.label_target(l), self.counit_label(l)),))

@@ -5,16 +5,18 @@ may have been built from:
 
 1. ``solve_primitives``: the module of primitive elements (coproduct is
    unit-tensor-x + x-tensor-unit), found as an exact nullspace, with its
-   fiberwise ranks, bracket closure, antipode behaviour and anchor.
+   fiberwise ranks, bracket closure, antipode behaviour and anchor, and the
+   bracket table at each point that ``prim_bundle`` reads.
 2. ``solve_grouplikes_at`` / ``build_spectral_groupoid``: the normalized
    grouplike germs at each point, filtered by antipode-invariance, assembled
    into a finite groupoid under the localized product.
 3. ``build_prim_action``: each spectral arrow conjugates primitives between
    fibers through its representative; the matrices form a bundle action.
 4. ``build_theta``: the comparison map from the reconstructed convolution
-   algebroid onto the input, as one exact matrix per base point.
+   algebroid onto the input, kept as the images of the domain labels, with
+   the exact rank of those images at each base point.
 5. ``cgk_decide``: the Cartier-Gabriel-Kostant decision: the decomposition
-   holds exactly when every per-point matrix is bijective.
+   holds exactly when the map is bijective at every point.
 
 Every computation is exact; failures surface as typed errors naming the
 pipeline stage, never as approximate answers.
@@ -66,6 +68,8 @@ class PrimBasis:
 
     carrier: HopfAlgebroid
     per_point: dict
+    # point -> [i][j]: coordinates of [b_i, b_j] in the basis there, or None
+    brackets: dict
     s_invariant: bool = True
     s_negates: bool = True
     anchor_trivial: bool = True
@@ -121,12 +125,9 @@ def solve_primitives(carrier: HopfAlgebroid) -> PrimBasis:
     At each point y the equation delta(a) = eta (x) a + a (x) eta is one
     exact system over the labels at y, with a sparse row per label pair.
     """
-    per_point = {}
+    per_point, brackets = {}, {}
     for y in carrier.base.points:
         labels = carrier.labels_at(y)
-        if not labels:
-            per_point[y] = []
-            continue
         idx = {l: i for i, l in enumerate(labels)}
         unit = carrier.unit_at(y)
         rows = {}
@@ -145,11 +146,12 @@ def solve_primitives(carrier: HopfAlgebroid) -> PrimBasis:
             coeffs = {l: c for l, c in zip(labels, v) if c}
             basis.append(AlgebroidElement(carrier, coeffs))
         per_point[y] = basis
-    prim = PrimBasis(carrier, per_point)
+        brackets[y] = [[None] * len(basis) for _ in basis]
+    prim = PrimBasis(carrier, per_point, brackets)
 
-    elements = prim.elements
+    indexed = [(p, i, x) for p in carrier.base.points for i, x in enumerate(per_point[p])]
     indicators = [BaseFun.indicator(carrier.base, p) for p in carrier.base.points]
-    for x in elements:
+    for _p, _i, x in indexed:
         sx = carrier.antipode(x)
         if sx != x.scale(-1):
             prim.s_negates = False
@@ -158,37 +160,33 @@ def solve_primitives(carrier: HopfAlgebroid) -> PrimBasis:
         for r in indicators:
             if not carrier.anchor(x, r).is_zero():
                 prim.anchor_trivial = False
-    for x in elements:
-        for y in elements:
+    # Each ordered pair is multiplied once, in ``elements`` order, which fixes
+    # the first overflow; same-point brackets form the table ``prim_bundle`` reads.
+    for p, i, x in indexed:
+        for q, j, y in indexed:
             lie = carrier.mul(x, y) - carrier.mul(y, x)
-            if not prim.contains(lie):
+            if p == q:
+                coords = prim.coords_in_basis(lie, p)
+                brackets[p][i][j] = coords
+                closed = coords is not None
+            else:
+                closed = prim.contains(lie)
+            if not closed:
                 prim.bracket_closed = False
     return prim
 
 
 def prim_bundle(prim: PrimBasis):
-    """The bundle of primitive fibers with brackets in the canonical basis."""
-    carrier = prim.carrier
+    """The bundle of primitive fibers, read off the bracket table of ``prim``."""
     fibers = []
-    for p in carrier.base.points:
-        basis = prim.per_point.get(p, [])
-        n = len(basis)
-        names = tuple(f"X{i + 1}" for i in range(n))
-        table = []
-        for i in range(n):
-            plane = []
-            for j in range(n):
-                lie = carrier.mul(basis[i], basis[j]) - carrier.mul(basis[j], basis[i])
-                coords = prim.coords_in_basis(lie, p)
-                if coords is None:
-                    raise AnalysisError(
-                        "primitives",
-                        f"bracket of primitives leaves the fiber span at {p!r}",
-                    )
-                plane.append(tuple(coords))
-            table.append(tuple(plane))
-        fibers.append(LieFiber(names, tuple(table)))
-    return LieBundle(carrier.base, tuple(fibers))
+    for p in prim.carrier.base.points:
+        table = prim.brackets[p]
+        if any(None in plane for plane in table):
+            raise AnalysisError(
+                "primitives", f"bracket of primitives leaves the fiber span at {p!r}"
+            )
+        fibers.append(LieFiber(tuple(f"X{i + 1}" for i in range(len(table))), table))
+    return LieBundle(prim.carrier.base, tuple(fibers))
 
 
 # ---------------------------------------------------------------------------
@@ -401,29 +399,22 @@ class GoodPair:
 
 
 def _weakly_grouplike_partner(carrier, witness):
-    """Solve delta(c) = c (x) c' for c', or None when no factorization exists."""
+    """Solve delta(c) = c (x) c' for c', or None when no factorization exists.
+
+    If a factorization exists, c' at each point is the row of delta(c) at the
+    first label of c's support there, divided by c's coefficient at that
+    label; comparing delta(c) with c (x) c' then checks every other entry.
+    """
     tensor = carrier.delta(witness)
-    partner = {}
+    coeffs = witness.coeffs
+    heads = {}
     for y in carrier.base.points:
-        block = witness.coords_at(y)
-        labels = carrier.labels_at(y)
-        keys = [k for k in tensor.data if carrier.label_target(k[0]) == y]
-        if not any(block):
-            if keys:
-                return None
-            continue
-        pivot = next(i for i, c in enumerate(block) if c)
-        columns = {}
-        for (l1, l2) in keys:
-            columns.setdefault(l2, {})[l1] = tensor.data[(l1, l2)]
-        for l2, col in columns.items():
-            lam = col.get(labels[pivot], _ZERO) / block[pivot]
-            for i, l1 in enumerate(labels):
-                if col.get(l1, _ZERO) != lam * block[i]:
-                    return None
-            if lam:
-                partner[l2] = lam  # each label l2 heads exactly one column
-    partner = AlgebroidElement(carrier, partner)
+        head = next((l for l in carrier.labels_at(y) if l in coeffs), None)
+        if head is not None:
+            heads[head] = coeffs[head]
+    partner = AlgebroidElement(carrier, {
+        l2: c / heads[l1] for (l1, l2), c in tensor.data.items() if l1 in heads
+    })
     if tensor != FiberTensor.of_pair(witness, partner):
         return None
     return partner
@@ -529,14 +520,43 @@ def build_prim_action(carrier: HopfAlgebroid, gsp: SpectralGroupoid,
 
 @dataclass
 class ThetaMap:
-    """The comparison map, one exact matrix per base point."""
+    """The comparison map, kept as the images of the domain labels.
+
+    At each point their sparse rows (``_rows_at``) are the one system behind
+    ``ranks``, ``witness_outside_image`` and the dense ``matrices``.
+    """
 
     domain: ConvolutionAlgebroid
     codomain: HopfAlgebroid
     images: dict
-    matrices: dict
-    ranks: dict
+    ranks: dict = field(default_factory=dict)
     hom_checks: list = field(default_factory=list)
+
+    def _rows_at(self, point) -> list:
+        """The images of the domain labels at ``point``, in order, as sparse
+        rows over the codomain labels there; an image outside that fiber raises."""
+        index = {l: k for k, l in enumerate(self.codomain.labels_at(point))}
+        rows = []
+        for label in self.domain.labels_at(point):
+            coeffs = self.images[label].coeffs
+            if not coeffs.keys() <= index.keys():
+                name = self.domain.format_label(label)
+                raise AnalysisError("theta", f"image of {name} leaves the fiber at {point!r}")
+            rows.append({index[l]: c for l, c in coeffs.items()})
+        return rows
+
+    @property
+    def matrices(self) -> dict:
+        """The matrix at each point, built on read: column j is the image of domain label j."""
+        out = {}
+        for p in self.codomain.base.points:
+            columns = self._rows_at(p)
+            height = len(self.codomain.labels_at(p))
+            out[p] = QMatrix(
+                [[col.get(k, _ZERO) for col in columns] for k in range(height)],
+                cols=len(columns),
+            )
+        return out
 
     def apply(self, u: AlgebroidElement) -> AlgebroidElement:
         terms = _linear(u.coeffs, lambda l: self.images[l].coeffs.items())
@@ -557,15 +577,16 @@ class ThetaMap:
         return all(self.bijective_at(p) for p in self.codomain.base.points)
 
     def witness_outside_image(self, point):
-        """A codomain basis label outside the image at the point, if any."""
-        m = self.matrices[point]
-        if self.ranks[point] == m.rows:
+        """A codomain basis label outside the image at the point, if any.
+
+        It is the pivot label of the first vector in the canonical basis of
+        the vectors orthogonal to every image.
+        """
+        labels = self.codomain.labels_at(point)
+        if self.ranks[point] == len(labels):
             return None
-        for w in m.transpose().nullspace():
-            j = next((i for i, c in enumerate(w) if c), None)
-            if j is not None:
-                return self.codomain.format_label(self.codomain.labels_at(point)[j])
-        return None
+        first = nullspace_of_rows(self._rows_at(point), len(labels))[0]
+        return self.codomain.format_label(labels[next(i for i, c in enumerate(first) if c)])
 
 
 def build_theta(carrier: HopfAlgebroid, gsp: SpectralGroupoid, prim: PrimBasis,
@@ -604,27 +625,9 @@ def build_theta(carrier: HopfAlgebroid, gsp: SpectralGroupoid, prim: PrimBasis,
         d = monomial_product(y, mono)
         images[label] = carrier.mul(d, gsp.representatives[arrow])
 
-    matrices = {}
-    ranks = {}
+    theta = ThetaMap(domain, carrier, images)
     for p in carrier.base.points:
-        dom_labels = domain.labels_at(p)
-        # one sparse row per codomain label, over the domain labels at p
-        rows = {l: {} for l in carrier.labels_at(p)}
-        for j, l in enumerate(dom_labels):
-            img = images[l]
-            if any(t != p for t in img.target_points()):
-                raise AnalysisError(
-                    "theta", f"image of {domain.format_label(l)} leaves the fiber at {p!r}"
-                )
-            for k, c in img.coeffs.items():
-                rows[k][j] = c
-        width = len(dom_labels)
-        matrices[p] = QMatrix(
-            [[row.get(j, _ZERO) for j in range(width)] for row in rows.values()], cols=width
-        )
-        ranks[p] = rank_of_rows(rows.values())
-
-    theta = ThetaMap(domain, carrier, images, matrices, ranks)
+        theta.ranks[p] = rank_of_rows(theta._rows_at(p))
     theta.hom_checks = _verify_theta_hom(theta, hom_samples, seed, truncation)
     return theta
 
@@ -696,9 +699,6 @@ class DecisionReport:
     prim_ranks: dict = field(default_factory=dict)
     constant_rank: bool | None = None
     s_invariant: bool | None = None
-    s_negates: bool | None = None
-    anchor_trivial: bool | None = None
-    bracket_closed: bool | None = None
     spectral_arrows: int | None = None
     theta: dict = field(default_factory=dict)
     verdict: str = "ERROR"
@@ -795,9 +795,6 @@ def analyze(carrier: HopfAlgebroid, samples: int = 60, seed: int = 11,
         report.prim_ranks = prim.ranks()
         report.constant_rank = prim.constant_rank
         report.s_invariant = prim.s_invariant
-        report.s_negates = prim.s_negates
-        report.anchor_trivial = prim.anchor_trivial
-        report.bracket_closed = prim.bracket_closed
         if not prim.constant_rank:
             report.hypothesis_failures.append(
                 "primitive module does not have constant rank (hypothesis i)"

@@ -132,9 +132,6 @@ class QMatrix:
     def entry(self, i, j) -> Fraction:
         return self.data[i][j]
 
-    def row(self, i) -> Vector:
-        return self.data[i]
-
     def column(self, j) -> Vector:
         return tuple(r[j] for r in self.data)
 

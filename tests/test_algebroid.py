@@ -168,6 +168,27 @@ def test_fiber_tensor_drops_mixed_targets():
                     (("ayy", (0, 0, 0)), ("ayy", (0, 0, 0)))}
     with pytest.raises(CoherenceError):
         FiberTensor(carrier, 2, {(("axx", (0, 0, 0)), ("ayy", (0, 0, 0))): Fraction(1)})
+    with pytest.raises(DimensionMismatch):
+        FiberTensor(carrier, 3, {(("axx", (0, 0, 0)), ("axx", (0, 0, 0))): Fraction(1)})
+
+
+@pytest.mark.parametrize("model", [pairh3_model, funs3_model])
+def test_carrier_operations_skip_the_key_checks(model, monkeypatch):
+    carrier = carrier_from_model(model())
+    checked = []
+    real = FiberTensor.__init__
+
+    def counting(self, *args):
+        checked.append(args)
+        real(self, *args)
+
+    monkeypatch.setattr(FiberTensor, "__init__", counting)
+    assert check_axioms(carrier, samples=8, seed=3).ok
+    t = carrier.delta(carrier.random_element(random.Random(3)))
+    assert (t + t - t.scale(2)).is_zero()
+    assert checked == []
+    FiberTensor(carrier, 2, dict(t.data))
+    assert len(checked) == 1
 
 
 def test_overflow_propagates_through_convolution():

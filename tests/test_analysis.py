@@ -7,8 +7,15 @@ from fractions import Fraction
 import pytest
 
 from finhopf import analysis as analysis_module
-from finhopf.algebroid import ConvolutionAlgebroid, FiberTensor, TableAlgebroid
+from finhopf.algebroid import (
+    AlgebroidElement,
+    ConvolutionAlgebroid,
+    FiberTensor,
+    HopfAlgebroid,
+    TableAlgebroid,
+)
 from finhopf.analysis import (
+    _weakly_grouplike_partner,
     analyze,
     build_prim_action,
     build_spectral_groupoid,
@@ -23,7 +30,7 @@ from finhopf.analysis import (
     solve_primitives,
     t_operator,
 )
-from finhopf.errors import NotAGoodPair, SolverIncomplete
+from finhopf.errors import AnalysisError, NotAGoodPair, SolverIncomplete
 from finhopf.groupoid import BaseFun, BaseSpace, groupoid_isomorphic
 from finhopf.linalg import QMatrix
 from finhopf.modelio import carrier_from_model
@@ -137,6 +144,26 @@ def test_prim_bundle_recovers_bracket():
     assert fiber.brackets[0][1] == (0, 0, 1)
     assert fiber.brackets[1][0] == (0, 0, -1)
     assert fiber.brackets[0][2] == (0, 0, 0)
+
+
+def test_prim_bundle_reads_the_bracket_table_and_multiplies_nothing(monkeypatch):
+    prim = solve_primitives(pairh3())
+    expected = {p: tuple(map(tuple, table)) for p, table in prim.brackets.items()}
+    products = []
+    real = HopfAlgebroid._product
+
+    def counting(self, left, right):
+        products.append(1)
+        return real(self, left, right)
+
+    monkeypatch.setattr(HopfAlgebroid, "_product", counting)
+    bundle = prim_bundle(prim)
+    assert products == []
+    assert {p: bundle.fiber(p).brackets for p in prim.carrier.base.points} == expected
+    # a commutator outside the span at a point fails that point
+    prim.brackets["y"][0][1] = None
+    with pytest.raises(AnalysisError, match="leaves the fiber span at 'y'"):
+        prim_bundle(prim)
 
 
 def test_primitive_commutation_identity_with_base():
@@ -295,6 +322,61 @@ def test_good_pair_rejects_bad_second_function():
         make_good_pair(carrier, witness, f, f2)
 
 
+def loop_partner(carrier, witness):
+    """The partner solver checked column by column before the whole tensor."""
+    tensor = carrier.delta(witness)
+    partner = {}
+    for y in carrier.base.points:
+        block = witness.coords_at(y)
+        labels = carrier.labels_at(y)
+        keys = [k for k in tensor.data if carrier.label_target(k[0]) == y]
+        if not any(block):
+            if keys:
+                return None
+            continue
+        pivot = next(i for i, c in enumerate(block) if c)
+        columns = {}
+        for (l1, l2) in keys:
+            columns.setdefault(l2, {})[l1] = tensor.data[(l1, l2)]
+        for l2, col in columns.items():
+            lam = col.get(labels[pivot], Fraction(0)) / block[pivot]
+            for i, l1 in enumerate(labels):
+                if col.get(l1, Fraction(0)) != lam * block[i]:
+                    return None
+            if lam:
+                partner[l2] = lam
+    partner = AlgebroidElement(carrier, partner)
+    if tensor != FiberTensor.of_pair(witness, partner):
+        return None
+    return partner
+
+
+@pytest.mark.parametrize("make_model", [
+    z2line_model, pairh3_model, funs3_model, *(functools.partial(random_model, s) for s in range(6)),
+])
+def test_partner_matches_the_column_by_column_solver(make_model):
+    carrier = carrier_from_model(make_model())
+    rng = random.Random(17)
+    grouplikes = [g for p in carrier.base.points for g in solve_grouplikes_at(carrier, p)]
+    candidates = [carrier.zero(), *grouplikes, *(g.scale(-3) for g in grouplikes)]
+    # sums across points are zero at no point; one grouplike is zero at the others
+    candidates += [g + h for g in grouplikes for h in grouplikes]
+    candidates += [carrier.basis_element(l) for l in carrier.labels[:12]]
+    for _ in range(12):
+        e = carrier.random_element(rng)
+        candidates += [e, e.at_point(carrier.base.points[-1])]
+        if grouplikes:
+            candidates.append(rng.choice(grouplikes) + e.scale(Fraction(1, 2)))
+    found = 0
+    for c in candidates:
+        partner, expected = _weakly_grouplike_partner(carrier, c), loop_partner(carrier, c)
+        assert (partner is None) == (expected is None), c.text()
+        if partner is not None:
+            found += 1
+            assert partner == expected and partner.signature() == expected.signature()
+    assert found > len(grouplikes)  # grouplikes, their multiples and the zero element
+
+
 def test_t_operator_rejects_mismatched_pair():
     carrier = z2line()
     sigma = carrier.basis_element(("s", (0,)))
@@ -358,14 +440,47 @@ def test_theta_detects_missing_group_algebra_part():
     assert theta.witness_outside_image("pt") is not None
 
 
+def theta_of(carrier):
+    prim = solve_primitives(carrier)
+    gsp = build_spectral_groupoid(carrier)
+    return build_theta(carrier, gsp, prim, build_prim_action(carrier, gsp, prim))
+
+
+@pytest.mark.parametrize("make_carrier", [z2line, funs3])
+def test_theta_builds_no_dense_matrix(make_carrier, monkeypatch):
+    carrier = make_carrier()
+    built = []
+    real = QMatrix.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        real(self, *args, **kwargs)
+
+    prim = solve_primitives(carrier)
+    gsp = build_spectral_groupoid(carrier)
+    action = build_prim_action(carrier, gsp, prim)
+    monkeypatch.setattr(QMatrix, "__init__", counting)
+    theta = build_theta(carrier, gsp, prim, action)
+    witnesses = [theta.witness_outside_image(p) for p in carrier.base.points]
+    assert built == []
+    assert [w is None for w in witnesses] == [theta.bijective_at(p) for p in carrier.base.points]
+    assert len(theta.matrices) == len(built) == len(carrier.base.points)
+
+
+def test_witness_is_the_first_pivot_of_the_dense_left_kernel():
+    theta = theta_of(funs3())
+    labels = theta.codomain.labels_at("pt")
+    kernel = theta.matrices["pt"].transpose().nullspace()
+    first = next(i for i, c in enumerate(kernel[0]) if c)
+    assert theta.witness_outside_image("pt") == theta.codomain.format_label(labels[first])
+
+
 @pytest.mark.parametrize("model", [
     z2line_model, funs3_model, pairh3_at_3_model, rational_heisenberg_pair_model,
 ])
 def test_theta_matrices_match_the_dense_columns_and_their_rank(model):
     carrier = carrier_from_model(model())
-    prim = solve_primitives(carrier)
-    gsp = build_spectral_groupoid(carrier)
-    theta = build_theta(carrier, gsp, prim, build_prim_action(carrier, gsp, prim))
+    theta = theta_of(carrier)
     for p in carrier.base.points:
         m = theta.matrices[p]
         columns = [theta.images[l].coords_at(p) for l in theta.domain.labels_at(p)]
