@@ -48,12 +48,15 @@ from .errors import (
 from .groupoid import BaseFun, BaseSpace, FiniteGroupoid
 from .liebundle import BundleAction, LieBundle
 from .enveloping import (
-    UElement,
+    mono_antipode,
+    mono_delta,
+    mono_mul,
     mono_text,
+    mono_transport,
     monomials_up_to,
     unit_mono,
 )
-from .rationals import add_terms, exact, rat, rat_str
+from .rationals import add_terms, exact, linear, rat, rat_str
 
 _ZERO = 0
 _ONE = 1
@@ -152,14 +155,6 @@ class AlgebroidElement:
             raise DimensionMismatch("elements belong to different carriers")
 
 
-def _linear(coeffs, image):
-    """The one linear fold: the coefficient map of ``sum c * image(key)``, keys in order."""
-    out = {}
-    for key, c in coeffs.items():
-        add_terms(out, ((k, c * w) for k, w in image(key)))
-    return out
-
-
 def pair_terms(carrier, left, right, scale=_ONE):
     """The same-target terms of ``scale * (left (x) right)``, over ``(label, c)`` terms."""
     target = carrier.label_target
@@ -249,7 +244,7 @@ class FiberTensor:
             head, tail = key[:leg], key[leg + 1:]
             return ((head + repl + tail, w) for repl, w in expansion_of_label(key[leg]))
 
-        return self._fiberwise(self.carrier, self.arity - 1 + width, _linear(self._d, image))
+        return self._fiberwise(self.carrier, self.arity - 1 + width, linear(self._d.items(), image))
 
     def delta_leg(self, leg) -> "FiberTensor":
         return self._splice(leg, self.carrier.delta_label, width=2)
@@ -309,7 +304,7 @@ class FiberTensor:
         def image(key):
             return carrier._product(carrier.antipode_label(key[0]), ((key[1], _ONE),)).items()
 
-        return AlgebroidElement(carrier, _linear(self._d, image))
+        return AlgebroidElement(carrier, linear(self._d.items(), image))
 
     def to_element(self) -> AlgebroidElement:
         if self.arity != 1:
@@ -414,20 +409,20 @@ class HopfAlgebroid(ABC):
         return AlgebroidElement(self, {label: _ONE})
 
     def delta(self, a: AlgebroidElement) -> FiberTensor:
-        return FiberTensor._fiberwise(self, 2, _linear(a._c, self.delta_label))
+        return FiberTensor._fiberwise(self, 2, linear(a._c.items(), self.delta_label))
 
     def counit(self, a: AlgebroidElement) -> BaseFun:
-        values = _linear(a._c, lambda l: ((self.label_target(l), self.counit_label(l)),))
+        values = linear(a._c.items(), lambda l: ((self.label_target(l), self.counit_label(l)),))
         return BaseFun(self.base, tuple(values.get(p, _ZERO) for p in self.base.points))
 
     def antipode(self, a: AlgebroidElement) -> AlgebroidElement:
-        return AlgebroidElement(self, _linear(a._c, self.antipode_label))
+        return AlgebroidElement(self, linear(a._c.items(), self.antipode_label))
 
     def embed(self, f: BaseFun) -> AlgebroidElement:
         if f.base != self.base:
             raise DimensionMismatch("function lives on a different base")
-        values = {p: v for p, v in zip(self.base.points, f.values) if v}
-        return AlgebroidElement(self, _linear(values, lambda p: self.unit_at(p)._c.items()))
+        values = ((p, v) for p, v in zip(self.base.points, f.values) if v)
+        return AlgebroidElement(self, linear(values, lambda p: self.unit_at(p)._c.items()))
 
     @abstractmethod
     def unit_at(self, point) -> AlgebroidElement: ...
@@ -519,13 +514,11 @@ class ConvolutionAlgebroid(HopfAlgebroid):
             g = self.groupoid.compose_table.get((h, k))
             entry = ()
             if g is not None:
-                y, x = self.groupoid.target[h], self.groupoid.target[k]
-                fiber = self.bundle.fiber(y)
-                u = UElement(fiber, y, self.truncation, {m1: _ONE})
-                v = UElement(self.bundle.fiber(x), x, self.truncation, {m2: _ONE})
-                moved = v.transport(self.action.matrix(h), fiber, y)
+                fiber, n = self.bundle.fiber(self.groupoid.target[h]), self.truncation
+                moved = add_terms({}, mono_transport(m2, self.action.matrix(h), fiber))
                 try:
-                    entry = tuple(((g, m), exact(c)) for m, c in u.mul(moved).terms.items())
+                    product = linear(moved.items(), lambda m: mono_mul(fiber, m1, m, n))
+                    entry = tuple(((g, m), exact(c)) for m, c in product.items())
                 except TruncationOverflow as exc:
                     entry = exc.with_traceback(None)
             self._products[(l1, l2)] = entry
@@ -547,10 +540,8 @@ class ConvolutionAlgebroid(HopfAlgebroid):
     def delta_label(self, label):
         if label not in self._delta_cache:
             g, m = label
-            fiber = self.bundle.fiber(self.groupoid.target[g])
-            u = UElement(fiber, self.groupoid.target[g], self.truncation, {m: _ONE})
             self._delta_cache[label] = tuple(
-                (((g, m1), (g, m2)), exact(c)) for (m1, m2), c in sorted(u.delta().items())
+                (((g, m1), (g, m2)), exact(c)) for (m1, m2), c in sorted(mono_delta(m))
             )
         return self._delta_cache[label]
 
@@ -563,15 +554,9 @@ class ConvolutionAlgebroid(HopfAlgebroid):
             g, m = label
             ginv = self.groupoid.inverse[g]
             fiber = self.bundle.fiber(self.groupoid.target[g])
-            u = UElement(fiber, self.groupoid.target[g], self.truncation, {m: _ONE})
-            moved = u.antipode().transport(
-                self.action.matrix(ginv),
-                self.bundle.fiber(self.groupoid.target[ginv]),
-                self.groupoid.target[ginv],
-            )
-            self._antipode_cache[label] = tuple(
-                ((ginv, m), exact(c)) for m, c in moved.terms.items()
-            )
+            matrix, target = self.action.matrix(ginv), self.bundle.fiber(self.groupoid.target[ginv])
+            moved = linear(mono_antipode(fiber, m), lambda w: mono_transport(w, matrix, target))
+            self._antipode_cache[label] = tuple(((ginv, w), exact(c)) for w, c in moved.items())
         return self._antipode_cache[label]
 
     def unit_at(self, point):

@@ -34,7 +34,6 @@ from .algebroid import (
     ConvolutionAlgebroid,
     FiberTensor,
     HopfAlgebroid,
-    _linear,
     check_axioms,
     pair_terms,
     run_law,
@@ -50,7 +49,7 @@ from .errors import (
 from .groupoid import BaseFun, FiniteGroupoid, groupoid_isomorphic
 from .liebundle import BundleAction, LieBundle, LieFiber
 from .linalg import QMatrix, nullspace_of_rows, rank_of_rows, rational_eigenvalues
-from .rationals import add_terms
+from .rationals import add_terms, linear
 
 _ZERO = Fraction(0)
 
@@ -115,7 +114,7 @@ class PrimBasis:
         coords = tuple(
             element.coeffs.get(next(l for l in labels if l in b.coeffs), _ZERO) for b in basis
         )
-        rebuilt = _linear(dict(enumerate(coords)), lambda i: basis[i].coeffs.items())
+        rebuilt = linear(enumerate(coords), lambda i: basis[i].coeffs.items())
         return coords if rebuilt == element.coeffs else None
 
 
@@ -559,7 +558,7 @@ class ThetaMap:
         return out
 
     def apply(self, u: AlgebroidElement) -> AlgebroidElement:
-        terms = _linear(u.coeffs, lambda l: self.images[l].coeffs.items())
+        terms = linear(u.coeffs.items(), lambda l: self.images[l].coeffs.items())
         return AlgebroidElement(self.codomain, terms)
 
     def dims_at(self, point):
@@ -592,9 +591,22 @@ class ThetaMap:
 def build_theta(carrier: HopfAlgebroid, gsp: SpectralGroupoid, prim: PrimBasis,
                 action: BundleAction, truncation=None, hom_samples: int = 12,
                 seed: int = 23) -> ThetaMap:
-    """Assemble the map (PBW monomial over arrow) -> product of representatives."""
+    """Assemble the map (PBW monomial over arrow) -> product of representatives.
+
+    The reconstructed side is truncated at ``truncation``; a convolution
+    carrier fixes it to its own, a table carrier defaults it to
+    ``DEFAULT_TABLE_TRUNCATION``.
+    """
+    own = getattr(carrier, "truncation", None)
     if truncation is None:
-        truncation = getattr(carrier, "truncation", DEFAULT_TABLE_TRUNCATION)
+        truncation = DEFAULT_TABLE_TRUNCATION if own is None else own
+    if truncation < 0:
+        raise AnalysisError("theta", f"truncation must be nonnegative, got {truncation}")
+    if own is not None and truncation != own:
+        raise AnalysisError(
+            "theta", f"a convolution carrier is compared at its own truncation {own}, "
+            f"not {truncation}",
+        )
     domain = ConvolutionAlgebroid(gsp.groupoid, action.bundle, action, truncation)
 
     product_cache = {}
@@ -612,9 +624,7 @@ def build_theta(carrier: HopfAlgebroid, gsp: SpectralGroupoid, prim: PrimBasis,
                 product_cache[key] = carrier.mul(acc, prim.per_point.get(point, [])[last])
             except TruncationOverflow:
                 raise TruncationOverflow(
-                    sum(mono),
-                    getattr(carrier, "truncation", truncation),
-                    f"decomposition map needs truncation >= {sum(mono)}",
+                    sum(mono), truncation, f"decomposition map needs truncation >= {sum(mono)}",
                 ) from None
         return product_cache[key]
 
@@ -683,11 +693,13 @@ def _verify_theta_hom(theta: ThetaMap, samples, seed, truncation):
 
 
 def _map_tensor(tensor: FiberTensor, theta: ThetaMap) -> FiberTensor:
-    out = {}
-    for (l1, l2), c in tensor.data.items():
-        e1, e2 = theta.images[l1], theta.images[l2]
-        add_terms(out, pair_terms(theta.codomain, e1.coeffs.items(), e2.coeffs.items(), c))
-    return FiberTensor(theta.codomain, 2, out)
+    """Theta on both legs; ``pair_terms`` keeps the result fiberwise."""
+    codomain, images = theta.codomain, theta.images
+
+    def image(key):
+        return pair_terms(codomain, images[key[0]].coeffs.items(), images[key[1]].coeffs.items())
+
+    return FiberTensor._fiberwise(codomain, 2, linear(tensor._d.items(), image))
 
 
 # ---------------------------------------------------------------------------

@@ -214,7 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=60)
     p.add_argument("--seed", type=int, default=11)
     p.add_argument("--truncation", type=int, default=None,
-                   help="degree bound for the reconstructed side (tables only)")
+                   help="degree bound for the reconstructed side of a table model; "
+                        "a convolution model is compared at its own")
 
     p = add("roundtrip", _cmd_roundtrip,
             "rebuild groupoid and action from a constructed model and compare")

@@ -12,6 +12,9 @@ The Hopf structure is the usual one determined on generators: generators are
 primitive, the counit kills positive degree, and the antipode negates
 generators and reverses products.  Comultiplication and antipode never raise
 degree, so they are total on the truncated model.
+Product, coproduct, antipode and substitution are given once, on monomials, as
+``(key, c)`` terms: ``mono_mul``, ``mono_delta``, ``mono_antipode``, ``mono_transport``.
+``UElement`` and the convolution carrier fold them through ``rationals.linear``.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from math import comb
 from .errors import DimensionMismatch, TruncationOverflow
 from .liebundle import LieFiber
 from .linalg import QMatrix
-from .rationals import add_terms, rat, rat_str
+from .rationals import add_terms, linear, rat, rat_str
 
 Monomial = tuple[int, ...]
 
@@ -93,6 +96,46 @@ def _straighten(fiber: LieFiber, word, coeff: Fraction):
             if ck:
                 stack.append((w[:descent] + (k,) + w[descent + 2:], c * ck))
     return add_terms({}, done)
+
+
+def mono_mul(fiber: LieFiber, m1: Monomial, m2: Monomial, truncation: int):
+    """The product m1 * m2 as ``(monomial, c)`` terms.
+
+    The degree bound is checked on the two factors, before any rewriting.
+    """
+    total = mono_degree(m1) + mono_degree(m2)
+    if total > truncation:
+        raise TruncationOverflow(total, truncation,
+                                 "product of stored monomials; no silent truncation")
+    return _straighten(fiber, mono_word(m1) + mono_word(m2), _ONE).items()
+
+
+def mono_delta(m: Monomial):
+    """The coproduct of m as ``((left, right), c)`` terms.
+
+    Splitting an ordered monomial leaves both halves ordered, so no
+    restraightening is needed and no overflow can occur.
+    """
+    splits = [((), _ONE)]
+    for a in m:
+        splits = [(left + (b,), w * comb(a, b)) for left, w in splits for b in range(a + 1)]
+    return (((left, tuple(a - b for a, b in zip(m, left))), w) for left, w in splits)
+
+
+def mono_antipode(fiber: LieFiber, m: Monomial):
+    """The antipode of m: negate generators and reverse the word, then restraighten."""
+    word = mono_word(m)[::-1]
+    return _straighten(fiber, word, -_ONE if len(word) % 2 else _ONE).items()
+
+
+def mono_transport(m: Monomial, matrix: QMatrix, target_fiber: LieFiber):
+    """Substitute column j of the matrix for each letter j, straightening word by word."""
+    images = [((), _ONE)]
+    for j in mono_word(m):
+        column = [(i, e) for i in range(target_fiber.dim) if (e := matrix.entry(i, j))]
+        images = [(w + (i,), c * e) for w, c in images for i, e in column]
+    for w, c in images:
+        yield from _straighten(target_fiber, w, c).items()
 
 
 @dataclass(frozen=True)
@@ -179,55 +222,23 @@ class UElement:
 
     def mul(self, other: "UElement") -> "UElement":
         self._compatible(other)
-        out = {}
-        for m1, c1 in self.terms.items():
-            w1 = mono_word(m1)
-            for m2, c2 in other.terms.items():
-                total = len(w1) + mono_degree(m2)
-                if total > self.truncation:
-                    raise TruncationOverflow(
-                        total, self.truncation,
-                        "product of stored monomials; no silent truncation",
-                    )
-                add_terms(out, _straighten(self.fiber, w1 + mono_word(m2), c1 * c2).items())
-        return self._like(out)
+        right = other.terms.items()
+        pairs = (((m1, m2), c1 * c2) for m1, c1 in self.terms.items() for m2, c2 in right)
+        return self._like(linear(pairs, lambda p: mono_mul(self.fiber, *p, self.truncation)))
 
     __mul__ = mul
 
     # -- Hopf structure ----------------------------------------------------
 
     def delta(self) -> dict:
-        """Comultiplication as a map (Monomial, Monomial) -> coefficient.
-
-        Splitting an ordered monomial leaves both halves ordered, so no
-        restraightening is needed and no overflow can occur.
-        """
-        out = {}
-        for m, c in self.terms.items():
-            splits = [((), _ONE)]
-            for a in m:
-                splits = [
-                    (left + (b,), w * comb(a, b))
-                    for left, w in splits
-                    for b in range(a + 1)
-                ]
-            add_terms(out, (
-                ((left, tuple(a - b for a, b in zip(m, left))), c * weight)
-                for left, weight in splits
-            ))
-        return out
+        """Comultiplication as a map (Monomial, Monomial) -> coefficient."""
+        return linear(self.terms.items(), mono_delta)
 
     def counit(self) -> Fraction:
         return self.terms.get(unit_mono(self.fiber.dim), _ZERO)
 
     def antipode(self) -> "UElement":
-        """Negate generators and reverse words, then restraighten."""
-        out = {}
-        for m, c in self.terms.items():
-            word = mono_word(m)[::-1]
-            sign = -_ONE if len(word) % 2 else _ONE
-            add_terms(out, _straighten(self.fiber, word, c * sign).items())
-        return self._like(out)
+        return self._like(linear(self.terms.items(), lambda m: mono_antipode(self.fiber, m)))
 
     def transport(self, matrix: QMatrix, target_fiber: LieFiber, target_point: str) -> "UElement":
         """Apply a linear generator substitution, landing in the target fiber.
@@ -241,18 +252,7 @@ class UElement:
                 f"transport matrix {matrix.rows}x{matrix.cols} does not map "
                 f"dim {self.fiber.dim} into dim {target_fiber.dim}"
             )
-        out = {}
-        for m, c in self.terms.items():
-            images = [((), c)]
-            for j in mono_word(m):
-                images = [
-                    (w + (i,), cc * matrix.entry(i, j))
-                    for w, cc in images
-                    for i in range(target_fiber.dim)
-                    if matrix.entry(i, j)
-                ]
-            for w, cc in images:
-                add_terms(out, _straighten(target_fiber, w, cc).items())
+        out = linear(self.terms.items(), lambda m: mono_transport(m, matrix, target_fiber))
         return UElement(target_fiber, target_point, self.truncation, out)
 
     # -- rendering ---------------------------------------------------------

@@ -4,7 +4,8 @@ A model is a plain dict (the JSON document) with a ``kind`` of either
 ``convolution`` (a groupoid acting on a Lie algebra bundle, plus a truncation
 bound) or ``table`` (explicit structure tables for a finite-dimensional
 algebroid).  Scalars are JSON integers or strings like ``"-3/4"``; floats are
-rejected so no rounding can enter through a file.
+rejected so no rounding can enter through a file.  Each structure table lists
+a pair at most once; a repeated pair is a format error, never a silent override.
 
 Loading only checks the format and structural coherence; semantic laws
 (groupoid axioms, action functoriality, the Hopf axioms) are checked by the
@@ -79,6 +80,11 @@ def _expect(cond, path, message):
         raise ModelFormatError(path, message)
 
 
+def _unique(table, pair, path, what):
+    """Reject a second entry for the same pair instead of letting the last one win."""
+    _expect(pair not in table, path, f"duplicate {what} for {list(pair)!r}")
+
+
 def _get(obj, key, path, kind=None):
     _expect(isinstance(obj, dict), path, "expected an object")
     if key not in obj:
@@ -127,6 +133,7 @@ def _groupoid(model, base):
         _expect(isinstance(entry, list) and len(entry) == 3, path,
                 "expected [g, h, g after h]")
         _names(entry, path, "arrow id")
+        _unique(compose, (entry[0], entry[1]), path, "composite")
         compose[(entry[0], entry[1])] = entry[2]
     try:
         return FiniteGroupoid(base, arrows, source, target, units, inverse, compose)
@@ -139,21 +146,23 @@ def _fiber(entry, path):
     _names(basis, f"{path}.basis", "name")
     index = {n: i for i, n in enumerate(basis)}
     _expect(len(index) == len(basis), f"{path}.basis", "duplicate generator names")
-    sparse = []
+    sparse = {}
     for i, br in enumerate(_get(entry, "brackets", path, list)):
         bpath = f"{path}.brackets[{i}]"
         _expect(isinstance(br, list) and len(br) == 3, bpath,
                 "expected [left, right, coefficients]")
         left, right, coeffs = br
+        _names(br[:2], bpath, "generator")
         _expect(left in index, bpath, f"unknown generator {left!r}")
         _expect(right in index, bpath, f"unknown generator {right!r}")
+        _unique(sparse, (left, right), bpath, "bracket")
         _expect(isinstance(coeffs, dict), bpath, "coefficients must be an object")
         dense = [0] * len(basis)
         for name, c in coeffs.items():
             _expect(name in index, f"{bpath}.{name}", f"unknown generator {name!r}")
             dense[index[name]] = _scalar(c, f"{bpath}.{name}")
-        sparse.append((index[left], index[right], tuple(dense)))
-    return LieFiber.from_sparse(tuple(basis), sparse)
+        sparse[(left, right)] = (index[left], index[right], tuple(dense))
+    return LieFiber.from_sparse(tuple(basis), sparse.values())
 
 
 def _bundle(model, base):
@@ -220,6 +229,7 @@ def _table_carrier(model, base):
         _expect(isinstance(entry, list) and len(entry) == 3, path,
                 "expected [left, right, coefficients]")
         _names(entry[:2], path, "label")
+        _unique(mul_table, (entry[0], entry[1]), path, "product")
         mul_table[(entry[0], entry[1])] = _coeff_map(entry[2], path)
     delta_table = {}
     for name, entries in _get(t, "delta", "model.table", dict).items():
@@ -230,6 +240,7 @@ def _table_carrier(model, base):
             _expect(isinstance(entry, list) and len(entry) == 3, f"{path}[{i}]",
                     "expected [left, right, coefficient]")
             _names(entry[:2], f"{path}[{i}]", "label")
+            _unique(clean, (entry[0], entry[1]), f"{path}[{i}]", "coproduct term")
             clean[(entry[0], entry[1])] = _scalar(entry[2], f"{path}[{i}]")
         delta_table[name] = clean
     counit_table = {

@@ -11,6 +11,9 @@ coefficients and coordinates as ``Fraction``s; only its label-level
 structure constants keep the internal form.  It only adds, subtracts and
 multiplies, which are exact on mixed ``int`` and ``Fraction`` operands; it
 never divides, since ``int / int`` is a float.
+
+Every sparse coefficient map is built by ``add_terms``, which accumulates
+``(key, c)`` pairs, or by ``linear``, the one fold of terms through a linear map.
 """
 
 from __future__ import annotations
@@ -77,4 +80,16 @@ def add_terms(out: dict, pairs) -> dict:
             out[key] = acc
         else:
             del out[key]
+    return out
+
+
+def linear(terms, image) -> dict:
+    """The coefficient map of ``sum c * image(key)`` over ``(key, c)`` terms.
+
+    ``image(key)`` gives ``(key, w)`` terms, added in through one
+    ``add_terms`` per input term, in order; that fixes the key order.
+    """
+    out = {}
+    for key, c in terms:
+        add_terms(out, ((k, c * w) for k, w in image(key)))
     return out

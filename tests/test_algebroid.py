@@ -823,3 +823,16 @@ def test_carrier_layer_has_no_true_division():
         if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)
     ]
     assert divisions == []
+
+
+def test_carrier_layer_builds_no_enveloping_elements():
+    """Label maps compose the monomial maps; no one-term ``UElement`` is built."""
+    tree = ast.parse(Path(algebroid.__file__).read_text())
+    uses = [
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and node.id == "UElement")
+        or (isinstance(node, ast.Attribute) and node.attr == "UElement")
+        or (isinstance(node, ast.alias) and node.name == "UElement")
+    ]
+    assert uses == []

@@ -519,6 +519,34 @@ def test_cgk_verdict_error_on_corrupted_action():
     assert report.stage_error and report.stage_error[0] == "axioms"
 
 
+@pytest.mark.parametrize("make_carrier, truncation", [
+    (funs3, -1), (z2line, -1), (z2line, 0), (z2line, 5),
+])
+def test_theta_truncation_out_of_range_is_a_theta_error(make_carrier, truncation):
+    """A negative bound cannot build the reconstructed side; a convolution
+    carrier compared at another bound than its own would give a wrong verdict."""
+    report = cgk_decide(make_carrier(), samples=20, seed=7, theta_truncation=truncation)
+    assert report.verdict == "ERROR"
+    assert report.stage_error[0] == "theta"
+    assert cgk_decide(z2line(), samples=20, seed=7, theta_truncation=4).verdict == "ISO"
+
+
+def test_analyze_checks_no_tensor_keys(monkeypatch):
+    """Every tensor the pipeline builds is fiberwise by construction."""
+    checked = []
+    real = FiberTensor.__init__
+
+    def counting(self, *args):
+        checked.append(args)
+        real(self, *args)
+
+    monkeypatch.setattr(FiberTensor, "__init__", counting)
+    analysis = analyze(carrier_from_model(pairh3_model()), samples=8, seed=3)
+    assert analysis.decision.verdict == "ISO"
+    assert [c.checked for c in analysis.theta.hom_checks if c.name == "theta_comultiplicative"]
+    assert checked == []
+
+
 def test_cgk_json_shape():
     data = cgk_decide(z2line(), samples=20, seed=7).to_json()
     assert data["verdict"] == "ISO"

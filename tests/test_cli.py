@@ -127,6 +127,14 @@ def test_cgk_exit_codes(model_files, capsys):
     assert code == EXIT_INPUT_ERROR
 
 
+def test_cgk_truncation_out_of_range_is_an_input_error(model_files, capsys):
+    for name, bound in (("funs3", "-1"), ("z2line", "-1"), ("z2line", "0")):
+        code, out, err = run(["cgk", model_files[name], "--truncation", bound, "--json"], capsys)
+        assert code == EXIT_INPUT_ERROR and err == ""
+        data = json.loads(out)
+        assert data["verdict"] == "ERROR" and data["stageError"]["stage"] == "theta"
+
+
 def test_roundtrip(model_files, capsys):
     code, out, _ = run(["roundtrip", model_files["z2line"], "--json"], capsys)
     assert code == EXIT_OK

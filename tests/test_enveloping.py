@@ -2,19 +2,28 @@
 
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from finhopf.algebroid import ConvolutionAlgebroid
 from finhopf.enveloping import (
     UElement,
+    _straighten,
     mono_degree,
     mono_from_word,
+    mono_word,
     monomials_up_to,
     unit_mono,
 )
 from finhopf.errors import TruncationOverflow
-from finhopf.liebundle import LieFiber
+from finhopf.liebundle import BundleAction, LieBundle, LieFiber
 from finhopf.linalg import QMatrix
+from finhopf.rationals import add_terms, exact
+
+from test_groupoid import z2
 
 H3 = LieFiber.heisenberg()
 
@@ -223,3 +232,176 @@ def test_products_at_higher_truncation_agree():
         u6 = UElement(H3, "pt", 6, dict(u.terms))
         v6 = UElement(H3, "pt", 6, dict(v.terms))
         assert u.mul(v).terms == u6.mul(v6).terms
+
+
+# -- the monomial maps against the hand-written loops they replaced ------------
+#
+# The copies below are the per-element loops (and the label maps built from
+# one-term elements) that ``mono_mul``, ``mono_delta``, ``mono_antipode`` and
+# ``mono_transport`` replaced.  Folding the monomial maps must give the same
+# Fractions in the same insertion order, and the same overflow.
+
+OVERFLOW_DETAIL = "product of stored monomials; no silent truncation"
+
+SL2 = LieFiber.from_sparse(("H", "E", "F"), [(0, 1, (0, 2, 0)), (0, 2, (0, 0, -2)),
+                                             (1, 2, (1, 0, 0))])
+# A solvable algebra with rational structure constants: [A, B] = B/2, [A, C] = -3C/4.
+RATIONAL = LieFiber.from_sparse(("A", "B", "C"), [(0, 1, (0, Fraction(1, 2), 0)),
+                                                  (0, 2, (0, 0, Fraction(-3, 4)))])
+FIBERS = {"heisenberg": H3, "sl2": SL2, "rational": RATIONAL}
+
+
+def loop_mul(fiber, n, left, right):
+    out = {}
+    for m1, c1 in left.items():
+        w1 = mono_word(m1)
+        for m2, c2 in right.items():
+            total = len(w1) + mono_degree(m2)
+            if total > n:
+                raise TruncationOverflow(total, n, OVERFLOW_DETAIL)
+            add_terms(out, _straighten(fiber, w1 + mono_word(m2), c1 * c2).items())
+    return out
+
+
+def loop_delta(terms):
+    out = {}
+    for m, c in terms.items():
+        splits = [((), Fraction(1))]
+        for a in m:
+            splits = [(left + (b,), w * comb(a, b)) for left, w in splits for b in range(a + 1)]
+        add_terms(out, (((left, tuple(a - b for a, b in zip(m, left))), c * w)
+                        for left, w in splits))
+    return out
+
+
+def loop_antipode(fiber, terms):
+    out = {}
+    for m, c in terms.items():
+        word = mono_word(m)[::-1]
+        sign = Fraction(-1) if len(word) % 2 else Fraction(1)
+        add_terms(out, _straighten(fiber, word, c * sign).items())
+    return out
+
+
+def loop_transport(terms, matrix, target):
+    out = {}
+    for m, c in terms.items():
+        images = [((), c)]
+        for j in mono_word(m):
+            images = [(w + (i,), cc * matrix.entry(i, j)) for w, cc in images
+                      for i in range(target.dim) if matrix.entry(i, j)]
+        for w, cc in images:
+            add_terms(out, _straighten(target, w, cc).items())
+    return out
+
+
+def loop_mul_label(carrier, l1, l2):
+    (h, m1), (k, m2) = l1, l2
+    g = carrier.groupoid.compose_table.get((h, k))
+    if g is None:
+        return ()
+    fiber = carrier.bundle.fiber(carrier.groupoid.target[h])
+    moved = loop_transport({m2: Fraction(1)}, carrier.action.matrix(h), fiber)
+    product = loop_mul(fiber, carrier.truncation, {m1: Fraction(1)}, moved)
+    return tuple(((g, m), exact(c)) for m, c in product.items())
+
+
+def loop_delta_label(carrier, label):
+    g, m = label
+    terms = sorted(loop_delta({m: Fraction(1)}).items())
+    return tuple((((g, m1), (g, m2)), exact(c)) for (m1, m2), c in terms)
+
+
+def loop_antipode_label(carrier, label):
+    g, m = label
+    ginv = carrier.groupoid.inverse[g]
+    fiber = carrier.bundle.fiber(carrier.groupoid.target[g])
+    target = carrier.bundle.fiber(carrier.groupoid.target[ginv])
+    moved = loop_transport(loop_antipode(fiber, {m: Fraction(1)}),
+                           carrier.action.matrix(ginv), target)
+    return tuple(((ginv, w), exact(c)) for w, c in moved.items())
+
+
+def outcome(compute):
+    """Ordered items, or the overflow's degree, bound and message."""
+    try:
+        result = compute()
+    except TruncationOverflow as exc:
+        return ("overflow", exc.degree, exc.truncation, str(exc))
+    items = result.items() if isinstance(result, dict) else result
+    return [(k, c, type(c)) for k, c in items]
+
+
+SCALARS = st.sampled_from([Fraction(c) for c in (-2, -1, 1, 2, "1/2", "-1/3", "3/4")])
+ENTRIES = st.sampled_from([Fraction(c) for c in (0, 0, 1, -1, 2, "1/2", "-2/3")])
+
+
+@st.composite
+def elements(draw, fiber, n):
+    monos = monomials_up_to(fiber.dim, n)
+    keys = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=4, unique=True))
+    return {m: draw(SCALARS) for m in keys}
+
+
+@st.composite
+def cases(draw):
+    fiber = FIBERS[draw(st.sampled_from(sorted(FIBERS)))]
+    n = draw(st.sampled_from([3, 5]))
+    matrix = QMatrix([[draw(ENTRIES) for _ in range(3)] for _ in range(3)])
+    target = FIBERS[draw(st.sampled_from(sorted(FIBERS)))]
+    return fiber, n, draw(elements(fiber, n)), draw(elements(fiber, n)), matrix, target
+
+
+ONE, MINUS = Fraction(1), Fraction(-1)
+SWAP = QMatrix([[0, 1, 0], [1, 0, 0], [0, 0, Fraction(1, 2)]])
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(cases())
+# A later factor term cancels a key an earlier one made and then brings it
+# back: one fold per term pair moves that key last, a fold per left term
+# would keep it in place.
+@example((H3, 3, {(0, 0, 1): ONE, (1, 1, 0): ONE}, {(1, 1, 0): MINUS, (0, 0, 1): MINUS},
+          SWAP, H3))
+@example((SL2, 5, {(0, 0, 0): ONE, (0, 1, 1): MINUS}, {(0, 1, 0): ONE, (1, 1, 0): MINUS},
+          SWAP, RATIONAL))
+def test_element_operations_fold_the_monomial_maps_like_the_loops(case):
+    fiber, n, left, right, matrix, target = case
+    u, v = UElement(fiber, "pt", n, left), UElement(fiber, "pt", n, right)
+    assert outcome(lambda: u.mul(v).terms) == outcome(lambda: loop_mul(fiber, n, left, right))
+    assert outcome(u.delta) == outcome(lambda: loop_delta(left))
+    assert outcome(lambda: u.antipode().terms) == outcome(lambda: loop_antipode(fiber, left))
+    moved = u.transport(matrix, target, "pt")
+    assert outcome(lambda: moved.terms) == outcome(lambda: loop_transport(left, matrix, target))
+    # A transported element multiplies like any other; this reaches the
+    # cancellations a rational substitution makes.
+    assert outcome(lambda: moved.mul(moved).terms) == outcome(
+        lambda: loop_mul(target, n, moved.terms, moved.terms))
+
+
+@st.composite
+def carriers(draw):
+    fiber = FIBERS[draw(st.sampled_from(sorted(FIBERS)))]
+    n = draw(st.sampled_from([3, 5]))
+    flip = QMatrix([[draw(ENTRIES) for _ in range(3)] for _ in range(3)])
+    g = z2()
+    bundle = LieBundle(g.base, (fiber,))
+    action = BundleAction(g, bundle, {"e": QMatrix.identity(3), "s": flip})
+    carrier = ConvolutionAlgebroid(g, bundle, action, n)
+    labels = st.sampled_from(carrier.labels)
+    return carrier, draw(st.lists(st.tuples(labels, labels), min_size=1, max_size=12))
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(carriers())
+def test_convolution_label_maps_compose_the_monomial_maps_like_the_elements(case):
+    carrier, pairs = case
+    for l1, l2 in pairs:
+        for label in (l1, l2):
+            assert carrier.delta_label(label) == loop_delta_label(carrier, label)
+            assert outcome(lambda: carrier.antipode_label(label)) == outcome(
+                lambda: loop_antipode_label(carrier, label))
+        expected = outcome(lambda: loop_mul_label(carrier, l1, l2))
+        assert outcome(lambda: carrier.mul_label(l1, l2)) == expected
+        # The memo hit (or the cached overflow) gives the same answer again.
+        assert outcome(lambda: carrier.mul_label(l1, l2)) == expected

@@ -180,6 +180,18 @@ def _set(model, keys, value):
                  "model.table.mul[0][0]", id="mul-list"),
     pytest.param(funs3_model, ("table", "delta", "d012", 0, 1), ["d012"],
                  "model.table.delta.d012[0][1]", id="delta-list"),
+    pytest.param(pairh3_model, ("bundle", 0, "brackets", 0, 0), ["P"],
+                 "model.bundle[0].brackets[0][0]", id="bracket-list"),
+    # A slice as the last key inserts entries: each table gets a second entry
+    # for a pair it already has, which must not silently replace the first.
+    pytest.param(z2line_model, ("groupoid", "compose", slice(3, 3)), [["s", "s", "s"]],
+                 "model.groupoid.compose[4]", id="compose-duplicate"),
+    pytest.param(pairh3_model, ("bundle", 0, "brackets", slice(0, 0)), [["P", "Q", {"Z": 2}]],
+                 "model.bundle[0].brackets[1]", id="bracket-duplicate"),
+    pytest.param(funs3_model, ("table", "mul", slice(0, 0)), [["d012", "d012", {"d021": 1}]],
+                 "model.table.mul[1]", id="mul-duplicate"),
+    pytest.param(funs3_model, ("table", "delta", "d012", slice(0, 0)), [["d012", "d012", 5]],
+                 "model.table.delta.d012[1]", id="delta-duplicate"),
     pytest.param(z2line_model, ("truncation",), True, "model.truncation", id="truncation-bool"),
     pytest.param(z2line_model, ("version",), True, "model.version", id="version-bool"),
 ])
