@@ -55,7 +55,6 @@ from .errors import (
 from .groupoid import (
     BaseFun,
     BaseSpace,
-    Bisection,
     FiniteGroupoid,
     GroupoidIsomorphism,
     groupoid_isomorphic,
@@ -83,7 +82,6 @@ __all__ = [
     "AxiomReport",
     "BaseFun",
     "BaseSpace",
-    "Bisection",
     "BundleAction",
     "CoherenceError",
     "ConvolutionAlgebroid",

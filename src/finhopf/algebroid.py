@@ -274,17 +274,13 @@ class FiberTensor:
         carrier = self.carrier
         if other.carrier is not carrier:
             raise DimensionMismatch("tensors belong to different carriers")
-        product, block, meet = carrier.mul_label, carrier._block, carrier._blocks_meet
-        terms = [(b1, b2, block(b1), block(b2), d) for (b1, b2), d in other._d.items()]
+        product = carrier.mul_label
         out = {}
         for (a1, a2), c in self._d.items():
-            k1, k2 = block(a1), block(a2)
-            for b1, b2, j1, j2, d in terms:
+            for (b1, b2), d in other._d.items():
                 # The left leg is multiplied first, so it raises any overflow first.
-                if not meet(k1, j1):
-                    continue
                 left = product(a1, b1)
-                if not left or not meet(k2, j2):
+                if not left:
                     continue
                 right = product(a2, b2)
                 if right:
@@ -362,39 +358,20 @@ class HopfAlgebroid(ABC):
             self._labels_at = cache
         return cache.get(point, ())
 
-    def _block(self, label):
-        """The key of the product block holding ``label``; one block by default."""
-        return None
-
-    def _blocks_meet(self, key1, key2) -> bool:
-        """False when no label of block ``key1`` times one of ``key2`` can be nonzero."""
-        return True
-
     def _product(self, left, right) -> dict:
         """The one bilinear loop over ``mul_label``, on ``(label, c)`` term sequences.
 
-        It visits block pairs in sorted key order, skipping those ``_blocks_meet``
-        rules out, then terms in order; that fixes the result's order and overflow.
+        It visits the left terms, and for each the right terms, in their given
+        order; that fixes the result's order, and the first label pair that
+        overflows is the one reported.
         """
         product = self.mul_label
-        meet = self._blocks_meet
-        right = self._blocks(right)
         out = {}
-        for key1, left_terms in self._blocks(left):
-            for key2, right_terms in right:
-                if not meet(key1, key2):
-                    continue
-                for l1, c1 in left_terms:
-                    for l2, c2 in right_terms:
-                        c12 = c1 * c2
-                        add_terms(out, ((l, c12 * c) for l, c in product(l1, l2)))
+        for l1, c1 in left:
+            for l2, c2 in right:
+                c12 = c1 * c2
+                add_terms(out, ((l, c12 * c) for l, c in product(l1, l2)))
         return out
-
-    def _blocks(self, terms) -> list:
-        parts = {}
-        for label, c in terms:
-            parts.setdefault(self._block(label), []).append((label, c))
-        return sorted(parts.items())
 
     def mul(self, a: AlgebroidElement, b: AlgebroidElement) -> AlgebroidElement:
         """The product of two elements of this carrier."""
@@ -505,37 +482,27 @@ class ConvolutionAlgebroid(HopfAlgebroid):
 
         These are the structure constants of the bilinear product, memoized
         per carrier: each pair is straightened and transported once.  A pair
-        whose arrows do not compose gives ``()``; a pair whose product
-        overflows the truncation raises that overflow again on every call.
+        whose arrows do not compose gives ``()`` without touching the memo; a
+        pair whose product overflows the truncation raises that overflow
+        again on every call.
         """
+        (h, m1), (k, m2) = l1, l2
+        g = self.groupoid.compose_table.get((h, k))
+        if g is None:
+            return ()
         entry = self._products.get((l1, l2))
         if entry is None:
-            (h, m1), (k, m2) = l1, l2
-            g = self.groupoid.compose_table.get((h, k))
-            entry = ()
-            if g is not None:
-                fiber, n = self.bundle.fiber(self.groupoid.target[h]), self.truncation
-                moved = add_terms({}, mono_transport(m2, self.action.matrix(h), fiber))
-                try:
-                    product = linear(moved.items(), lambda m: mono_mul(fiber, m1, m, n))
-                    entry = tuple(((g, m), exact(c)) for m, c in product.items())
-                except TruncationOverflow as exc:
-                    entry = exc.with_traceback(None)
+            fiber, n = self.bundle.fiber(self.groupoid.target[h]), self.truncation
+            moved = add_terms({}, mono_transport(m2, self.action.matrix(h), fiber))
+            try:
+                product = linear(moved.items(), lambda m: mono_mul(fiber, m1, m, n))
+                entry = tuple(((g, m), exact(c)) for m, c in product.items())
+            except TruncationOverflow as exc:
+                entry = exc.with_traceback(None)
             self._products[(l1, l2)] = entry
         if isinstance(entry, TruncationOverflow):
             raise TruncationOverflow(entry.degree, entry.truncation, entry.detail)
         return entry
-
-    def _block(self, label):
-        # One block per arrow, arrows sorted, terms in insertion order: an
-        # overflow is raised at the arrow pair and left term where the
-        # per-arrow product of enveloping-algebra elements raises it.
-        return label[0]
-
-    def _blocks_meet(self, h, k):
-        # Arrows that do not compose give ``()`` for every label pair and
-        # never overflow, so skipping them changes no result.
-        return (h, k) in self.groupoid.compose_table
 
     def delta_label(self, label):
         if label not in self._delta_cache:

@@ -588,14 +588,12 @@ class ThetaMap:
         return self.codomain.format_label(labels[next(i for i, c in enumerate(first) if c)])
 
 
-def build_theta(carrier: HopfAlgebroid, gsp: SpectralGroupoid, prim: PrimBasis,
-                action: BundleAction, truncation=None, hom_samples: int = 12,
-                seed: int = 23) -> ThetaMap:
-    """Assemble the map (PBW monomial over arrow) -> product of representatives.
+def _theta_truncation(carrier: HopfAlgebroid, truncation) -> int:
+    """The truncation of the reconstructed side, checked.
 
-    The reconstructed side is truncated at ``truncation``; a convolution
-    carrier fixes it to its own, a table carrier defaults it to
-    ``DEFAULT_TABLE_TRUNCATION``.
+    A convolution carrier fixes it to its own, a table carrier defaults it to
+    ``DEFAULT_TABLE_TRUNCATION``.  A bound out of range is a theta-stage
+    ``AnalysisError``.
     """
     own = getattr(carrier, "truncation", None)
     if truncation is None:
@@ -607,6 +605,18 @@ def build_theta(carrier: HopfAlgebroid, gsp: SpectralGroupoid, prim: PrimBasis,
             "theta", f"a convolution carrier is compared at its own truncation {own}, "
             f"not {truncation}",
         )
+    return truncation
+
+
+def build_theta(carrier: HopfAlgebroid, gsp: SpectralGroupoid, prim: PrimBasis,
+                action: BundleAction, truncation=None, hom_samples: int = 12,
+                seed: int = 23) -> ThetaMap:
+    """Assemble the map (PBW monomial over arrow) -> product of representatives.
+
+    The reconstructed side is truncated at ``truncation``, resolved and
+    checked by ``_theta_truncation``.
+    """
+    truncation = _theta_truncation(carrier, truncation)
     domain = ConvolutionAlgebroid(gsp.groupoid, action.bundle, action, truncation)
 
     product_cache = {}
@@ -785,11 +795,15 @@ class Analysis:
 
 def analyze(carrier: HopfAlgebroid, samples: int = 60, seed: int = 11,
             theta_truncation=None) -> Analysis:
-    """Run the full pipeline, collecting artifacts and the decision report."""
+    """Run the full pipeline, collecting artifacts and the decision report.
+
+    An out-of-range ``theta_truncation`` ends it before any stage runs.
+    """
     analysis = Analysis(carrier)
     report = analysis.decision
     stage = "axioms"
     try:
+        theta_truncation = _theta_truncation(carrier, theta_truncation)
         analysis.axiom_report = check_axioms(carrier, samples=samples, seed=seed)
         report.axioms_ok = analysis.axiom_report.ok
         if analysis.axiom_report.failures():

@@ -181,9 +181,6 @@ class FiniteGroupoid:
     def arrows_into(self, point) -> tuple[str, ...]:
         return tuple(g for g in sorted(self.arrows) if self.target[g] == point)
 
-    def arrows_from(self, point) -> tuple[str, ...]:
-        return tuple(g for g in sorted(self.arrows) if self.source[g] == point)
-
     def hom(self, x, y) -> tuple[str, ...]:
         return tuple(
             g for g in sorted(self.arrows)
@@ -241,42 +238,6 @@ class FiniteGroupoid:
         return (
             f"FiniteGroupoid({len(self.base)} points, {len(self.arrows)} arrows)"
         )
-
-
-@dataclass(frozen=True)
-class Bisection:
-    """A set of arrows whose sources, and whose targets, are all distinct."""
-
-    groupoid: FiniteGroupoid
-    arrows: frozenset
-
-    def __post_init__(self):
-        object.__setattr__(self, "arrows", frozenset(self.arrows))
-        g = self.groupoid
-        sources = [g.source[a] for a in self.arrows]
-        targets = [g.target[a] for a in self.arrows]
-        if len(set(sources)) != len(sources):
-            raise ValueError("source map not injective on bisection")
-        if len(set(targets)) != len(targets):
-            raise ValueError("target map not injective on bisection")
-
-    def mul(self, other: "Bisection") -> "Bisection":
-        g = self.groupoid
-        product = set()
-        for a in self.arrows:
-            for b in other.arrows:
-                ab = g.compose(a, b)
-                if ab is not None:
-                    product.add(ab)
-        return Bisection(g, frozenset(product))
-
-    def inv(self) -> "Bisection":
-        return Bisection(self.groupoid, frozenset(self.groupoid.inverse[a] for a in self.arrows))
-
-    def tau(self) -> dict:
-        """The partial point map source -> target induced by the bisection."""
-        g = self.groupoid
-        return {g.source[a]: g.target[a] for a in self.arrows}
 
 
 @dataclass(frozen=True)

@@ -210,12 +210,6 @@ class QMatrix:
             sum((a * x for a, x in zip(r, v) if a), _ZERO) for r in self.data
         )
 
-    def transpose(self) -> "QMatrix":
-        return QMatrix(
-            [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            cols=self.rows,
-        )
-
     def rref(self):
         """Reduced row echelon form and the tuple of pivot columns."""
         pivots, reduced = _eliminate(

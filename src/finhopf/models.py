@@ -173,28 +173,6 @@ def _isotropy_generator(kind, order):
     }[kind]
 
 
-def _identity(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def _mat_mul(a, b):
-    n, k, m = len(a), len(b), len(b[0]) if b else 0
-    return [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m)] for i in range(n)]
-
-
-def _mat_pow(m, p):
-    out = _identity(len(m))
-    for _ in range(p):
-        out = _mat_mul(out, m)
-    return out
-
-
-def _mat_inverse(m):
-    # Pool matrices are invertible over the rationals by construction.
-    inv = QMatrix(m).inverse()
-    return [[inv.entry(i, j) for j in range(inv.cols)] for i in range(inv.rows)]
-
-
 def random_model(seed: int):
     """A seeded valid instance: orbits of a pair groupoid with cyclic isotropy.
 
@@ -234,19 +212,20 @@ def random_model(seed: int):
     compose = []
     action = []
     for orbit, order in zip(orbits, orders):
-        tau = {p: _automorphism_pool(kind, rng) for p in orbit}
-        tau_inv = {p: _mat_inverse(tau[p]) if dim else [] for p in orbit}
+        tau = {p: QMatrix(_automorphism_pool(kind, rng)) for p in orbit}
+        # Pool matrices are invertible over the rationals by construction.
+        tau_inv = {p: tau[p].inverse() for p in orbit}
         phi = _isotropy_generator(kind, order)
+        powers = [QMatrix.identity(dim)]
+        while len(powers) < order:
+            powers.append(powers[-1] * QMatrix(phi))
 
         def arrow_id(tgt, h, src):
             return f"{tgt}.{h}.{src}"
 
         def matrix_of(tgt, h, src):
-            if dim == 0:
-                return []
-            gen = _identity(dim) if phi is None else phi
-            m = _mat_mul(_mat_mul(tau[tgt], _mat_pow(gen, h)), tau_inv[src])
-            return [[scalar_to_json(c) for c in row] for row in m]
+            m = tau[tgt] * powers[h] * tau_inv[src]
+            return [[scalar_to_json(c) for c in row] for row in m.data]
 
         for tgt in orbit:
             for src in orbit:

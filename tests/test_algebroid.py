@@ -431,11 +431,11 @@ def test_overflowing_label_pair_raises_the_same_overflow_every_time():
             carrier.mul(pq, p)
         assert (exc.value.degree, exc.value.truncation) == (3, 2)
         assert str(exc.value) == str(direct.value)
-    # the first overflowing pair is reported: arrows in sorted order, then
-    # terms in insertion order
-    late_arrow = AlgebroidElement(carrier, {("s", (1, 1, 0)): 1, ("e", (1, 0, 0)): 1})
-    late_term = AlgebroidElement(carrier, {("e", (1, 1, 0)): 1, ("e", (1, 0, 0)): 1})
-    for a, degree in ((late_arrow, 3), (late_term, 4)):
+    # the first overflowing label pair in term order is reported: the left
+    # factor's first term decides
+    big_first = AlgebroidElement(carrier, {("s", (1, 1, 0)): 1, ("e", (1, 0, 0)): 1})
+    small_first = AlgebroidElement(carrier, {("e", (1, 0, 0)): 1, ("s", (1, 1, 0)): 1})
+    for a, degree in ((big_first, 4), (small_first, 3)):
         with pytest.raises(TruncationOverflow) as exc:
             carrier.mul(a, pq)
         assert exc.value.degree == degree
@@ -471,37 +471,17 @@ def test_products_on_a_warm_carrier_match_a_fresh_carrier(index, seed, cap):
     assert product(warm) == expected
 
 
-# Test-local copies of the per-carrier product loops, and of the tensor leg
-# operations built on them, that ``HopfAlgebroid.mul`` replaced: the shared
-# loop must reproduce their insertion order and their overflow reports.
-
-def by_arrow(coeffs):
-    """``(arrow, [(monomial, c), ...])`` pairs in sorted arrow order."""
-    parts = {}
-    for (g, m), c in coeffs.items():
-        parts.setdefault(g, []).append((m, c))
-    return sorted(parts.items())
-
+# Test-local plain loops over label pairs in term order, and the tensor leg
+# operations built on them: the carrier's products must reproduce their
+# insertion order and their overflow reports.
 
 def loop_mul(carrier, a, b):
     product = carrier.mul_label
     out = {}
-    if carrier.kind == "table":
-        for n1, c1 in a.coeffs.items():
-            for n2, c2 in b.coeffs.items():
-                c12 = c1 * c2
-                add_terms(out, ((n, c12 * c) for n, c in product(n1, n2)))
-        return AlgebroidElement(carrier, out)
-    compose = carrier.groupoid.compose_table
-    right = by_arrow(b.coeffs)
-    for h, left_terms in by_arrow(a.coeffs):
-        for k, right_terms in right:
-            if (h, k) not in compose:
-                continue
-            for m1, c1 in left_terms:
-                for m2, c2 in right_terms:
-                    c12 = c1 * c2
-                    add_terms(out, ((l, c12 * c) for l, c in product((h, m1), (k, m2))))
+    for l1, c1 in a.coeffs.items():
+        for l2, c2 in b.coeffs.items():
+            c12 = c1 * c2
+            add_terms(out, ((l, c12 * c) for l, c in product(l1, l2)))
     return AlgebroidElement(carrier, out)
 
 
@@ -592,6 +572,42 @@ def ordered(compute):
     return list((result.data if isinstance(result, FiberTensor) else result.coeffs).items())
 
 
+def unordered(compute):
+    """The terms of a product as a map, or None when it overflows."""
+    try:
+        result = compute()
+    except TruncationOverflow:
+        return None
+    return dict(result.data if isinstance(result, FiberTensor) else result.coeffs)
+
+
+def reversed_terms(x):
+    return AlgebroidElement(x.carrier, dict(reversed(list(x.coeffs.items()))))
+
+
+def assert_products_follow_the_loops(a, b):
+    """Every product of ``a`` and ``b`` matches the term-order loops, and so
+    does every product of the two with their terms reversed; the reversed
+    factors give the same product maps, or overflow alike."""
+    carrier = a.carrier
+    ra, rb = reversed_terms(a), reversed_terms(b)
+    for x, y in ((a, b), (ra, rb)):
+        dx, dy, xy = carrier.delta(x), carrier.delta(y), FiberTensor.of_pair(x, y)
+        assert ordered(lambda: carrier.mul(x, y)) == ordered(lambda: loop_mul(carrier, x, y))
+        assert ordered(lambda: carrier.antipode(x)) == ordered(lambda: loop_antipode(x))
+        for t in (dx, xy):
+            assert ordered(lambda: t.mul_pairwise(dy)) == ordered(lambda: loop_mul_pairwise(t, dy))
+            assert ordered(t.collapse) == ordered(lambda: loop_collapse(t))
+            for leg in (0, 1):
+                assert ordered(lambda: t.right_mul_leg(leg, y)) == ordered(
+                    lambda: loop_right_mul_leg(t, leg, y)
+                )
+    assert unordered(lambda: carrier.mul(ra, rb)) == unordered(lambda: carrier.mul(a, b))
+    assert unordered(lambda: carrier.delta(ra).mul_pairwise(carrier.delta(rb))) == unordered(
+        lambda: carrier.delta(a).mul_pairwise(carrier.delta(b))
+    )
+
+
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
 @given(
     st.integers(0, len(ORACLE_MODELS) + 1),
@@ -608,45 +624,18 @@ def test_products_keep_the_order_of_the_per_carrier_loops(index, seed, cap):
         labels = rng.sample(carrier.labels, k=rng.randint(1, min(4, carrier.dim)))
         return AlgebroidElement(carrier, {l: rng.choice([-2, -1, 1, 3]) for l in labels})
 
-    a, b = draw(), draw()
-    da, db, ab = carrier.delta(a), carrier.delta(b), FiberTensor.of_pair(a, b)
-    assert ordered(lambda: carrier.mul(a, b)) == ordered(lambda: loop_mul(carrier, a, b))
-    assert ordered(lambda: carrier.antipode(a)) == ordered(lambda: loop_antipode(a))
-    for t in (da, ab):
-        assert ordered(lambda: t.mul_pairwise(db)) == ordered(lambda: loop_mul_pairwise(t, db))
-        assert ordered(t.collapse) == ordered(lambda: loop_collapse(t))
-        for leg in (0, 1):
-            assert ordered(lambda: t.right_mul_leg(leg, b)) == ordered(
-                lambda: loop_right_mul_leg(t, leg, b)
-            )
+    assert_products_follow_the_loops(draw(), draw())
 
 
-def test_tensor_products_ask_only_for_label_pairs_that_meet(monkeypatch):
-    """``mul_pairwise`` skips label pairs whose arrows do not compose, as ``mul`` does."""
+def test_product_memo_holds_only_composable_pairs():
+    """``mul_label`` answers pairs whose arrows do not compose before its memo."""
     model = pairh3_model()
     model["truncation"] = 4
     carrier = carrier_from_model(model)
-    inside, answers = [], []
-    pairwise, product = FiberTensor.mul_pairwise, carrier.mul_label
-
-    def traced_pairwise(self, other):
-        inside.append(self)
-        try:
-            return pairwise(self, other)
-        finally:
-            inside.pop()
-
-    def traced_product(l1, l2):
-        terms = product(l1, l2)
-        if inside:
-            answers.append(terms)
-        return terms
-
-    monkeypatch.setattr(FiberTensor, "mul_pairwise", traced_pairwise)
-    monkeypatch.setattr(carrier, "mul_label", traced_product)
     assert analyze(carrier).decision.verdict == "ISO"
-    assert answers
-    assert [terms for terms in answers if not terms] == []
+    compose = carrier.groupoid.compose_table
+    assert carrier._products
+    assert all((h, k) in compose for (h, _m1), (k, _m2) in carrier._products)
 
 
 def test_non_injective_action_overflows_label_by_label():
@@ -743,17 +732,7 @@ def test_products_with_non_integral_coefficients_keep_the_per_carrier_loops(inde
             labels = rng.sample(carrier.labels, k=rng.randint(1, min(4, carrier.dim)))
         return AlgebroidElement(carrier, {l: rng.choice(RATIONAL_SCALES) for l in labels})
 
-    a, b = draw(), draw()
-    da, db, ab = carrier.delta(a), carrier.delta(b), FiberTensor.of_pair(a, b)
-    assert ordered(lambda: carrier.mul(a, b)) == ordered(lambda: loop_mul(carrier, a, b))
-    assert ordered(lambda: carrier.antipode(a)) == ordered(lambda: loop_antipode(a))
-    for t in (da, ab):
-        assert ordered(lambda: t.mul_pairwise(db)) == ordered(lambda: loop_mul_pairwise(t, db))
-        assert ordered(t.collapse) == ordered(lambda: loop_collapse(t))
-        for leg in (0, 1):
-            assert ordered(lambda: t.right_mul_leg(leg, b)) == ordered(
-                lambda: loop_right_mul_leg(t, leg, b)
-            )
+    assert_products_follow_the_loops(draw(), draw())
 
 
 def all_fractions(values):

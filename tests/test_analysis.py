@@ -470,7 +470,8 @@ def test_theta_builds_no_dense_matrix(make_carrier, monkeypatch):
 def test_witness_is_the_first_pivot_of_the_dense_left_kernel():
     theta = theta_of(funs3())
     labels = theta.codomain.labels_at("pt")
-    kernel = theta.matrices["pt"].transpose().nullspace()
+    m = theta.matrices["pt"]
+    kernel = QMatrix([m.column(j) for j in range(m.cols)]).nullspace()
     first = next(i for i, c in enumerate(kernel[0]) if c)
     assert theta.witness_outside_image("pt") == theta.codomain.format_label(labels[first])
 
@@ -522,12 +523,23 @@ def test_cgk_verdict_error_on_corrupted_action():
 @pytest.mark.parametrize("make_carrier, truncation", [
     (funs3, -1), (z2line, -1), (z2line, 0), (z2line, 5),
 ])
-def test_theta_truncation_out_of_range_is_a_theta_error(make_carrier, truncation):
+def test_theta_truncation_out_of_range_is_a_theta_error(make_carrier, truncation, monkeypatch):
     """A negative bound cannot build the reconstructed side; a convolution
-    carrier compared at another bound than its own would give a wrong verdict."""
-    report = cgk_decide(make_carrier(), samples=20, seed=7, theta_truncation=truncation)
+    carrier compared at another bound than its own would give a wrong verdict.
+    The bound is checked before any stage runs."""
+    carrier = make_carrier()
+    called = []
+    for name in ("check_axioms", "solve_primitives", "build_spectral_groupoid",
+                 "build_prim_action", "build_theta"):
+        monkeypatch.setattr(analysis_module, name, lambda *a, name=name, **k: called.append(name))
+    report = cgk_decide(carrier, samples=20, seed=7, theta_truncation=truncation)
+    assert called == []
     assert report.verdict == "ERROR"
     assert report.stage_error[0] == "theta"
+    data = report.to_json()
+    assert data["primRank"] == {}
+    assert "spectral" not in data and "axiomsOk" not in data
+    monkeypatch.undo()
     assert cgk_decide(z2line(), samples=20, seed=7, theta_truncation=4).verdict == "ISO"
 
 

@@ -133,6 +133,7 @@ def test_cgk_truncation_out_of_range_is_an_input_error(model_files, capsys):
         assert code == EXIT_INPUT_ERROR and err == ""
         data = json.loads(out)
         assert data["verdict"] == "ERROR" and data["stageError"]["stage"] == "theta"
+        assert data["primRank"] == {} and "spectral" not in data and "axiomsOk" not in data
 
 
 def test_roundtrip(model_files, capsys):

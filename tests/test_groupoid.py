@@ -1,4 +1,4 @@
-"""Finite groupoids: construction, law validation, bisections, isomorphism."""
+"""Finite groupoids: construction, law validation, isomorphism."""
 
 import pytest
 
@@ -6,7 +6,6 @@ from finhopf.errors import SizeGuardExceeded
 from finhopf.groupoid import (
     BaseFun,
     BaseSpace,
-    Bisection,
     FiniteGroupoid,
     groupoid_isomorphic,
 )
@@ -126,21 +125,7 @@ def test_hom_and_arrow_queries():
     g = pair_groupoid(["x", "y"])
     assert g.hom("x", "y") == ("ayx",)
     assert set(g.arrows_into("x")) == {"axx", "axy"}
-    assert set(g.arrows_from("x")) == {"axx", "ayx"}
     assert g.is_unit("axx") and not g.is_unit("axy")
-
-
-def test_bisection_translation():
-    g = z2()
-    b = Bisection(g, frozenset({"s"}))
-    assert b.tau() == {"x": "x"}
-    assert b.inv().arrows == frozenset({"s"})
-    assert b.mul(b).arrows == frozenset({"e"})
-    pg = pair_groupoid(["x", "y"])
-    swap = Bisection(pg, frozenset({"axy", "ayx"}))
-    assert swap.tau() == {"x": "y", "y": "x"}
-    with pytest.raises(ValueError):
-        Bisection(pg, frozenset({"axy", "ayy"}))
 
 
 def test_groupoid_isomorphic_positive():

@@ -1,9 +1,11 @@
 """Preset and random model generation."""
 
+import hashlib
+
 import pytest
 
 from finhopf.algebroid import check_axioms
-from finhopf.modelio import carrier_from_model, validate_model
+from finhopf.modelio import carrier_from_model, model_to_text, validate_model
 from finhopf.models import (
     PRESETS,
     build_model,
@@ -53,6 +55,14 @@ def test_random_models_validate_and_stay_small():
 def test_random_model_is_deterministic():
     assert random_model(17) == random_model(17)
     assert random_model(17) != random_model(18)
+
+
+def test_random_model_documents_are_pinned():
+    """The benchmark corpus and its reference digests are built from these documents."""
+    text = "".join(model_to_text(random_model(s)) for s in range(256))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "943ae802d86cbceddd10c1cd2b075ffa803c6aa78e7f5d27136e3aa1e7110336"
+    )
 
 
 def test_random_models_pass_the_axiom_suite():
