@@ -18,6 +18,7 @@ from .rationals import rat, rat_str
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+ISOMORPHISM_MAX_ARROWS = 64
 
 
 @dataclass(frozen=True)
@@ -246,16 +247,16 @@ class GroupoidIsomorphism:
     arrow_map: dict
 
 
-def groupoid_isomorphic(a: FiniteGroupoid, b: FiniteGroupoid, max_arrows: int = 64):
+def groupoid_isomorphic(a: FiniteGroupoid, b: FiniteGroupoid):
     """An exhaustive search for an isomorphism, or None.
 
     When the two groupoids share their point set the base map is fixed to the
     identity; otherwise every point bijection is tried.  Refuses inputs with
-    more than ``max_arrows`` arrows.
+    more than ``ISOMORPHISM_MAX_ARROWS`` arrows.
     """
-    if len(a.arrows) > max_arrows or len(b.arrows) > max_arrows:
+    if len(a.arrows) > ISOMORPHISM_MAX_ARROWS or len(b.arrows) > ISOMORPHISM_MAX_ARROWS:
         raise SizeGuardExceeded(
-            f"isomorphism search limited to {max_arrows} arrows"
+            f"isomorphism search limited to {ISOMORPHISM_MAX_ARROWS} arrows"
         )
     if len(a.arrows) != len(b.arrows) or len(a.base) != len(b.base):
         return None

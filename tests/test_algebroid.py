@@ -302,37 +302,61 @@ def test_non_involutive_antipode_caught_by_suite():
                for c in report.failures())
 
 
-def test_law_counts_golden_on_pairh3_at_truncation_2():
-    """Pins how many samples each law checks and how many overflow.
+SAMPLED_LAWS = {
+    "axiom_ii_balanced_coproduct", "axiom_iii_counit_multiplicative",
+    "axiom_iii_comult_multiplicative", "axiom_iv_antihomomorphism",
+    "axiom_v_antipode_convolution", "coassociativity", "counit_law_left",
+    "counit_law_right", "antipode_involutive", "associativity",
+}
 
-    At truncation 2 most products overflow, so these counts move whenever
-    the suite changes how it draws, skips or redraws samples.  Each law
-    replaces at most 20 overflowing draws (without that budget the suite
-    drew 318 replacements and checked 20 samples of every sampled law).
+
+def at_truncation(model, n):
+    model["truncation"] = n
+    return model
+
+
+def test_default_draws_never_overflow():
+    """The degree caps keep every sampled evaluation inside the truncation.
+
+    ``check_axioms`` draws degree <= N // 3 and multiplies at most three
+    draws; theta draws degree <= N // 2 and multiplies at most two.  So no
+    sample is skipped and every sampled law checks all of its samples.
     """
-    model = pairh3_model()
-    model["truncation"] = 2
-    report = check_axioms(carrier_from_model(model), samples=20, seed=1, degree_cap=2)
-    assert report.ok
-    assert report.resampled == 128
-    assert [c.checked for c in report.checks] == [
-        2, 2, 20, 10, 7, 2, 12, 20, 20, 20, 20, 20, 3,
-    ]
+    models = [at_truncation(make(), n) for make in (pairh3_model, z2line_model)
+              for n in range(7)]
+    models += [random_model(s) for s in range(16)]
+    for model in models:
+        report = check_axioms(carrier_from_model(model), samples=20)
+        assert report.resampled == 0
+        sampled = {c.name: c.checked for c in report.checks if c.name in SAMPLED_LAWS}
+        assert sampled == dict.fromkeys(SAMPLED_LAWS, 20)
+    for n in (2, 3, 4):
+        theta = analyze(carrier_from_model(at_truncation(pairh3_model(), n)), samples=20).theta
+        assert [c.checked for c in theta.hom_checks] == [12, 12, 12, 12, 1]
 
 
-def test_resampling_stops_after_one_replacement_per_sample():
-    draws = []
+def test_run_law_counts_and_skips_overflowing_items():
+    calls = []
 
-    def always_overflows(_item):
+    def odd_items_overflow(item):
+        calls.append(item)
+        if item % 2:
+            raise TruncationOverflow(3, 2)
+        return None
+
+    check, overflows = run_law("law", range(5), odd_items_overflow)
+    assert calls == [0, 1, 2, 3, 4]
+    assert (check.checked, overflows, check.status) == (3, 2, "pass")
+
+    calls.clear()
+
+    def always_overflows(item):
+        calls.append(item)
         raise TruncationOverflow(3, 2)
 
-    def redraw():
-        draws.append(None)
-        return len(draws)
-
-    check, overflows = run_law("law", range(5), always_overflows, redraw)
-    assert len(draws) == 5 and overflows == 10
-    assert check.checked == 0 and check.status == "inconclusive"
+    check, overflows = run_law("law", range(5), always_overflows)
+    assert calls == [0, 1, 2, 3, 4]
+    assert (check.checked, overflows, check.status) == (0, 5, "inconclusive")
 
 
 def test_zero_samples_are_inconclusive_not_a_pass():
@@ -431,6 +455,8 @@ def test_overflowing_label_pair_raises_the_same_overflow_every_time():
             carrier.mul(pq, p)
         assert (exc.value.degree, exc.value.truncation) == (3, 2)
         assert str(exc.value) == str(direct.value)
+    # the memo holds products only
+    assert (("e", (1, 1, 0)), ("e", (1, 0, 0))) not in carrier._products
     # the first overflowing label pair in term order is reported: the left
     # factor's first term decides
     big_first = AlgebroidElement(carrier, {("s", (1, 1, 0)): 1, ("e", (1, 0, 0)): 1})
@@ -439,7 +465,7 @@ def test_overflowing_label_pair_raises_the_same_overflow_every_time():
         with pytest.raises(TruncationOverflow) as exc:
             carrier.mul(a, pq)
         assert exc.value.degree == degree
-    # the cached overflow does not poison the pairs that fit
+    # the overflow does not poison the pairs that fit
     assert carrier.mul(p, p).coeffs == {("e", (2, 0, 0)): 1}
     flipped = carrier.mul(carrier.basis_element(("s", (0, 0, 0))), p)
     assert flipped.coeffs == {("s", (1, 0, 0)): -1}

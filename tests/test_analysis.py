@@ -608,10 +608,7 @@ def test_zero_sample_axiom_laws_make_analyze_an_error():
 
 
 def test_zero_sample_theta_laws_make_analyze_an_error(monkeypatch):
-    monkeypatch.setattr(
-        analysis_module, "build_theta",
-        functools.partial(analysis_module.build_theta, hom_samples=0),
-    )
+    monkeypatch.setattr(analysis_module, "THETA_HOM_SAMPLES", 0)
     analysis = analyze(z2line(), samples=20, seed=3)
     assert [c.status for c in analysis.theta.hom_checks] == ["inconclusive"] * 4 + ["pass"]
     assert analysis.decision.verdict == "ERROR"
@@ -684,3 +681,41 @@ def test_renaming_points_and_arrows_keeps_the_decision(make_model):
     assert after.prim_ranks == {pmap[p]: r for p, r in before.prim_ranks.items()}
     assert after.spectral_arrows == before.spectral_arrows
     assert after.theta == {pmap[p]: v for p, v in before.theta.items()}
+
+
+def permuted_basis(model):
+    """The model with each fiber's basis reordered and the action matrices to match.
+
+    Fibers at even base positions are reversed, those at odd ones rotated by
+    one, so neighbouring fibers of the same kind get different orders.  A
+    matrix entry in row i and column j moves with its target and source
+    generators.
+    """
+    out = dict(model, bundle=[], action=[])
+    order = {}
+    for i, fiber in enumerate(model["bundle"]):
+        n = len(fiber["basis"])
+        perm = list(range(n))[::-1] if i % 2 == 0 else [(k + 1) % n for k in range(n)]
+        order[fiber["point"]] = perm
+        out["bundle"].append(dict(fiber, basis=[fiber["basis"][k] for k in perm]))
+    ends = {a["id"]: (a["tgt"], a["src"]) for a in model["groupoid"]["arrows"]}
+    for entry in model["action"]:
+        tgt, src = ends[entry["arrow"]]
+        m = entry["matrix"]
+        out["action"].append(dict(
+            entry, matrix=[[m[r][c] for c in order[src]] for r in order[tgt]],
+        ))
+    return out
+
+
+@pytest.mark.parametrize("make_model", [
+    z2line_model, pairh3_model, *(functools.partial(random_model, s) for s in range(6)),
+])
+def test_permuting_fiber_bases_keeps_the_decision(make_model):
+    model = make_model()
+    before = analyze(carrier_from_model(model), samples=20).decision
+    after = analyze(carrier_from_model(permuted_basis(model)), samples=20).decision
+    assert after.verdict == before.verdict
+    assert after.prim_ranks == before.prim_ranks
+    assert after.spectral_arrows == before.spectral_arrows
+    assert after.theta == before.theta

@@ -164,5 +164,5 @@ def test_groupoid_isomorphic_negative():
 def test_groupoid_isomorphic_size_guard():
     pts = [f"p{i}" for i in range(9)]
     big = pair_groupoid(pts)  # 81 arrows > 64
-    with pytest.raises(SizeGuardExceeded):
+    with pytest.raises(SizeGuardExceeded, match="limited to 64 arrows"):
         groupoid_isomorphic(big, big)

@@ -1,10 +1,12 @@
 """Model document parsing, serialization and error reporting."""
 
 import json
+import time
 from fractions import Fraction
 
 import pytest
 
+from finhopf import algebroid
 from finhopf.algebroid import ConvolutionAlgebroid, TableAlgebroid
 from finhopf.cli import EXIT_INPUT_ERROR, main
 from finhopf.errors import ModelFormatError
@@ -207,3 +209,24 @@ def test_malformed_identifiers_are_model_errors(preset, keys, value, where, tmp_
         main(["validate", str(path)])
     assert exit_info.value.code == EXIT_INPUT_ERROR
     assert where in capsys.readouterr().err
+
+
+def test_label_bound_refuses_a_huge_truncation_before_enumerating(tmp_path, capsys, monkeypatch):
+    model = pairh3_model()
+    model["truncation"] = 100_000  # about 6.7e14 labels
+    start = time.perf_counter()
+    with pytest.raises(ModelFormatError, match="limited to 100000 labels"):
+        carrier_from_model(model)
+    assert time.perf_counter() - start < 0.5
+    path = tmp_path / "huge.json"
+    save_model(model, path)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["validate", str(path)])
+    assert exit_info.value.code == EXIT_INPUT_ERROR
+    assert "limited to 100000 labels" in capsys.readouterr().err
+    # pairh3 at truncation 4 has 4 arrows of 35 monomials each
+    monkeypatch.setattr(algebroid, "CONVOLUTION_MAX_LABELS", 140)
+    assert carrier_from_model(pairh3_model()).dim == 140
+    monkeypatch.setattr(algebroid, "CONVOLUTION_MAX_LABELS", 139)
+    with pytest.raises(ModelFormatError, match="got 140 at truncation 4"):
+        carrier_from_model(pairh3_model())
