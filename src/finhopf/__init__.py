@@ -37,7 +37,6 @@ from .analysis import (
     roundtrip,
     solve_grouplikes_at,
     solve_primitives,
-    t_operator,
 )
 from .enveloping import UElement
 from .errors import (
@@ -70,7 +69,7 @@ from .modelio import (
     validate_model,
 )
 from .models import build_model, funs3_model, pairh3_model, random_model, z2line_model
-from .rationals import Rational, rat, rat_str
+from .rationals import rat, rat_str
 
 __version__ = "0.1.0"
 
@@ -101,7 +100,6 @@ __all__ = [
     "PrimBasis",
     "QMatrix",
     "RankMismatch",
-    "Rational",
     "RoundTripReport",
     "SizeGuardExceeded",
     "SolverIncomplete",
@@ -136,7 +134,6 @@ __all__ = [
     "save_model",
     "solve_grouplikes_at",
     "solve_primitives",
-    "t_operator",
     "validate_model",
     "z2line_model",
 ]

@@ -542,10 +542,10 @@ class ConvolutionAlgebroid(HopfAlgebroid):
         fiber = self.bundle.fiber(point)
         return self.basis_element((g, unit_mono(fiber.dim)))
 
-    def random_element(self, rng, degree_cap=None, max_arrows=2, max_terms=2):
+    def random_element(self, rng, degree_cap=None):
         cap = self.truncation // 3 if degree_cap is None else degree_cap
         arrows = sorted(self.groupoid.arrows)
-        chosen = rng.sample(arrows, k=min(len(arrows), rng.randint(1, max_arrows)))
+        chosen = rng.sample(arrows, k=min(len(arrows), rng.randint(1, 2)))
         coeffs = {}
         pool = [-3, -2, -1, 1, 2, 3]
         for g in chosen:
@@ -553,7 +553,7 @@ class ConvolutionAlgebroid(HopfAlgebroid):
             monos = self._monomials.get(key)
             if monos is None:
                 monos = self._monomials[key] = monomials_up_to(*key)
-            for _ in range(rng.randint(1, max_terms)):
+            for _ in range(rng.randint(1, 2)):
                 m = rng.choice(monos)
                 coeffs[(g, m)] = rng.choice(pool)
         return AlgebroidElement(self, coeffs)
@@ -767,7 +767,7 @@ class AxiomReport:
         overall = "FAIL" if self.failures() else "INCONCLUSIVE" if self.inconclusive() else "PASS"
         lines.append(
             f"{overall} overall"
-            + (f" ({self.resampled} overflow resamples)" if self.resampled else "")
+            + (f" ({self.resampled} overflowing samples skipped)" if self.resampled else "")
         )
         return "\n".join(lines)
 

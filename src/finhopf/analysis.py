@@ -11,12 +11,16 @@ may have been built from:
    grouplike germs at each point, filtered by antipode-invariance, assembled
    into a finite groupoid under the localized product.
 3. ``build_prim_action``: each spectral arrow conjugates primitives between
-   fibers through its representative; the matrices form a bundle action.
+   fibers through the good pair its representative cuts out at the target
+   (``canonical_good_pair``, then ``conjugate_by_pair``); the matrices form
+   a bundle action.
 4. ``build_theta``: the comparison map from the reconstructed convolution
    algebroid onto the input, kept as the images of the domain labels, with
    the exact rank of those images at each base point.
 5. ``cgk_decide``: the Cartier-Gabriel-Kostant decision: the decomposition
    holds exactly when the map is bijective at every point.
+6. ``roundtrip``: for a constructed input, the rebuilt groupoid, primitive
+   bases and action matrices compared with the input directly.
 
 Every computation is exact; failures surface as typed errors naming the
 pipeline stage, never as approximate answers.
@@ -388,14 +392,14 @@ def build_spectral_groupoid(carrier: HopfAlgebroid) -> SpectralGroupoid:
 
 @dataclass(frozen=True)
 class GoodPair:
-    """A validated pair (a, a') = (f c, f' c) sharing an invariant witness c."""
+    """A validated pair (a, a') = (f c, f' c) sharing an invariant witness c.
+
+    ``make_good_pair`` checks the witness and the functions; the pair keeps
+    only the two elements that ``conjugate_by_pair`` multiplies by.
+    """
 
     a: AlgebroidElement
     a_prime: AlgebroidElement
-    witness: AlgebroidElement
-    partner: AlgebroidElement
-    f: BaseFun
-    f_prime: BaseFun
 
 
 def _weakly_grouplike_partner(carrier, witness):
@@ -437,35 +441,13 @@ def make_good_pair(carrier, witness, f: BaseFun, f_prime: BaseFun) -> GoodPair:
             raise NotAGoodPair(f"the second function is not 1 at {x!r}")
     a = carrier.mul(carrier.embed(f), witness)
     a_prime = carrier.mul(carrier.embed(f_prime), witness)
-    return GoodPair(a, a_prime, witness, partner, f, f_prime)
+    return GoodPair(a, a_prime)
 
 
 def canonical_good_pair(carrier, rep: AlgebroidElement, point) -> GoodPair:
     """The pair cut out of a spectral representative by the point indicator."""
     f = BaseFun.indicator(carrier.base, point)
     return make_good_pair(carrier, rep, f, f)
-
-
-def t_operator(a: AlgebroidElement, a_prime: AlgebroidElement, b: AlgebroidElement,
-               witness: AlgebroidElement | None = None) -> AlgebroidElement:
-    """The conjugation b -> a b S(a') after validating (a, a') as a good pair.
-
-    When no witness is passed it is inferred from a' on the support of its
-    counit; validation failures raise NotAGoodPair.
-    """
-    carrier = a.carrier
-    f = carrier.counit(a)
-    f_prime = carrier.counit(a_prime)
-    if witness is None:
-        witness = AlgebroidElement(carrier, add_terms({}, (
-            (l, c / f_prime(y))
-            for y in f_prime.support()
-            for l, c in a_prime.at_point(y).coeffs.items()
-        )))
-    pair = make_good_pair(carrier, witness, f, f_prime)
-    if pair.a != a or pair.a_prime != a_prime:
-        raise NotAGoodPair("pair does not factor through the witness")
-    return conjugate_by_pair(pair, b)
 
 
 def conjugate_by_pair(pair: GoodPair, b: AlgebroidElement) -> AlgebroidElement:
@@ -915,7 +897,18 @@ class RoundTripReport:
 
 
 def roundtrip(carrier: ConvolutionAlgebroid, samples: int = 60, seed: int = 11) -> RoundTripReport:
-    """Reconstruct the groupoid and action from the algebroid and compare."""
+    """Reconstruct the groupoid and action from the algebroid and compare.
+
+    The action matches when three direct checks hold: each input arrow's
+    indicator (the unit coefficient over it) is a spectral representative;
+    at each point the primitive basis is the generators (unit arrow, e_i),
+    in label order; and the rebuilt matrix of each indicator's spectral
+    arrow equals the input matrix of its arrow.  No change of basis is
+    needed: ``solve_primitives`` returns the canonical basis, reduced echelon
+    with pivot entries 1, which is exactly those generators whenever it
+    spans them.  A rescaled or reordered basis of the same span would count
+    as a mismatch.
+    """
     analysis = analyze(carrier, samples=samples, seed=seed)
     report = RoundTripReport(analysis.decision)
     if analysis.prim is None or analysis.gsp is None or analysis.prim_action is None:
@@ -929,48 +922,26 @@ def roundtrip(carrier: ConvolutionAlgebroid, samples: int = 60, seed: int = 11) 
     iso = groupoid_isomorphic(carrier.groupoid, analysis.gsp.groupoid)
     report.groupoid_isomorphic = iso is not None
 
-    # The canonical correspondence sends an input arrow to the spectral arrow
-    # represented by its own indicator element; matrices are then compared
-    # through the basis change between input fibers and primitive bases.
-    matches = True
+    groupoid, fiber = carrier.groupoid, carrier.bundle.fiber
     arrow_map = {}
-    for g in carrier.groupoid.arrows:
-        fiber = carrier.bundle.fiber(carrier.groupoid.target[g])
-        indicator = carrier.basis_element((g, tuple([0] * fiber.dim)))
-        mapped = analysis.gsp.arrow_of(indicator)
-        if mapped is None:
-            matches = False
-            break
-        arrow_map[g] = mapped
-    if matches:
-        change = {}
-        for p in carrier.base.points:
-            cols = []
-            fiber = carrier.bundle.fiber(p)
-            unit_arrow = carrier.groupoid.units[p]
-            gens = [
-                (unit_arrow, tuple(1 if k == i else 0 for k in range(fiber.dim)))
-                for i in range(fiber.dim)
-            ]
-            for x in analysis.prim.per_point.get(p, []):
-                col = [x.coeffs.get(l, _ZERO) for l in gens]
-                extra = set(x.coeffs) - set(gens)
-                if extra:
-                    matches = False
-                cols.append(col)
-            m = QMatrix.from_columns(cols, rows=fiber.dim)
-            inv = m.inverse()
-            if inv is None:
-                matches = False
-                break
-            change[p] = (m, inv)
-        if matches:
-            for g, mapped in arrow_map.items():
-                x, y = carrier.groupoid.source[g], carrier.groupoid.target[g]
-                reconstructed = analysis.prim_action.matrix(mapped)
-                expected = change[y][1] * carrier.action.matrix(g) * change[x][0]
-                if reconstructed != expected:
-                    matches = False
-                    break
-    report.action_matches = matches
+    for g in groupoid.arrows:
+        zero = (0,) * fiber(groupoid.target[g]).dim
+        arrow_map[g] = analysis.gsp.arrow_of(carrier.basis_element((g, zero)))
+
+    def generators(p):
+        dim = fiber(p).dim
+        return [{(groupoid.units[p], tuple(1 if k == i else 0 for k in range(dim))): 1}
+                for i in range(dim)]
+
+    report.action_matches = (
+        None not in arrow_map.values()
+        and all(
+            [x.coeffs for x in analysis.prim.per_point[p]] == generators(p)
+            for p in carrier.base.points
+        )
+        and all(
+            analysis.prim_action.matrix(arrow_map[g]) == carrier.action.matrix(g)
+            for g in groupoid.arrows
+        )
+    )
     return report

@@ -35,16 +35,8 @@ def _emit(payload, as_json, text):
         print(text)
 
 
-def _load(path):
-    try:
-        return load_carrier(path)
-    except ModelFormatError as exc:
-        print(f"model error: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_INPUT_ERROR) from None
-
-
 def _cmd_validate(args):
-    carrier = _load(args.model)
+    carrier = load_carrier(args.model)
     violations = carrier.validate()
     payload = {"ok": not violations, "violations": violations}
     text = "valid" if not violations else "\n".join(violations)
@@ -53,14 +45,14 @@ def _cmd_validate(args):
 
 
 def _cmd_check_axioms(args):
-    carrier = _load(args.model)
+    carrier = load_carrier(args.model)
     report = check_axioms(carrier, samples=args.samples, seed=args.seed)
     _emit(report.to_json(), args.json, report.text())
     return EXIT_OK if report.ok else EXIT_PROPERTY_FAILS
 
 
 def _cmd_primitives(args):
-    carrier = _load(args.model)
+    carrier = load_carrier(args.model)
     prim = solve_primitives(carrier)
     payload = {
         "ranks": prim.ranks(),
@@ -89,7 +81,7 @@ def _cmd_primitives(args):
 
 
 def _cmd_grouplikes(args):
-    carrier = _load(args.model)
+    carrier = load_carrier(args.model)
     points = [args.point] if args.point else list(carrier.base.points)
     for p in points:
         if p not in carrier.base:
@@ -108,7 +100,7 @@ def _cmd_grouplikes(args):
 
 
 def _cmd_spectral(args):
-    carrier = _load(args.model)
+    carrier = load_carrier(args.model)
     gsp = build_spectral_groupoid(carrier)
     g = gsp.groupoid
     payload = {
@@ -136,7 +128,7 @@ def _cmd_spectral(args):
 
 
 def _cmd_cgk(args):
-    carrier = _load(args.model)
+    carrier = load_carrier(args.model)
     report = cgk_decide(carrier, samples=args.samples, seed=args.seed,
                         theta_truncation=args.truncation)
     _emit(report.to_json(), args.json, report.text())
@@ -148,7 +140,7 @@ def _cmd_cgk(args):
 
 
 def _cmd_roundtrip(args):
-    carrier = _load(args.model)
+    carrier = load_carrier(args.model)
     if carrier.kind != "convolution":
         print("round trip needs a constructed (convolution) model", file=sys.stderr)
         return EXIT_INPUT_ERROR
@@ -239,8 +231,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except SystemExit:
-        raise
     except ModelFormatError as exc:
         print(f"model error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

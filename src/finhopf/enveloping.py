@@ -168,10 +168,6 @@ class UElement:
         return cls(fiber, point, truncation, {})
 
     @classmethod
-    def unit(cls, fiber, point, truncation) -> "UElement":
-        return cls(fiber, point, truncation, {unit_mono(fiber.dim): _ONE})
-
-    @classmethod
     def generator(cls, fiber, point, truncation, index) -> "UElement":
         m = [0] * fiber.dim
         m[index] = 1

@@ -77,10 +77,6 @@ class BaseFun:
         return cls.constant(base, 1)
 
     @classmethod
-    def zero(cls, base: BaseSpace) -> "BaseFun":
-        return cls.constant(base, 0)
-
-    @classmethod
     def indicator(cls, base: BaseSpace, point: str) -> "BaseFun":
         i = base.index(point)
         return cls(base, tuple(_ONE if j == i else _ZERO for j in range(len(base))))
@@ -122,9 +118,6 @@ class BaseFun:
     def _same_base(self, other):
         if self.base != other.base:
             raise ValueError("functions live on different base spaces")
-
-    def to_json(self) -> dict:
-        return {p: rat_str(v) for p, v in zip(self.base.points, self.values) if v}
 
     def __repr__(self):
         body = ", ".join(f"{p}: {rat_str(v)}" for p, v in zip(self.base.points, self.values))
@@ -173,20 +166,11 @@ class FiniteGroupoid:
         """The arrow ``g`` after ``h``, or None when not composable."""
         return self.compose_table.get((g, h))
 
-    def unit(self, point):
-        return self.units[point]
-
     def is_unit(self, g) -> bool:
         return self.units.get(self.target[g]) == g and self.source[g] == self.target[g]
 
     def arrows_into(self, point) -> tuple[str, ...]:
         return tuple(g for g in sorted(self.arrows) if self.target[g] == point)
-
-    def hom(self, x, y) -> tuple[str, ...]:
-        return tuple(
-            g for g in sorted(self.arrows)
-            if self.source[g] == x and self.target[g] == y
-        )
 
     def validate(self) -> list[str]:
         """All groupoid-law violations, each naming the offending arrows."""

@@ -14,15 +14,18 @@ systems directly.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, SolverIncomplete
 from .rationals import add_terms, rat
 
 Vector = tuple[Fraction, ...]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+# Largest |a_0 * a_n| whose divisor pairs ``rational_roots`` searches.
+ROOT_SEARCH_BOUND = 10**12
 
 
 def vec(values) -> Vector:
@@ -295,7 +298,12 @@ def _divisors(n: int):
 def rational_roots(coeffs) -> list[Fraction]:
     """All rational roots of a rational-coefficient polynomial, ascending.
 
-    Coefficients ascending; the zero polynomial is rejected.
+    Coefficients ascending; the zero polynomial is rejected.  With the
+    denominators cleared and the zero roots taken out, a root p/q in lowest
+    terms has p dividing the constant term a_0 and q dividing the leading
+    term a_n.  Both divisor lists come from trial division and every
+    coprime pair is tried, so the search is refused with
+    ``SolverIncomplete`` when |a_0 * a_n| exceeds ``ROOT_SEARCH_BOUND``.
     """
     coeffs = [rat(c) for c in coeffs]
     while coeffs and coeffs[-1] == 0:
@@ -314,18 +322,23 @@ def rational_roots(coeffs) -> list[Fraction]:
         scale = lcm(scale, c.denominator)
     ints = [int(c * scale) for c in coeffs]
     lead, const = ints[-1], ints[0]
-    seen = set(roots)
+    if abs(const * lead) > ROOT_SEARCH_BOUND:
+        raise SolverIncomplete(
+            f"rational root search limited to |a_0 * a_n| <= {ROOT_SEARCH_BOUND:,}"
+        )
+    denominators = _divisors(lead)
     for p in _divisors(const):
-        for q in _divisors(lead):
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                if cand in seen:
-                    continue
-                acc = _ZERO
+        for q in denominators:
+            if gcd(p, q) != 1:
+                continue
+            for s in (p, -p):
+                # q^n f(s/q) by Horner's rule, in integers
+                acc, qk = 0, 1
                 for c in reversed(ints):
-                    acc = acc * cand + c
+                    acc = acc * s + c * qk
+                    qk *= q
                 if acc == 0:
-                    seen.add(cand)
-                    roots.append(cand)
+                    roots.append(Fraction(s, q))
     return sorted(roots)
 
 

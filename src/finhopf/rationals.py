@@ -20,8 +20,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-Rational = Fraction
-
 
 def rat(value) -> Fraction:
     """Coerce an int, a string like ``"3/4"`` or ``"-2"``, or a Fraction.

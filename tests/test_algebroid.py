@@ -20,7 +20,7 @@ from finhopf.algebroid import (
     run_law,
 )
 from finhopf.analysis import analyze
-from finhopf.enveloping import UElement
+from finhopf.enveloping import UElement, monomials_up_to
 from finhopf.errors import CoherenceError, DimensionMismatch, TruncationOverflow
 from finhopf.groupoid import BaseFun, BaseSpace
 from finhopf.liebundle import BundleAction, LieBundle, LieFiber
@@ -414,6 +414,23 @@ def pairh3_at_3_model():
 
 ORACLE_MODELS = [z2line_model, pairh3_at_3_model] + [partial(random_model, s) for s in range(8)]
 
+cached_monomials = cache(monomials_up_to)
+
+
+def wide_element(carrier, rng, cap, max_arrows=3, max_terms=3):
+    """A convolution element drawn like ``random_element``, with the same ``rng``
+    calls, over up to ``max_arrows`` arrows of up to ``max_terms`` terms each."""
+    arrows = sorted(carrier.groupoid.arrows)
+    chosen = rng.sample(arrows, k=min(len(arrows), rng.randint(1, max_arrows)))
+    coeffs = {}
+    for g in chosen:
+        monos = cached_monomials(carrier.bundle.fiber(carrier.groupoid.target[g]).dim,
+                                 min(cap, carrier.truncation))
+        for _ in range(rng.randint(1, max_terms)):
+            m = rng.choice(monos)
+            coeffs[(g, m)] = rng.choice([-3, -2, -1, 1, 2, 3])
+    return AlgebroidElement(carrier, coeffs)
+
 
 @cache
 def oracle_carrier(index):
@@ -430,10 +447,7 @@ def oracle_carrier(index):
 def test_support_driven_product_matches_factorization_walk(index, seed, cap, max_arrows):
     carrier = oracle_carrier(index)
     rng = random.Random(seed)
-    a, b = (
-        carrier.random_element(rng, degree_cap=cap, max_arrows=max_arrows, max_terms=3)
-        for _ in range(2)
-    )
+    a, b = (wide_element(carrier, rng, cap, max_arrows=max_arrows) for _ in range(2))
     try:
         expected = factorization_walk(carrier, a, b)
     except TruncationOverflow:
@@ -481,8 +495,7 @@ def test_products_on_a_warm_carrier_match_a_fresh_carrier(index, seed, cap):
     warm = oracle_carrier(index)  # shared across examples and tests
     fresh = carrier_from_model(ORACLE_MODELS[index]())
     rng = random.Random(seed)
-    a, b = (warm.random_element(rng, degree_cap=cap, max_arrows=3, max_terms=3)
-            for _ in range(2))
+    a, b = (wide_element(warm, rng, cap) for _ in range(2))
 
     def product(carrier):
         try:
@@ -646,7 +659,7 @@ def test_products_keep_the_order_of_the_per_carrier_loops(index, seed, cap):
 
     def draw():
         if carrier.kind == "convolution":
-            return carrier.random_element(rng, degree_cap=cap, max_arrows=3, max_terms=3)
+            return wide_element(carrier, rng, cap)
         labels = rng.sample(carrier.labels, k=rng.randint(1, min(4, carrier.dim)))
         return AlgebroidElement(carrier, {l: rng.choice([-2, -1, 1, 3]) for l in labels})
 
@@ -752,7 +765,7 @@ def test_products_with_non_integral_coefficients_keep_the_per_carrier_loops(inde
 
     def draw():
         if carrier.kind == "convolution":
-            x = carrier.random_element(rng, degree_cap=cap, max_arrows=3, max_terms=3)
+            x = wide_element(carrier, rng, cap)
             labels = list(x.coeffs)
         else:
             labels = rng.sample(carrier.labels, k=rng.randint(1, min(4, carrier.dim)))

@@ -2,6 +2,7 @@
 
 import functools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -28,7 +29,6 @@ from finhopf.analysis import (
     roundtrip,
     solve_grouplikes_at,
     solve_primitives,
-    t_operator,
 )
 from finhopf.errors import AnalysisError, NotAGoodPair, SolverIncomplete
 from finhopf.groupoid import BaseFun, BaseSpace, groupoid_isomorphic
@@ -239,6 +239,43 @@ def test_grouplike_solver_declares_its_bound():
         solve_grouplikes_at(fun_cyclic_table(13), "pt")
 
 
+def rescaled_group_algebra_model(k):
+    """Q[Z/2] on the basis e, b = k g: b b = k^2 e, delta(b) = b (x) b / k,
+    counit(b) = k and S(b) = b.  A valid model for every k != 0."""
+    model = {key: z2line_model()[key] for key in ("format", "version")}
+    model.update(kind="table", base=["pt"], table={
+        "basis": [{"id": "e", "target": "pt"}, {"id": "b", "target": "pt"}],
+        "baseEmbedding": {"pt": {"e": 1}},
+        "mul": [["e", "e", {"e": 1}], ["e", "b", {"b": 1}], ["b", "e", {"b": 1}],
+                ["b", "b", {"e": str(k * k)}]],
+        "delta": {"e": [["e", "e", 1]], "b": [["b", "b", f"1/{k}"]]},
+        "counit": {"e": 1, "b": str(k)},
+        "antipode": {"e": {"e": 1}, "b": {"b": 1}},
+    })
+    return model
+
+
+def test_rescaled_group_algebra_is_decided_below_the_root_search_bound():
+    report = cgk_decide(carrier_from_model(rescaled_group_algebra_model(10**6)), samples=20)
+    assert report.verdict == "ISO"
+    assert report.spectral_arrows == 2
+
+
+def test_large_coproduct_coefficients_end_the_grouplike_search_quickly():
+    """The grouplike polynomial x - 1/k has |a_0 * a_n| = k: above the bound
+    the search is refused instead of trying every divisor up to sqrt(k)."""
+    carrier = carrier_from_model(rescaled_group_algebra_model(10**30))
+    start = time.perf_counter()
+    report = cgk_decide(carrier, samples=20)
+    assert time.perf_counter() - start < 1
+    assert report.axioms_ok
+    assert report.verdict == "ERROR"
+    assert report.stage_error[0] == "spectral"
+    assert "root search" in report.stage_error[1]
+    with pytest.raises(SolverIncomplete):
+        solve_grouplikes_at(carrier, "pt")
+
+
 # ---------------------------------------------------------------------------
 # spectral groupoid
 # ---------------------------------------------------------------------------
@@ -284,8 +321,6 @@ def test_canonical_pair_conjugation_golden():
     assert pair.a == sigma and pair.a_prime == sigma
     x_e = carrier.basis_element(("e", (1,)))
     assert conjugate_by_pair(pair, x_e) == x_e.scale(-1)
-    # same thing through the standalone operator with witness inference
-    assert t_operator(sigma, sigma, x_e) == x_e.scale(-1)
 
 
 def test_t_operator_round_trips_with_antipode_pair():
@@ -375,14 +410,6 @@ def test_partner_matches_the_column_by_column_solver(make_model):
             found += 1
             assert partner == expected and partner.signature() == expected.signature()
     assert found > len(grouplikes)  # grouplikes, their multiples and the zero element
-
-
-def test_t_operator_rejects_mismatched_pair():
-    carrier = z2line()
-    sigma = carrier.basis_element(("s", (0,)))
-    unit = carrier.basis_element(("e", (0,)))
-    with pytest.raises(NotAGoodPair, match="does not factor"):
-        t_operator(sigma, unit, unit)
 
 
 # ---------------------------------------------------------------------------
@@ -574,6 +601,105 @@ def test_roundtrip_on_presets():
         assert report.rank_matches
         assert report.groupoid_isomorphic
         assert report.action_matches
+
+
+def change_of_basis_matches(carrier, analysis):
+    """The action comparison through a change of basis, as an oracle.
+
+    Input arrows go to the spectral arrows their indicators represent; at
+    each point the primitive basis, written on the generators, gives a
+    change of basis m, and each rebuilt matrix must equal the input matrix
+    moved into the primitive bases: inverse(m at target) * A * (m at source).
+    """
+    groupoid = carrier.groupoid
+    arrow_map = {}
+    for g in groupoid.arrows:
+        zero = (0,) * carrier.bundle.fiber(groupoid.target[g]).dim
+        arrow_map[g] = analysis.gsp.arrow_of(carrier.basis_element((g, zero)))
+        if arrow_map[g] is None:
+            return False
+    change = {}
+    for p in carrier.base.points:
+        dim = carrier.bundle.fiber(p).dim
+        gens = [(groupoid.units[p], tuple(1 if k == i else 0 for k in range(dim)))
+                for i in range(dim)]
+        basis = analysis.prim.per_point[p]
+        if any(set(x.coeffs) - set(gens) for x in basis):
+            return False
+        m = QMatrix.from_columns([[x.coeffs.get(l, 0) for l in gens] for x in basis], rows=dim)
+        inverse = m.inverse()
+        if inverse is None:
+            return False
+        change[p] = (m, inverse)
+    return all(
+        analysis.prim_action.matrix(mapped)
+        == change[groupoid.target[g]][1] * carrier.action.matrix(g) * change[groupoid.source[g]][0]
+        for g, mapped in arrow_map.items()
+    )
+
+
+def negate_a_rebuilt_matrix(analysis):
+    units = analysis.gsp.groupoid.units.values()
+    arrow = next(a for a in analysis.gsp.groupoid.arrows if a not in units)
+    analysis.prim_action.matrices[arrow] = -analysis.prim_action.matrix(arrow)
+
+
+def add_a_label_to_a_primitive(analysis):
+    p, basis = next((p, b) for p, b in analysis.prim.per_point.items() if b)
+    basis[0] = basis[0] + analysis.carrier.unit_at(p)
+
+
+def drop_a_representative(analysis):
+    del analysis.gsp.representatives[analysis.gsp.groupoid.arrows[-1]]
+
+
+RECONSTRUCTION_CHANGES = {
+    "matrix": negate_a_rebuilt_matrix,
+    "basis": add_a_label_to_a_primitive,
+    "representative": drop_a_representative,
+}
+
+
+def roundtrip_with_oracle(carrier, monkeypatch, change=None):
+    """``roundtrip`` on the carrier, its analysis changed by ``change``, and the
+    oracle's answer on that same analysis."""
+    real, seen = analyze, []
+
+    def changed(*args, **kwargs):
+        result = real(*args, **kwargs)
+        if change is not None:
+            change(result)
+        seen.append(result)
+        return result
+
+    monkeypatch.setattr(analysis_module, "analyze", changed)
+    report = roundtrip(carrier, samples=20)
+    monkeypatch.undo()
+    return report, change_of_basis_matches(carrier, seen[0])
+
+
+@pytest.mark.parametrize("change", sorted(RECONSTRUCTION_CHANGES))
+@pytest.mark.parametrize("make_carrier", [z2line, pairh3])
+def test_roundtrip_reports_a_reconstruction_that_differs_from_the_input(
+        make_carrier, change, monkeypatch):
+    change = RECONSTRUCTION_CHANGES[change]
+    report, oracle = roundtrip_with_oracle(make_carrier(), monkeypatch, change)
+    assert report.decision.verdict == "ISO"
+    assert report.rank_matches and report.groupoid_isomorphic
+    assert report.action_matches is False
+    assert oracle is False
+
+
+def test_direct_action_comparison_agrees_with_the_change_of_basis(monkeypatch):
+    models = [z2line_model, pairh3_model, *(functools.partial(random_model, s) for s in range(16))]
+    for make_model in models:
+        report, oracle = roundtrip_with_oracle(carrier_from_model(make_model()), monkeypatch)
+        assert report.action_matches == oracle
+        assert report.ok, make_model
+    for make_carrier in (z2line, pairh3):
+        for change in RECONSTRUCTION_CHANGES.values():
+            report, oracle = roundtrip_with_oracle(make_carrier(), monkeypatch, change)
+            assert report.action_matches == oracle
 
 
 def test_analyze_bundles_every_stage():

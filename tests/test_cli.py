@@ -9,6 +9,8 @@ from finhopf.cli import EXIT_INPUT_ERROR, EXIT_OK, EXIT_PROPERTY_FAILS, main
 from finhopf.modelio import FORMAT_NAME, save_model
 from finhopf.models import funs3_model, pairh3_model, random_model, z2line_model
 
+from test_analysis import rescaled_group_algebra_model
+
 
 def run(args, capsys):
     try:
@@ -226,3 +228,14 @@ def test_json_output_goldens(name, tmp_path, capsys):
         code, out, _ = run([command, str(path), "--json", *extra], capsys)
         digest = hashlib.sha256(out.encode()).hexdigest()
         assert (code, digest) == CLI_GOLDENS[(name, command)], command
+
+
+def test_root_search_bound_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "rescaled.json"
+    save_model(rescaled_group_algebra_model(10**30), path)
+    for command in ("grouplikes", "spectral"):
+        code, out, err = run([command, str(path)], capsys)
+        assert code == EXIT_INPUT_ERROR and out == ""
+        assert "rational root search limited" in err
+    code, out, _ = run(["cgk", str(path)], capsys)
+    assert code == EXIT_INPUT_ERROR and "stage spectral failed" in out

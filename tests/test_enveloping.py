@@ -64,7 +64,7 @@ def test_straightening_golden_deeper():
 
 
 def test_unit_and_scalars():
-    one = UElement.unit(H3, "pt", 4)
+    one = u_h3({(0, 0, 0): 1})
     p = gen(0)
     assert one.mul(p) == p and p.mul(one) == p
     assert p.scale(2) - p == p
@@ -95,7 +95,7 @@ def test_delta_binomials_on_powers():
 
 
 def test_counit_golden():
-    assert UElement.unit(H3, "pt", 4).counit() == 1
+    assert u_h3({(0, 0, 0): 1}).counit() == 1
     assert gen(0).counit() == 0
     assert u_h3({(0, 0, 0): 5, (1, 1, 0): 7}).counit() == 5
 

@@ -1,13 +1,16 @@
 """Exact linear algebra: goldens first, then structural properties."""
 
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finhopf.errors import DimensionMismatch
+from finhopf import linalg
+from finhopf.errors import DimensionMismatch, SolverIncomplete
 from finhopf.linalg import QMatrix, rational_eigenvalues, rational_roots
 from finhopf.rationals import exact, rat
 
@@ -177,6 +180,52 @@ def test_rational_roots_golden():
     assert sorted(rational_roots(coeffs)) == [F(-2), F(1), Fraction(3, 2)]
     # zero roots deflate
     assert sorted(rational_roots((F(0), F(0), F(1)))) == [F(0)]
+
+
+def test_rational_roots_refuses_a_search_above_the_bound():
+    bound = linalg.ROOT_SEARCH_BOUND
+    # |a_0 * a_n| is read after clearing denominators and taking out zero roots
+    assert rational_roots((F(-1), F(bound))) == [Fraction(1, bound)]
+    assert rational_roots((F(0), Fraction(-1, bound), F(1))) == [F(0), Fraction(1, bound)]
+    assert rational_roots((F(bound), F(0), F(1))) == []
+    for coeffs in ((F(-1), F(bound + 1)), (Fraction(-1, bound + 1), F(1)),
+                   (F(-2), F(0), F(0), F(bound // 2 + 1))):
+        with pytest.raises(SolverIncomplete, match="root search limited"):
+            rational_roots(coeffs)
+
+
+def fraction_roots(coeffs):
+    """Every candidate p/q, evaluated in Fractions: the search before the bound."""
+    roots = {F(0)} if coeffs[0] == 0 else set()
+    while coeffs[0] == 0:
+        coeffs = coeffs[1:]
+    scale = math.lcm(*(c.denominator for c in coeffs))
+    ints = [int(c * scale) for c in coeffs]
+
+    def divisors(n):
+        small = [d for d in range(1, math.isqrt(abs(n)) + 1) if n % d == 0]
+        return small + [abs(n) // d for d in small]
+
+    for p in divisors(ints[0]):
+        for q in divisors(ints[-1]):
+            for cand in (Fraction(p, q), Fraction(-p, q)):
+                if sum(c * cand**i for i, c in enumerate(ints)) == 0:
+                    roots.add(cand)
+    return sorted(roots)
+
+
+def test_rational_roots_of_products_of_linear_factors():
+    rng = random.Random(13)
+    for _ in range(60):
+        roots = [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(rng.randint(1, 4))]
+        coeffs = [F(rng.choice([1, 2, 3])), F(0), F(rng.choice([1, 5]))]  # no rational root
+        for r in roots:
+            coeffs = [a - r * b for a, b in zip([F(0)] + coeffs, coeffs + [F(0)])]
+        assert rational_roots(coeffs) == sorted(set(roots)) == fraction_roots(coeffs)
+    # many divisors on both ends, below the bound: 240 x 256 pairs
+    start = time.perf_counter()
+    assert rational_roots([F(720720)] + [F(1)] * 11 + [F(1081080)]) == []
+    assert time.perf_counter() - start < 0.5
 
 
 def test_rational_eigenvalues_golden():
