@@ -30,7 +30,6 @@ from .analysis import (
     build_spectral_groupoid,
     build_theta,
     canonical_good_pair,
-    cgk_decide,
     conjugate_by_pair,
     make_good_pair,
     prim_bundle,
@@ -115,7 +114,6 @@ __all__ = [
     "build_theta",
     "canonical_good_pair",
     "carrier_from_model",
-    "cgk_decide",
     "check_axioms",
     "conjugate_by_pair",
     "funs3_model",

@@ -622,6 +622,12 @@ class TableAlgebroid(HopfAlgebroid):
             if entry:
                 self._mul[(n1, n2)] = entry
 
+        for table, entries in (("delta", delta_table), ("counit", counit_table),
+                               ("antipode", antipode_table)):
+            for n in entries:
+                if n not in name_set:
+                    raise CoherenceError(f"{table} table has an entry for unknown label {n!r}")
+
         self._delta = {}
         for n in self._names:
             entries = delta_table.get(n, {})

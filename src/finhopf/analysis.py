@@ -17,7 +17,7 @@ may have been built from:
 4. ``build_theta``: the comparison map from the reconstructed convolution
    algebroid onto the input, kept as the images of the domain labels, with
    the exact rank of those images at each base point.
-5. ``cgk_decide``: the Cartier-Gabriel-Kostant decision: the decomposition
+5. ``analyze``: the Cartier-Gabriel-Kostant decision: the decomposition
    holds exactly when the map is bijective at every point.
 6. ``roundtrip``: for a constructed input, the rebuilt groupoid, primitive
    bases and action matrices compared with the input directly.
@@ -57,7 +57,7 @@ from .rationals import add_terms, linear
 _ZERO = Fraction(0)
 
 TABLE_GROUPLIKE_DIM_BOUND = 12
-DEFAULT_TABLE_TRUNCATION = 4
+TABLE_THETA_TRUNCATION = 4
 THETA_HOM_SAMPLES = 12
 THETA_HOM_SEED = 23
 
@@ -571,35 +571,20 @@ class ThetaMap:
         return self.codomain.format_label(labels[next(i for i, c in enumerate(first) if c)])
 
 
-def _theta_truncation(carrier: HopfAlgebroid, truncation) -> int:
-    """The truncation of the reconstructed side, checked.
-
-    A convolution carrier fixes it to its own, a table carrier defaults it to
-    ``DEFAULT_TABLE_TRUNCATION``.  A bound out of range is a theta-stage
-    ``AnalysisError``.
-    """
-    own = getattr(carrier, "truncation", None)
-    if truncation is None:
-        truncation = DEFAULT_TABLE_TRUNCATION if own is None else own
-    if truncation < 0:
-        raise AnalysisError("theta", f"truncation must be nonnegative, got {truncation}")
-    if own is not None and truncation != own:
-        raise AnalysisError(
-            "theta", f"a convolution carrier is compared at its own truncation {own}, "
-            f"not {truncation}",
-        )
-    return truncation
-
-
 def build_theta(carrier: HopfAlgebroid, gsp: SpectralGroupoid, prim: PrimBasis,
-                action: BundleAction, truncation=None) -> ThetaMap:
+                action: BundleAction) -> ThetaMap:
     """Assemble the map (PBW monomial over arrow) -> product of representatives.
 
-    The reconstructed side is truncated at ``truncation``, resolved and
-    checked by ``_theta_truncation``.  No image overflows: a label of degree
-    k <= truncation maps to a product of k degree-1 primitives, or to a table.
+    The reconstructed side has the carrier's own truncation.  A table carrier
+    has none and uses ``TABLE_THETA_TRUNCATION``, and no bound would change
+    the result: a nonzero primitive x has linearly independent powers
+    (delta(x^n) is the binomial sum of x^k (x) x^(n-k)), so a
+    finite-dimensional Hopf algebroid over Q has no primitives and the
+    reconstructed fibers of a table are 0-dimensional.  No image overflows:
+    a label of degree k <= truncation maps to a product of k degree-1
+    primitives, or to a table.
     """
-    truncation = _theta_truncation(carrier, truncation)
+    truncation = getattr(carrier, "truncation", TABLE_THETA_TRUNCATION)
     domain = ConvolutionAlgebroid(gsp.groupoid, action.bundle, action, truncation)
 
     product_cache = {}
@@ -773,17 +758,15 @@ class Analysis:
     decision: DecisionReport = field(default_factory=DecisionReport)
 
 
-def analyze(carrier: HopfAlgebroid, samples: int = 60, seed: int = 11,
-            theta_truncation=None) -> Analysis:
-    """Run the full pipeline, collecting artifacts and the decision report.
+def analyze(carrier: HopfAlgebroid, samples: int = 60, seed: int = 11) -> Analysis:
+    """Decide the Cartier-Gabriel-Kostant decomposition for the carrier.
 
-    An out-of-range ``theta_truncation`` ends it before any stage runs.
+    Runs the full pipeline, collecting its artifacts and the decision report.
     """
     analysis = Analysis(carrier)
     report = analysis.decision
     stage = "axioms"
     try:
-        theta_truncation = _theta_truncation(carrier, theta_truncation)
         analysis.axiom_report = check_axioms(carrier, samples=samples, seed=seed)
         report.axioms_ok = analysis.axiom_report.ok
         if analysis.axiom_report.failures():
@@ -823,10 +806,7 @@ def analyze(carrier: HopfAlgebroid, samples: int = 60, seed: int = 11,
         analysis.prim_action = build_prim_action(carrier, analysis.gsp, prim)
 
         stage = "theta"
-        analysis.theta = build_theta(
-            carrier, analysis.gsp, prim, analysis.prim_action,
-            truncation=theta_truncation,
-        )
+        analysis.theta = build_theta(carrier, analysis.gsp, prim, analysis.prim_action)
         theta = analysis.theta
         for check in theta.hom_checks:
             if not check.ok:
@@ -857,13 +837,6 @@ def analyze(carrier: HopfAlgebroid, samples: int = 60, seed: int = 11,
             report.stage_error = (stage, str(exc))
         report.verdict = "ERROR"
     return analysis
-
-
-def cgk_decide(carrier: HopfAlgebroid, samples: int = 60, seed: int = 11,
-               theta_truncation=None) -> DecisionReport:
-    """Decide the Cartier-Gabriel-Kostant decomposition for the carrier."""
-    return analyze(carrier, samples=samples, seed=seed,
-                   theta_truncation=theta_truncation).decision
 
 
 # ---------------------------------------------------------------------------
@@ -907,8 +880,10 @@ def roundtrip(carrier: ConvolutionAlgebroid, samples: int = 60, seed: int = 11) 
     needed: ``solve_primitives`` returns the canonical basis, reduced echelon
     with pivot entries 1, which is exactly those generators whenever it
     spans them.  A rescaled or reordered basis of the same span would count
-    as a mismatch.
+    as a mismatch.  Any other carrier is refused before any stage runs.
     """
+    if carrier.kind != "convolution":
+        raise AnalysisError("roundtrip", "round trip needs a constructed (convolution) model")
     analysis = analyze(carrier, samples=samples, seed=seed)
     report = RoundTripReport(analysis.decision)
     if analysis.prim is None or analysis.gsp is None or analysis.prim_action is None:

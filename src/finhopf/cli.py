@@ -12,8 +12,8 @@ import json
 import sys
 
 from .analysis import (
+    analyze,
     build_spectral_groupoid,
-    cgk_decide,
     roundtrip,
     solve_grouplikes_at,
     solve_primitives,
@@ -129,8 +129,7 @@ def _cmd_spectral(args):
 
 def _cmd_cgk(args):
     carrier = load_carrier(args.model)
-    report = cgk_decide(carrier, samples=args.samples, seed=args.seed,
-                        theta_truncation=args.truncation)
+    report = analyze(carrier, samples=args.samples, seed=args.seed).decision
     _emit(report.to_json(), args.json, report.text())
     if report.verdict == "ISO":
         return EXIT_OK
@@ -141,9 +140,6 @@ def _cmd_cgk(args):
 
 def _cmd_roundtrip(args):
     carrier = load_carrier(args.model)
-    if carrier.kind != "convolution":
-        print("round trip needs a constructed (convolution) model", file=sys.stderr)
-        return EXIT_INPUT_ERROR
     report = roundtrip(carrier, samples=args.samples, seed=args.seed)
     lines = [
         f"decision: {report.decision.verdict}",
@@ -205,9 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("cgk", _cmd_cgk, "decide the Cartier-Gabriel-Kostant decomposition")
     p.add_argument("--samples", type=int, default=60)
     p.add_argument("--seed", type=int, default=11)
-    p.add_argument("--truncation", type=int, default=None,
-                   help="degree bound for the reconstructed side of a table model; "
-                        "a convolution model is compared at its own")
 
     p = add("roundtrip", _cmd_roundtrip,
             "rebuild groupoid and action from a constructed model and compare")

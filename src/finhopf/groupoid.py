@@ -45,9 +45,6 @@ class BaseSpace:
     def __contains__(self, point) -> bool:
         return point in self._index
 
-    def __iter__(self):
-        return iter(self.points)
-
     def __len__(self):
         return len(self.points)
 
@@ -84,40 +81,11 @@ class BaseFun:
     def __call__(self, point: str) -> Fraction:
         return self.values[self.base.index(point)]
 
-    def __add__(self, other: "BaseFun") -> "BaseFun":
-        self._same_base(other)
-        return BaseFun(self.base, tuple(a + b for a, b in zip(self.values, other.values)))
-
-    def __sub__(self, other: "BaseFun") -> "BaseFun":
-        self._same_base(other)
-        return BaseFun(self.base, tuple(a - b for a, b in zip(self.values, other.values)))
-
-    def __neg__(self) -> "BaseFun":
-        return BaseFun(self.base, tuple(-a for a in self.values))
-
-    def __mul__(self, other):
-        if isinstance(other, BaseFun):
-            self._same_base(other)
-            return BaseFun(
-                self.base, tuple(a * b for a, b in zip(self.values, other.values))
-            )
-        return self.scale(other)
-
-    __rmul__ = __mul__
-
-    def scale(self, c) -> "BaseFun":
-        c = rat(c)
-        return BaseFun(self.base, tuple(c * a for a in self.values))
-
     def is_zero(self) -> bool:
         return all(v == 0 for v in self.values)
 
     def support(self) -> tuple[str, ...]:
         return tuple(p for p, v in zip(self.base.points, self.values) if v)
-
-    def _same_base(self, other):
-        if self.base != other.base:
-            raise ValueError("functions live on different base spaces")
 
     def __repr__(self):
         body = ", ".join(f"{p}: {rat_str(v)}" for p, v in zip(self.base.points, self.values))

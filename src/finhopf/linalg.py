@@ -173,9 +173,6 @@ class QMatrix:
             cols=self.cols,
         )
 
-    def __neg__(self):
-        return self.scale(-1)
-
     def scale(self, c) -> "QMatrix":
         c = rat(c)
         return QMatrix([[c * x for x in r] for r in self.data], cols=self.cols)

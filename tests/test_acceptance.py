@@ -13,10 +13,10 @@ import pytest
 
 from finhopf.algebroid import ConvolutionAlgebroid, check_axioms
 from finhopf.analysis import (
+    analyze,
     build_prim_action,
     build_spectral_groupoid,
     canonical_good_pair,
-    cgk_decide,
     conjugate_by_pair,
     roundtrip,
     solve_grouplikes_at,
@@ -233,7 +233,7 @@ def test_criterion_3_round_trip():
 def test_criterion_4_negative_control():
     carrier = instance("funs3")
     assert check_axioms(carrier).ok
-    report = cgk_decide(carrier)
+    report = analyze(carrier).decision
     assert report.prim_ranks == {"pt": 0}
     assert report.spectral_arrows == 2
     assert report.theta["pt"]["rank"] == 2

@@ -22,7 +22,6 @@ from finhopf.analysis import (
     build_spectral_groupoid,
     build_theta,
     canonical_good_pair,
-    cgk_decide,
     conjugate_by_pair,
     make_good_pair,
     prim_bundle,
@@ -40,6 +39,7 @@ from test_algebroid import (
     h3_z2_carrier,
     pairh3_at_3_model,
     rational_heisenberg_pair_model,
+    tiny_table,
     z2line,
 )
 
@@ -256,7 +256,7 @@ def rescaled_group_algebra_model(k):
 
 
 def test_rescaled_group_algebra_is_decided_below_the_root_search_bound():
-    report = cgk_decide(carrier_from_model(rescaled_group_algebra_model(10**6)), samples=20)
+    report = analyze(carrier_from_model(rescaled_group_algebra_model(10**6)), samples=20).decision
     assert report.verdict == "ISO"
     assert report.spectral_arrows == 2
 
@@ -266,7 +266,7 @@ def test_large_coproduct_coefficients_end_the_grouplike_search_quickly():
     the search is refused instead of trying every divisor up to sqrt(k)."""
     carrier = carrier_from_model(rescaled_group_algebra_model(10**30))
     start = time.perf_counter()
-    report = cgk_decide(carrier, samples=20)
+    report = analyze(carrier, samples=20).decision
     assert time.perf_counter() - start < 1
     assert report.axioms_ok
     assert report.verdict == "ERROR"
@@ -522,7 +522,7 @@ def test_theta_matrices_match_the_dense_columns_and_their_rank(model):
 # ---------------------------------------------------------------------------
 
 def test_cgk_verdict_iso_on_sign_line():
-    report = cgk_decide(z2line(), samples=40, seed=7)
+    report = analyze(z2line(), samples=40, seed=7).decision
     assert report.verdict == "ISO"
     assert report.prim_ranks == {"x": 1}
     assert report.spectral_arrows == 2
@@ -532,7 +532,7 @@ def test_cgk_verdict_iso_on_sign_line():
 
 
 def test_cgk_verdict_not_iso_on_function_algebra():
-    report = cgk_decide(funs3(), samples=40, seed=7)
+    report = analyze(funs3(), samples=40, seed=7).decision
     assert report.verdict == "NOT_ISO"
     assert report.prim_ranks == {"pt": 0}
     assert report.theta["pt"]["rank"] == 2
@@ -542,32 +542,26 @@ def test_cgk_verdict_not_iso_on_function_algebra():
 
 
 def test_cgk_verdict_error_on_corrupted_action():
-    report = cgk_decide(h3_z2_carrier(z_sign=-1), samples=60, seed=5)
+    report = analyze(h3_z2_carrier(z_sign=-1), samples=60, seed=5).decision
     assert report.verdict == "ERROR"
     assert report.stage_error and report.stage_error[0] == "axioms"
 
 
-@pytest.mark.parametrize("make_carrier, truncation", [
-    (funs3, -1), (z2line, -1), (z2line, 0), (z2line, 5),
-])
-def test_theta_truncation_out_of_range_is_a_theta_error(make_carrier, truncation, monkeypatch):
-    """A negative bound cannot build the reconstructed side; a convolution
-    carrier compared at another bound than its own would give a wrong verdict.
-    The bound is checked before any stage runs."""
-    carrier = make_carrier()
-    called = []
-    for name in ("check_axioms", "solve_primitives", "build_spectral_groupoid",
-                 "build_prim_action", "build_theta"):
-        monkeypatch.setattr(analysis_module, name, lambda *a, name=name, **k: called.append(name))
-    report = cgk_decide(carrier, samples=20, seed=7, theta_truncation=truncation)
-    assert called == []
-    assert report.verdict == "ERROR"
-    assert report.stage_error[0] == "theta"
-    data = report.to_json()
-    assert data["primRank"] == {}
-    assert "spectral" not in data and "axiomsOk" not in data
-    monkeypatch.undo()
-    assert cgk_decide(z2line(), samples=20, seed=7, theta_truncation=4).verdict == "ISO"
+def test_table_reconstruction_does_not_depend_on_the_bound():
+    """A table has no primitives, so its reconstructed fibers are
+    0-dimensional and the reconstructed side has one label per spectral
+    arrow at every truncation."""
+    tables = [funs3(), tiny_table(), *(fun_cyclic_table(n) for n in range(2, 7)),
+              *(carrier_from_model(rescaled_group_algebra_model(k)) for k in (1, 3, 10**6))]
+    for carrier in tables:
+        analysis = analyze(carrier, samples=20)
+        assert analysis.decision.verdict in ("ISO", "NOT_ISO")
+        gsp, action = analysis.gsp, analysis.prim_action
+        assert all(action.bundle.fiber(p).dim == 0 for p in carrier.base.points)
+        expected = sorted((a, ()) for a in gsp.groupoid.arrows)
+        for bound in (0, 1, 4, 7):
+            domain = ConvolutionAlgebroid(gsp.groupoid, action.bundle, action, bound)
+            assert sorted(domain.labels) == expected
 
 
 def test_analyze_checks_no_tensor_keys(monkeypatch):
@@ -587,7 +581,7 @@ def test_analyze_checks_no_tensor_keys(monkeypatch):
 
 
 def test_cgk_json_shape():
-    data = cgk_decide(z2line(), samples=20, seed=7).to_json()
+    data = analyze(z2line(), samples=20, seed=7).decision.to_json()
     assert data["verdict"] == "ISO"
     assert data["primRank"] == {"x": 1}
     assert data["spectral"] == {"arrows": 2}
@@ -601,6 +595,16 @@ def test_roundtrip_on_presets():
         assert report.rank_matches
         assert report.groupoid_isomorphic
         assert report.action_matches
+
+
+def test_roundtrip_refuses_a_table_carrier_before_any_stage(monkeypatch):
+    called = []
+    monkeypatch.setattr(analysis_module, "analyze", lambda *a, **k: called.append(a))
+    with pytest.raises(AnalysisError) as err:
+        roundtrip(funs3())
+    assert err.value.stage == "roundtrip"
+    assert "constructed (convolution) model" in err.value.message
+    assert called == []
 
 
 def change_of_basis_matches(carrier, analysis):
@@ -641,7 +645,7 @@ def change_of_basis_matches(carrier, analysis):
 def negate_a_rebuilt_matrix(analysis):
     units = analysis.gsp.groupoid.units.values()
     arrow = next(a for a in analysis.gsp.groupoid.arrows if a not in units)
-    analysis.prim_action.matrices[arrow] = -analysis.prim_action.matrix(arrow)
+    analysis.prim_action.matrices[arrow] = analysis.prim_action.matrix(arrow).scale(-1)
 
 
 def add_a_label_to_a_primitive(analysis):

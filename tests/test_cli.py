@@ -2,10 +2,13 @@
 
 import hashlib
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
-from finhopf.cli import EXIT_INPUT_ERROR, EXIT_OK, EXIT_PROPERTY_FAILS, main
+from finhopf.cli import EXIT_INPUT_ERROR, EXIT_OK, EXIT_PROPERTY_FAILS, build_parser, main
 from finhopf.modelio import FORMAT_NAME, save_model
 from finhopf.models import funs3_model, pairh3_model, random_model, z2line_model
 
@@ -129,21 +132,31 @@ def test_cgk_exit_codes(model_files, capsys):
     assert code == EXIT_INPUT_ERROR
 
 
-def test_cgk_truncation_out_of_range_is_an_input_error(model_files, capsys):
-    for name, bound in (("funs3", "-1"), ("z2line", "-1"), ("z2line", "0")):
-        code, out, err = run(["cgk", model_files[name], "--truncation", bound, "--json"], capsys)
-        assert code == EXIT_INPUT_ERROR and err == ""
-        data = json.loads(out)
-        assert data["verdict"] == "ERROR" and data["stageError"]["stage"] == "theta"
-        assert data["primRank"] == {} and "spectral" not in data and "axiomsOk" not in data
-
-
 def test_roundtrip(model_files, capsys):
     code, out, _ = run(["roundtrip", model_files["z2line"], "--json"], capsys)
     assert code == EXIT_OK
     assert json.loads(out)["ok"] is True
-    code, _, err = run(["roundtrip", model_files["funs3"]], capsys)
-    assert code == EXIT_INPUT_ERROR
+    code, out, err = run(["roundtrip", model_files["funs3"]], capsys)
+    assert code == EXIT_INPUT_ERROR and out == ""
+    assert err == "error: [roundtrip] round trip needs a constructed (convolution) model\n"
+
+
+def readme_commands():
+    """Every ``finhopf`` line in the README's code blocks, without the ``$ ``
+    prompt or a trailing comment."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", text, re.M | re.S)
+    lines = (line.removeprefix("$ ").split("#")[0].strip()
+             for block in blocks for line in block.splitlines())
+    return [line for line in lines if line.startswith("finhopf ")]
+
+
+def test_readme_commands_parse():
+    commands = readme_commands()
+    assert "finhopf cgk s3.json" in commands and len(commands) >= 10
+    parser = build_parser()
+    for command in commands:
+        parser.parse_args(shlex.split(command)[1:])
 
 
 def test_gen_writes_deterministic_models(tmp_path, capsys):

@@ -48,8 +48,6 @@ def test_base_space_and_functions():
     f = BaseFun.from_dict(base, {"x": 2})
     g = BaseFun.indicator(base, "y")
     assert f("x") == 2 and f("y") == 0
-    assert (f + g)("y") == 1
-    assert (f * g).is_zero()
     assert f.support() == ("x",)
     with pytest.raises(ValueError):
         BaseSpace(())

@@ -114,6 +114,24 @@ def test_incoherent_table_rejected_as_model_error():
     assert "model.table" in str(err.value)
 
 
+@pytest.mark.parametrize("table, value", [
+    pytest.param("counit", 5, id="counit"),
+    pytest.param("antipode", {"d012": 1}, id="antipode"),
+    pytest.param("delta", [["d012", "d012", 1]], id="delta"),
+])
+def test_table_entries_for_unknown_labels_are_model_errors(table, value, tmp_path, capsys):
+    model = funs3_model()
+    model["table"][table]["bogus"] = value
+    with pytest.raises(ModelFormatError) as err:
+        carrier_from_model(model)
+    assert err.value.path == "model.table"
+    assert f"{table} table" in str(err.value) and "'bogus'" in str(err.value)
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    assert main(["check-axioms", str(path)]) == EXIT_INPUT_ERROR
+    assert "model error: model.table: " in capsys.readouterr().err
+
+
 def test_unreadable_file_reports_path(tmp_path):
     path = tmp_path / "missing.json"
     bad = tmp_path / "bad.json"
