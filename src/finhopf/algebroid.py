@@ -475,6 +475,7 @@ class ConvolutionAlgebroid(HopfAlgebroid):
         self._delta_cache = {}
         self._antipode_cache = {}
         self._products = {}
+        self._transports = {}
         self._monomials = {}
 
     # The benchmark tracer patches ``mul`` in each carrier class's own namespace.
@@ -495,12 +496,15 @@ class ConvolutionAlgebroid(HopfAlgebroid):
     def mul_label(self, l1, l2):
         """The product of two basis labels, as a tuple of ``(label, c)`` terms.
 
-        These are the structure constants of the bilinear product, memoized
-        per carrier: each pair is straightened and transported once.  A pair
-        whose arrows do not compose gives ``()`` without touching the memo.
-        The memo holds products only: a pair whose product overflows the
-        truncation is not stored, and ``mono_mul`` raises that overflow
-        again on every call.
+        For l1 = (h, m1) and l2 = (k, m2) with g = h after k, the terms are
+        those of ``mono_mul`` by m1 folded over the transport of m2 along h,
+        at g.  The transported terms come in ``mono_key`` order, so an
+        overflow names the lowest-degree transported term that overflows.
+        Products are memoized per carrier, and transports per (arrow,
+        monomial).  A pair whose arrows do not compose gives ``()`` without
+        touching the memo.  The memo holds products only: a pair whose
+        product overflows the truncation is not stored, and ``mono_mul``
+        raises that overflow again on every call.
         """
         (h, m1), (k, m2) = l1, l2
         g = self.groupoid.compose_table.get((h, k))
@@ -509,11 +513,19 @@ class ConvolutionAlgebroid(HopfAlgebroid):
         entry = self._products.get((l1, l2))
         if entry is None:
             fiber, n = self.bundle.fiber(self.groupoid.target[h]), self.truncation
-            moved = add_terms({}, mono_transport(m2, self.action.matrix(h), fiber))
-            product = linear(moved.items(), lambda m: mono_mul(fiber, m1, m, n))
+            product = linear(self._transport(h, m2), lambda m: mono_mul(fiber, m1, m, n))
             entry = tuple(((g, m), exact(c)) for m, c in product.items())
             self._products[(l1, l2)] = entry
         return entry
+
+    def _transport(self, arrow, m):
+        """``mono_transport`` of m along the arrow, computed once per (arrow, monomial)."""
+        moved = self._transports.get((arrow, m))
+        if moved is None:
+            fiber = self.bundle.fiber(self.groupoid.target[arrow])
+            moved = mono_transport(m, self.action.matrix(arrow), fiber)
+            self._transports[(arrow, m)] = moved
+        return moved
 
     def delta_label(self, label):
         if label not in self._delta_cache:
@@ -532,8 +544,7 @@ class ConvolutionAlgebroid(HopfAlgebroid):
             g, m = label
             ginv = self.groupoid.inverse[g]
             fiber = self.bundle.fiber(self.groupoid.target[g])
-            matrix, target = self.action.matrix(ginv), self.bundle.fiber(self.groupoid.target[ginv])
-            moved = linear(mono_antipode(fiber, m), lambda w: mono_transport(w, matrix, target))
+            moved = linear(mono_antipode(fiber, m), lambda w: self._transport(ginv, w))
             self._antipode_cache[label] = tuple(((ginv, w), exact(c)) for w, c in moved.items())
         return self._antipode_cache[label]
 

@@ -1,12 +1,22 @@
 """Degree-truncated universal enveloping algebras in PBW form.
 
 Elements are rational combinations of ordered monomials e_1^a_1 ... e_n^a_n
-of total degree at most N.  Products are computed by straightening: an
-out-of-order adjacent pair xy with x > y rewrites to yx + [x, y], which
-strictly lowers either the number of inversions or the degree, so the
-rewriting terminates.  Any product whose raw degree would exceed N raises
+of total degree at most N.  Any product whose raw degree would exceed N raises
 TruncationOverflow before any work is discarded; results are never silently
 truncated.
+
+Products are read from one multiplication table per fiber, kept on the
+``LieFiber`` object that uses it and filled on first use: the entry for an
+ordered monomial m and a generator x_i is the normal form of m * x_i.  If the
+last letter x_j of m is at most x_i the entry is m with x_i appended;
+otherwise m = m' x_j and m x_i = (m' x_i) x_j + m' [x_j, x_i], where every
+term on the right is again an entry of lower degree or an append.  A product
+m1 * m2 folds the table over the letters of m2; only entries with
+deg m + 1 <= N are ever read, so the table of a fiber used at truncation N
+has at most (monomials of degree < N) * dim entries.  This is the rewriting
+of an index word at its leftmost descent, xy -> yx + [x, y], memoized per
+(monomial, generator), so the normal forms are the same for any bracket
+table, whether or not it is antisymmetric or satisfies Jacobi.
 
 The Hopf structure is the usual one determined on generators: generators are
 primitive, the counit kills positive degree, and the antipode negates
@@ -14,7 +24,12 @@ generators and reverses products.  Comultiplication and antipode never raise
 degree, so they are total on the truncated model.
 Product, coproduct, antipode and substitution are given once, on monomials, as
 ``(key, c)`` terms: ``mono_mul``, ``mono_delta``, ``mono_antipode``, ``mono_transport``.
-``UElement`` and the convolution carrier fold them through ``rationals.linear``.
+The product, the antipode and the substitution are folds over the table, in
+canonical ``mono_key`` order, with coefficients as ``rationals.exact`` returns
+them: plain ``int``s where the brackets and the matrix are integral.  The
+module only adds, subtracts and multiplies, so it never divides.
+``UElement`` (whose coefficients are ``Fraction``s) and the convolution
+carrier fold the monomial maps through ``rationals.linear``.
 """
 
 from __future__ import annotations
@@ -26,7 +41,7 @@ from math import comb
 from .errors import DimensionMismatch, TruncationOverflow
 from .liebundle import LieFiber
 from .linalg import QMatrix
-from .rationals import add_terms, linear, rat, rat_str
+from .rationals import add_terms, exact, linear, rat, rat_str
 
 Monomial = tuple[int, ...]
 
@@ -76,30 +91,43 @@ def monomials_up_to(dim: int, degree: int) -> list[Monomial]:
     return out
 
 
-def _straighten(fiber: LieFiber, word, coeff: Fraction):
-    """Rewrite an arbitrary index word into ordered monomials.
+def _entry(fiber: LieFiber, m: Monomial, i: int):
+    """The table entry for (m, i): the normal form of m * x_i as ``(monomial, c)`` terms.
 
-    Bracket terms shorten the word, so the degree never rises above the
-    input length; the caller is responsible for the truncation check.
+    Every entry it reads is an append or has a key of lower degree than m,
+    so the recursion is at most deg m deep.
     """
-    done = []
-    stack = [(tuple(word), coeff)]
-    while stack:
-        w, c = stack.pop()
-        descent = next((i for i in range(len(w) - 1) if w[i] > w[i + 1]), None)
-        if descent is None:
-            done.append((mono_from_word(w, fiber.dim), c))
-            continue
-        x, y = w[descent], w[descent + 1]
-        stack.append((w[:descent] + (y, x) + w[descent + 2:], c))
-        for k, ck in enumerate(fiber.bracket_coeffs(x, y)):
-            if ck:
-                stack.append((w[:descent] + (k,) + w[descent + 2:], c * ck))
-    return add_terms({}, done)
+    table = fiber.pbw_table
+    entry = table.get((m, i))
+    if entry is None:
+        j = max((k for k, a in enumerate(m) if a), default=-1)  # the last letter of m
+        if j <= i:
+            entry = ((m[:i] + (m[i] + 1,) + m[i + 1:], 1),)
+        else:  # m x_i = (m' x_i) x_j + m' [x_j, x_i]
+            rest = m[:j] + (m[j] - 1,) + m[j + 1:]
+            bracket = [(k, exact(c)) for k, c in enumerate(fiber.bracket_coeffs(j, i)) if c]
+            out = _times(fiber, _entry(fiber, rest, i), ((j, 1),))
+            add_terms(out, _times(fiber, ((rest, 1),), bracket).items())
+            entry = tuple((u, exact(c)) for u, c in out.items())
+        table[(m, i)] = entry
+    return entry
+
+
+def _times(fiber: LieFiber, terms, column) -> dict:
+    """The normal form of (sum of c * m over the terms) * (sum of e * x_i over the column)."""
+    return linear(terms, lambda m: ((u, e * w) for i, e in column for u, w in _entry(fiber, m, i)))
+
+
+def _fold(fiber: LieFiber, start, columns):
+    """Multiply ``start`` on the right by each column in turn; terms in ``mono_key`` order."""
+    terms = start
+    for column in columns:
+        terms = _times(fiber, terms, column).items()
+    return tuple(sorted(((m, exact(c)) for m, c in terms), key=lambda t: mono_key(t[0])))
 
 
 def mono_mul(fiber: LieFiber, m1: Monomial, m2: Monomial, truncation: int):
-    """The product m1 * m2 as ``(monomial, c)`` terms.
+    """The product m1 * m2 as ``(monomial, c)`` terms, in ``mono_key`` order.
 
     The degree bound is checked on the two factors, before any rewriting.
     """
@@ -107,7 +135,7 @@ def mono_mul(fiber: LieFiber, m1: Monomial, m2: Monomial, truncation: int):
     if total > truncation:
         raise TruncationOverflow(total, truncation,
                                  "product of stored monomials; no silent truncation")
-    return _straighten(fiber, mono_word(m1) + mono_word(m2), _ONE).items()
+    return _fold(fiber, ((m1, 1),), [((i, 1),) for i in mono_word(m2)])
 
 
 def mono_delta(m: Monomial):
@@ -123,19 +151,25 @@ def mono_delta(m: Monomial):
 
 
 def mono_antipode(fiber: LieFiber, m: Monomial):
-    """The antipode of m: negate generators and reverse the word, then restraighten."""
+    """The antipode of m: negate the generators and multiply them out in reverse order."""
     word = mono_word(m)[::-1]
-    return _straighten(fiber, word, -_ONE if len(word) % 2 else _ONE).items()
+    start = ((unit_mono(fiber.dim), -1 if len(word) % 2 else 1),)
+    return _fold(fiber, start, [((i, 1),) for i in word])
 
 
 def mono_transport(m: Monomial, matrix: QMatrix, target_fiber: LieFiber):
-    """Substitute column j of the matrix for each letter j, straightening word by word."""
-    images = [((), _ONE)]
-    for j in mono_word(m):
-        column = [(i, e) for i in range(target_fiber.dim) if (e := matrix.entry(i, j))]
-        images = [(w + (i,), c * e) for w, c in images for i, e in column]
-    for w, c in images:
-        yield from _straighten(target_fiber, w, c).items()
+    """Substitute column j of the matrix for each letter j of m, and multiply out.
+
+    The letters are those of m's own word, so this is word substitution and
+    valid for any matrix.  The transport of a product is the product of the
+    transports only when the matrix preserves brackets, so it is never
+    computed that way.
+    """
+    columns = [
+        [(i, exact(e)) for i in range(target_fiber.dim) if (e := matrix.entry(i, j))]
+        for j in mono_word(m)
+    ]
+    return _fold(target_fiber, ((unit_mono(target_fiber.dim), 1),), columns)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ unitality and functoriality, and reports each violation by name.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .groupoid import BaseSpace, FiniteGroupoid
@@ -25,6 +25,9 @@ class LieFiber:
 
     basis: tuple[str, ...]
     brackets: tuple[tuple[tuple[Fraction, ...], ...], ...]
+    # The PBW multiplication table of U(fiber), filled by ``enveloping`` on
+    # first use and owned by this fiber object; not part of its value.
+    pbw_table: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.basis)

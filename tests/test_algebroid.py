@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finhopf import algebroid
+from finhopf import algebroid, enveloping
 from finhopf.algebroid import (
     AlgebroidElement,
     ConvolutionAlgebroid,
@@ -20,7 +20,7 @@ from finhopf.algebroid import (
     run_law,
 )
 from finhopf.analysis import analyze
-from finhopf.enveloping import UElement, monomials_up_to
+from finhopf.enveloping import UElement, mono_transport, monomials_up_to
 from finhopf.errors import CoherenceError, DimensionMismatch, TruncationOverflow
 from finhopf.groupoid import BaseFun, BaseSpace
 from finhopf.liebundle import BundleAction, LieBundle, LieFiber
@@ -29,6 +29,7 @@ from finhopf.modelio import carrier_from_model
 from finhopf.models import funs3_model, pairh3_model, random_model, z2line_model
 from finhopf.rationals import add_terms, rat_str
 
+from test_benchmark_reference import load
 from test_groupoid import z2
 
 
@@ -678,6 +679,21 @@ def test_product_memo_holds_only_composable_pairs():
     assert all((h, k) in compose for (h, _m1), (k, _m2) in carrier._products)
 
 
+def test_each_transport_is_computed_once(monkeypatch):
+    """``mul_label`` and ``antipode_label`` share one transport per (arrow, monomial)."""
+    carrier = carrier_from_model(load("workloads").sl2_model(6))
+    arrow_of = {id(m): a for a, m in carrier.action.matrices.items()}
+    calls = []
+
+    def counted(m, matrix, fiber):
+        calls.append((arrow_of[id(matrix)], m))
+        return mono_transport(m, matrix, fiber)
+
+    monkeypatch.setattr(algebroid, "mono_transport", counted)
+    assert check_axioms(carrier).ok
+    assert calls and len(calls) == len(set(calls)) == len(carrier._transports)
+
+
 def test_non_injective_action_overflows_label_by_label():
     """Products are fixed label pair by label pair, before any cancellation.
 
@@ -834,14 +850,16 @@ def test_coefficient_views_are_read_only():
 
 
 def test_carrier_layer_has_no_true_division():
-    """Coefficients there may be ints, and ``int / int`` is a float."""
-    tree = ast.parse(Path(algebroid.__file__).read_text())
-    divisions = [
-        node.lineno
-        for node in ast.walk(tree)
-        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)
-    ]
-    assert divisions == []
+    """Coefficients in the carrier layer and the PBW table may be ints, and
+    ``int / int`` is a float."""
+    for module in (algebroid, enveloping):
+        tree = ast.parse(Path(module.__file__).read_text())
+        divisions = [
+            node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)
+        ]
+        assert divisions == [], module.__name__
 
 
 def test_carrier_layer_builds_no_enveloping_elements():

@@ -8,12 +8,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from finhopf.algebroid import ConvolutionAlgebroid
+from finhopf.algebroid import ConvolutionAlgebroid, check_axioms
 from finhopf.enveloping import (
     UElement,
-    _straighten,
+    mono_antipode,
     mono_degree,
     mono_from_word,
+    mono_key,
+    mono_mul,
+    mono_transport,
     mono_word,
     monomials_up_to,
     unit_mono,
@@ -21,8 +24,10 @@ from finhopf.enveloping import (
 from finhopf.errors import TruncationOverflow
 from finhopf.liebundle import BundleAction, LieBundle, LieFiber
 from finhopf.linalg import QMatrix
+from finhopf.modelio import carrier_from_model
 from finhopf.rationals import add_terms, exact
 
+from test_benchmark_reference import load
 from test_groupoid import z2
 
 H3 = LieFiber.heisenberg()
@@ -239,9 +244,36 @@ def test_products_at_higher_truncation_agree():
 # The copies below are the per-element loops (and the label maps built from
 # one-term elements) that ``mono_mul``, ``mono_delta``, ``mono_antipode`` and
 # ``mono_transport`` replaced.  Folding the monomial maps must give the same
-# Fractions in the same insertion order, and the same overflow.
+# Fractions in the same insertion order, and the same overflow.  The monomial
+# maps return their terms in ``mono_key`` order, so the loops add each
+# rewritten product, and each monomial's whole transport, in that order.
 
 OVERFLOW_DETAIL = "product of stored monomials; no silent truncation"
+
+
+def _straighten(fiber, word, coeff):
+    """Rewrite an arbitrary index word into ordered monomials, at its leftmost
+    descent: xy -> yx + [x, y].  This is the rewriter the PBW table replaced."""
+    done = []
+    stack = [(tuple(word), coeff)]
+    while stack:
+        w, c = stack.pop()
+        descent = next((i for i in range(len(w) - 1) if w[i] > w[i + 1]), None)
+        if descent is None:
+            done.append((mono_from_word(w, fiber.dim), c))
+            continue
+        x, y = w[descent], w[descent + 1]
+        stack.append((w[:descent] + (y, x) + w[descent + 2:], c))
+        for k, ck in enumerate(fiber.bracket_coeffs(x, y)):
+            if ck:
+                stack.append((w[:descent] + (k,) + w[descent + 2:], c * ck))
+    return add_terms({}, done)
+
+
+def canonical(terms: dict):
+    """The terms of a map in ``mono_key`` order, the order the monomial maps use."""
+    return sorted(terms.items(), key=lambda t: mono_key(t[0]))
+
 
 SL2 = LieFiber.from_sparse(("H", "E", "F"), [(0, 1, (0, 2, 0)), (0, 2, (0, 0, -2)),
                                              (1, 2, (1, 0, 0))])
@@ -259,7 +291,7 @@ def loop_mul(fiber, n, left, right):
             total = len(w1) + mono_degree(m2)
             if total > n:
                 raise TruncationOverflow(total, n, OVERFLOW_DETAIL)
-            add_terms(out, _straighten(fiber, w1 + mono_word(m2), c1 * c2).items())
+            add_terms(out, canonical(_straighten(fiber, w1 + mono_word(m2), c1 * c2)))
     return out
 
 
@@ -279,7 +311,7 @@ def loop_antipode(fiber, terms):
     for m, c in terms.items():
         word = mono_word(m)[::-1]
         sign = Fraction(-1) if len(word) % 2 else Fraction(1)
-        add_terms(out, _straighten(fiber, word, c * sign).items())
+        add_terms(out, canonical(_straighten(fiber, word, c * sign)))
     return out
 
 
@@ -290,8 +322,10 @@ def loop_transport(terms, matrix, target):
         for j in mono_word(m):
             images = [(w + (i,), cc * matrix.entry(i, j)) for w, cc in images
                       for i in range(target.dim) if matrix.entry(i, j)]
+        moved = {}
         for w, cc in images:
-            add_terms(out, _straighten(target, w, cc).items())
+            add_terms(moved, _straighten(target, w, cc).items())
+        add_terms(out, canonical(moved))
     return out
 
 
@@ -405,3 +439,82 @@ def test_convolution_label_maps_compose_the_monomial_maps_like_the_elements(case
         assert outcome(lambda: carrier.mul_label(l1, l2)) == expected
         # The memo hit (or the cached overflow) gives the same answer again.
         assert outcome(lambda: carrier.mul_label(l1, l2)) == expected
+
+
+# -- the PBW table against the rewriter it replaced -----------------------------
+#
+# The table folds are the rewriting of ``_straighten`` memoized, so on one
+# monomial they give the loops' Fractions, for any bracket table: nilpotent,
+# not nilpotent, or failing antisymmetry or Jacobi.
+
+def exact_outcome(compute):
+    """``outcome``, with coefficients as ``exact`` returns them."""
+    result = outcome(compute)
+    if isinstance(result, tuple):
+        return result
+    return [(k, exact(c), type(exact(c))) for k, c, _type in result]
+
+
+BRACKET_ENTRIES = st.sampled_from([Fraction(c) for c in (0, 0, 0, 1, -1, 2, "1/2", "-3/4")])
+
+
+@st.composite
+def bracket_tables(draw):
+    """A fiber of dim <= 3: nilpotent, any antisymmetric table, or an arbitrary one."""
+    dim = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["nilpotent", "antisymmetric", "arbitrary"]))
+    table = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
+    for i in range(dim):
+        for j in range(dim):
+            if kind == "arbitrary":
+                table[i][j] = [draw(BRACKET_ENTRIES) for _ in range(dim)]
+            elif i < j:
+                top = max(i, j) + 1 if kind == "nilpotent" else 0
+                row = [draw(BRACKET_ENTRIES) if k >= top else Fraction(0) for k in range(dim)]
+                table[i][j], table[j][i] = row, [-c for c in row]
+    return LieFiber(tuple("ABC"[:dim]), table)
+
+
+@st.composite
+def table_cases(draw):
+    fiber, target = draw(bracket_tables()), draw(bracket_tables())
+    n = draw(st.integers(0, 4))
+    monos = st.sampled_from(monomials_up_to(fiber.dim, n))
+    matrix = QMatrix([[draw(ENTRIES) for _ in range(fiber.dim)] for _ in range(target.dim)])
+    return fiber, target, n, matrix, draw(st.lists(st.tuples(monos, monos), min_size=1, max_size=4))
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(table_cases())
+def test_table_folds_match_the_rewriter_term_by_term(case):
+    fiber, target, n, matrix, pairs = case
+    one = Fraction(1)
+    for m1, m2 in pairs:  # later pairs read a warm table
+        assert outcome(lambda: mono_mul(fiber, m1, m2, n)) == exact_outcome(
+            lambda: loop_mul(fiber, n, {m1: one}, {m2: one}))
+        assert outcome(lambda: mono_antipode(fiber, m1)) == exact_outcome(
+            lambda: loop_antipode(fiber, {m1: one}))
+        assert outcome(lambda: mono_transport(m1, matrix, target)) == exact_outcome(
+            lambda: loop_transport({m1: one}, matrix, target))
+
+
+def sl2_carrier(n):
+    """The benchmark's sl2 model at truncation n, loaded afresh."""
+    return carrier_from_model(load("workloads").sl2_model(n))
+
+
+def test_tables_of_integral_fibers_hold_ints():
+    for fiber in (LieFiber.heisenberg(), sl2_carrier(4).bundle.fiber("x")):
+        for m1 in monomials_up_to(3, 2):
+            for m2 in monomials_up_to(3, 2):
+                mono_mul(fiber, m1, m2, 4)
+        assert fiber.pbw_table
+        assert {type(c) for entry in fiber.pbw_table.values() for _m, c in entry} == {int}
+
+
+def test_table_is_bounded_by_the_truncation():
+    carrier = sl2_carrier(10)
+    fiber = carrier.bundle.fiber("x")
+    assert fiber.pbw_table == {}
+    assert check_axioms(carrier).ok
+    assert 0 < len(fiber.pbw_table) <= len(monomials_up_to(3, 9)) * 3
