@@ -531,7 +531,7 @@ class ConvolutionAlgebroid(HopfAlgebroid):
         if label not in self._delta_cache:
             g, m = label
             self._delta_cache[label] = tuple(
-                (((g, m1), (g, m2)), exact(c)) for (m1, m2), c in sorted(mono_delta(m))
+                (((g, m1), (g, m2)), c) for (m1, m2), c in mono_delta(m)
             )
         return self._delta_cache[label]
 

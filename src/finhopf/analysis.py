@@ -126,27 +126,25 @@ class PrimBasis:
 def solve_primitives(carrier: HopfAlgebroid) -> PrimBasis:
     """The canonical echelonized basis of the primitive module, with flags.
 
-    At each point y the equation delta(a) = eta (x) a + a (x) eta is one
-    exact system over the labels at y, with a sparse row per label pair.
+    At each point y the equation delta(a) = eta (x) a + a (x) eta is an
+    exact system over the labels at y, with a sparse row per label pair;
+    ``nullspace_of_rows`` solves it block by block.  Each label's column is
+    its coproduct minus the two unit terms, written straight into the rows.
     """
     per_point, brackets = {}, {}
     for y in carrier.base.points:
         labels = carrier.labels_at(y)
         idx = {l: i for i, l in enumerate(labels)}
-        unit = carrier.unit_at(y)
+        unit = [(idx[l0], -c0) for l0, c0 in carrier.unit_at(y).coeffs.items()]
         rows = {}
-
-        def add(row_key, col, coeff):
-            add_terms(rows.setdefault(row_key, {}), ((col, coeff),))
-
         for col, l in enumerate(labels):
-            for (l1, l2), c in carrier.delta_label(l):
-                add((idx[l1], idx[l2]), col, c)
-            for l0, c0 in unit.coeffs.items():
-                add((idx[l0], idx[l]), col, -c0)
-                add((idx[l], idx[l0]), col, -c0)
+            column = {(idx[l1], idx[l2]): c for (l1, l2), c in carrier.delta_label(l)}
+            for i0, c0 in unit:
+                add_terms(column, (((i0, col), c0), ((col, i0), c0)))
+            for key, c in column.items():
+                rows.setdefault(key, {})[col] = c
         basis = []
-        for v in nullspace_of_rows([rows[k] for k in sorted(rows)], len(labels)):
+        for v in nullspace_of_rows(rows.values(), len(labels)):
             coeffs = {l: c for l, c in zip(labels, v) if c}
             basis.append(AlgebroidElement(carrier, coeffs))
         per_point[y] = basis

@@ -65,13 +65,6 @@ def mono_key(m: Monomial):
     return (mono_degree(m), mono_word(m))
 
 
-def mono_from_word(word, dim: int) -> Monomial:
-    m = [0] * dim
-    for i in word:
-        m[i] += 1
-    return tuple(m)
-
-
 def unit_mono(dim: int) -> Monomial:
     return (0,) * dim
 
@@ -139,12 +132,13 @@ def mono_mul(fiber: LieFiber, m1: Monomial, m2: Monomial, truncation: int):
 
 
 def mono_delta(m: Monomial):
-    """The coproduct of m as ``((left, right), c)`` terms.
+    """The coproduct of m as ``((left, right), c)`` terms, with ``int`` coefficients.
 
     Splitting an ordered monomial leaves both halves ordered, so no
-    restraightening is needed and no overflow can occur.
+    restraightening is needed and no overflow can occur.  The terms come in
+    ascending order of ``(left, right)``.
     """
-    splits = [((), _ONE)]
+    splits = [((), 1)]
     for a in m:
         splits = [(left + (b,), w * comb(a, b)) for left, w in splits for b in range(a + 1)]
     return (((left, tuple(a - b for a, b in zip(m, left))), w) for left, w in splits)

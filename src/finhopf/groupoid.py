@@ -62,10 +62,6 @@ class BaseFun:
         object.__setattr__(self, "values", tuple(rat(v) for v in self.values))
 
     @classmethod
-    def from_dict(cls, base: BaseSpace, mapping) -> "BaseFun":
-        return cls(base, tuple(rat(mapping.get(p, 0)) for p in base.points))
-
-    @classmethod
     def constant(cls, base: BaseSpace, c) -> "BaseFun":
         return cls(base, tuple(rat(c) for _ in base.points))
 

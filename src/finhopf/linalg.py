@@ -8,7 +8,10 @@ read it off ``QMatrix.rref``, ``rank_of_rows`` (behind ``QMatrix.rank``)
 counts its pivots, and ``nullspace_of_rows`` (behind ``QMatrix.nullspace``)
 returns the unique basis of the kernel that is itself in reduced echelon
 form with pivot entries 1.  The two ``_of_rows`` functions also take sparse
-systems directly.
+systems directly, with entries that may be ``int``s or ``Fraction``s.
+``nullspace_of_rows`` first splits the system into blocks of columns that
+share rows and solves each block on its own; a block of one column needs no
+elimination at all.
 """
 
 from __future__ import annotations
@@ -71,18 +74,12 @@ def rank_of_rows(rows) -> int:
     return len(_eliminate(rows)[0])
 
 
-def nullspace_of_rows(rows, cols):
-    """Canonical kernel basis of a system given as sparse rows.
-
-    ``rows`` are zero-free ``{col: Fraction}`` maps over ``cols`` unknowns,
-    consumed by the elimination.  The basis vectors are dense tuples: the
-    unique basis of the kernel that is itself in reduced echelon form with
-    pivot entries 1.
-    """
+def _block_kernel(rows, columns):
+    """Canonical kernel rows, as sparse maps, of the ``rows`` over ``columns`` (ascending)."""
     pivots, reduced = _eliminate(rows)
     pivot_set = set(pivots)
     raw = []
-    for f in range(cols):
+    for f in columns:
         if f in pivot_set:
             continue
         v = {f: _ONE}
@@ -90,8 +87,51 @@ def nullspace_of_rows(rows, cols):
             if f in row:
                 v[p] = -row[f]
         raw.append(v)
-    _, canonical = _eliminate(raw)
-    return [tuple(row.get(j, _ZERO) for j in range(cols)) for row in canonical]
+    return _eliminate(raw)[1]
+
+
+def nullspace_of_rows(rows, cols):
+    """Canonical kernel basis of a system given as sparse rows.
+
+    ``rows`` are ``{col: value}`` maps over ``cols`` unknowns, with ``int`` or
+    ``Fraction`` values and no zero entry; an empty map is no equation.  They
+    are consumed by the elimination.  The basis vectors are dense tuples of
+    ``Fraction``s: the unique basis of the kernel that is itself in reduced
+    echelon form with pivot entries 1.
+
+    Two columns share a block when some row holds both, so the kernel is the
+    direct sum of the block kernels, and merging their canonical bases by
+    leading column gives the canonical basis of the whole.  A one-column
+    block is the unit vector of its column when no row holds it, and adds
+    nothing otherwise; a larger block is eliminated on its own rows.
+    """
+    parent = list(range(cols))
+
+    def find(c):
+        while parent[c] != c:
+            parent[c] = c = parent[parent[c]]
+        return c
+
+    rows = [row for row in rows if row]
+    for row in rows:
+        if len(row) > 1:
+            it = iter(row)
+            root = find(next(it))
+            for c in it:
+                parent[find(c)] = root
+    block_rows, blocks = {}, {}
+    for row in rows:
+        block_rows.setdefault(find(next(iter(row))), []).append(row)
+    for c in range(cols):
+        blocks.setdefault(find(c), []).append(c)
+    kernel = []
+    for root, columns in blocks.items():
+        if len(columns) > 1:
+            kernel.extend(_block_kernel(block_rows.get(root, []), columns))
+        elif root not in block_rows:
+            kernel.append({root: _ONE})
+    kernel.sort(key=min)
+    return [tuple(v.get(j, _ZERO) for j in range(cols)) for v in kernel]
 
 
 class QMatrix:

@@ -30,7 +30,7 @@ from finhopf.models import funs3_model, pairh3_model, random_model, z2line_model
 from finhopf.rationals import add_terms, rat_str
 
 from test_benchmark_reference import load
-from test_groupoid import z2
+from test_groupoid import base_fun, z2
 
 
 def z2line():
@@ -74,8 +74,8 @@ def test_convolution_delta_and_counit():
 
 def test_embedding_is_an_algebra_map():
     carrier = carrier_from_model(pairh3_model())
-    f = BaseFun.from_dict(carrier.base, {"x": 2, "y": -3})
-    g = BaseFun.from_dict(carrier.base, {"x": 5})
+    f = base_fun(carrier.base, {"x": 2, "y": -3})
+    g = base_fun(carrier.base, {"x": 5})
     fg = BaseFun(carrier.base, tuple(a * b for a, b in zip(f.values, g.values)))
     assert carrier.mul(carrier.embed(f), carrier.embed(g)) == carrier.embed(fg)
     one = carrier.one()
@@ -85,7 +85,7 @@ def test_embedding_is_an_algebra_map():
 
 def test_base_weights_by_source_and_target():
     carrier = carrier_from_model(pairh3_model())
-    r = BaseFun.from_dict(carrier.base, {"x": 2, "y": 3})
+    r = base_fun(carrier.base, {"x": 2, "y": 3})
     # a supported on the arrow y <- x picks up r(source) on the right
     a = carrier.basis_element(("ayx", (1, 0, 0)))
     assert carrier.mul(a, carrier.embed(r)) == a.scale(2)

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from finhopf import analysis as analysis_module
+from finhopf import linalg
 from finhopf.algebroid import (
     AlgebroidElement,
     ConvolutionAlgebroid,
@@ -42,6 +43,9 @@ from test_algebroid import (
     tiny_table,
     z2line,
 )
+from test_benchmark_reference import load
+from test_groupoid import base_fun
+from test_linalg import single_system_nullspace
 
 
 def pairh3():
@@ -50,6 +54,12 @@ def pairh3():
 
 def funs3():
     return carrier_from_model(funs3_model())
+
+
+def pairh3_at(truncation):
+    model = pairh3_model()
+    model["truncation"] = truncation
+    return carrier_from_model(model)
 
 
 def fun_cyclic_table(n):
@@ -133,6 +143,50 @@ def test_primitives_on_pair_groupoid_heisenberg():
 
 def test_function_algebra_has_no_primitives():
     assert solve_primitives(funs3()).ranks() == {"pt": 0}
+
+
+def eliminations_in_solve(monkeypatch, carrier):
+    """``solve_primitives`` of the carrier, and how often it called ``_eliminate``."""
+    calls = []
+    real = linalg._eliminate
+
+    def counting(rows):
+        calls.append(1)
+        return real(rows)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg, "_eliminate", counting)
+        prim = solve_primitives(carrier)
+    return prim, len(calls)
+
+
+def test_convolution_primitive_systems_need_no_elimination(monkeypatch):
+    # A split (m1, m2) fixes the label (g, m1 + m2), so on a convolution
+    # carrier every row holds one column and every block is a single column.
+    for carrier in (pairh3_at(6), carrier_from_model(load("workloads").sl2_model(6))):
+        assert eliminations_in_solve(monkeypatch, carrier)[1] == 0
+    # The unit of Fun(S3) is the sum of all six indicators, so its unit rows
+    # join the six labels into one block: one elimination of its rows and one
+    # of its kernel vectors.
+    prim, count = eliminations_in_solve(monkeypatch, funs3())
+    assert count == 2
+    assert prim.ranks() == {"pt": 0}
+
+
+def typed_bases(prim):
+    return {p: [[(l, c, type(c)) for l, c in b.coeffs.items()] for b in basis]
+            for p, basis in prim.per_point.items()}
+
+
+def test_blockwise_primitive_bases_match_the_single_system_oracle(monkeypatch):
+    carriers = [z2line(), pairh3(), funs3(), pairh3_at(6), tiny_table(),
+                fun_cyclic_table(4), carrier_from_model(load("workloads").sl2_model(6))]
+    carriers += [carrier_from_model(random_model(seed)) for seed in range(40)]
+    for carrier in carriers:
+        blockwise = typed_bases(solve_primitives(carrier))
+        with monkeypatch.context() as patch:
+            patch.setattr(analysis_module, "nullspace_of_rows", single_system_nullspace)
+            assert typed_bases(solve_primitives(carrier)) == blockwise
 
 
 def test_prim_bundle_recovers_bracket():
@@ -352,7 +406,7 @@ def test_good_pair_rejects_bad_second_function():
     carrier = z2line()
     witness = carrier.basis_element(("s", (0,)))
     f = BaseFun.indicator(carrier.base, "x")
-    f2 = BaseFun.from_dict(carrier.base, {"x": 2})
+    f2 = base_fun(carrier.base, {"x": 2})
     with pytest.raises(NotAGoodPair, match="not 1 at"):
         make_good_pair(carrier, witness, f, f2)
 

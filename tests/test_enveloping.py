@@ -12,8 +12,8 @@ from finhopf.algebroid import ConvolutionAlgebroid, check_axioms
 from finhopf.enveloping import (
     UElement,
     mono_antipode,
+    mono_delta,
     mono_degree,
-    mono_from_word,
     mono_key,
     mono_mul,
     mono_transport,
@@ -25,9 +25,11 @@ from finhopf.errors import TruncationOverflow
 from finhopf.liebundle import BundleAction, LieBundle, LieFiber
 from finhopf.linalg import QMatrix
 from finhopf.modelio import carrier_from_model
+from finhopf.models import funs3_model, pairh3_model
 from finhopf.rationals import add_terms, exact
 
 from test_benchmark_reference import load
+from test_analysis import rescaled_group_algebra_model
 from test_groupoid import z2
 
 H3 = LieFiber.heisenberg()
@@ -226,7 +228,8 @@ def test_constructor_rejects_overweight_terms():
 def test_mono_word_roundtrip():
     m = (2, 0, 1)
     assert mono_degree(m) == 3
-    assert mono_from_word((0, 0, 2), 3) == m
+    assert mono_word(m) == (0, 0, 2)
+    assert mono_from_word(mono_word(m), 3) == mono_from_word((2, 0, 0), 3) == m
 
 
 def test_products_at_higher_truncation_agree():
@@ -249,6 +252,14 @@ def test_products_at_higher_truncation_agree():
 # rewritten product, and each monomial's whole transport, in that order.
 
 OVERFLOW_DETAIL = "product of stored monomials; no silent truncation"
+
+
+def mono_from_word(word, dim):
+    """The monomial of an index word, whatever its order: (2, 0, 1) for (0, 2, 0)."""
+    m = [0] * dim
+    for i in word:
+        m[i] += 1
+    return tuple(m)
 
 
 def _straighten(fiber, word, coeff):
@@ -510,6 +521,25 @@ def test_tables_of_integral_fibers_hold_ints():
                 mono_mul(fiber, m1, m2, 4)
         assert fiber.pbw_table
         assert {type(c) for entry in fiber.pbw_table.values() for _m, c in entry} == {int}
+
+
+def test_coproduct_rows_are_ints_and_elements_keep_fractions():
+    for m in monomials_up_to(3, 5):
+        terms = list(mono_delta(m))
+        assert {type(c) for _split, c in terms} == {int}
+        assert terms == sorted(terms)
+    u = u_h3({(2, 0, 1): 3, (0, 1, 0): Fraction(1, 2), (0, 0, 0): -1})
+    assert u.delta() and {type(c) for c in u.delta().values()} == {Fraction}
+    convolution = [carrier_from_model(pairh3_model()), sl2_carrier(4)]
+    tables = [carrier_from_model(funs3_model()),
+              carrier_from_model(rescaled_group_algebra_model(3))]
+    for carrier in convolution + tables:
+        for label in carrier.labels:
+            terms = carrier.delta_label(label)
+            assert [(k, c, type(c)) for k, c in terms] == [
+                (k, exact(c), type(exact(c))) for k, c in terms]
+    for carrier in convolution:
+        assert {type(c) for l in carrier.labels for _k, c in carrier.delta_label(l)} == {int}
 
 
 def test_table_is_bounded_by_the_truncation():

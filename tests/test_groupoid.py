@@ -42,10 +42,15 @@ def pair_groupoid(points):
     )
 
 
+def base_fun(base, mapping):
+    """The base function with the given values, 0 at every point not named."""
+    return BaseFun(base, tuple(mapping.get(p, 0) for p in base.points))
+
+
 def test_base_space_and_functions():
     base = BaseSpace(("x", "y"))
     assert "x" in base and "z" not in base
-    f = BaseFun.from_dict(base, {"x": 2})
+    f = base_fun(base, {"x": 2})
     g = BaseFun.indicator(base, "y")
     assert f("x") == 2 and f("y") == 0
     assert f.support() == ("x",)

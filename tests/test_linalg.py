@@ -262,6 +262,57 @@ def test_sparse_core_matches_dense_oracle(m, data):
     assert m.inverse() == (dense_inverse(m.data, m.rows) if m.rows == m.cols else None)
 
 
+# The single-system kernel, the oracle for the blockwise ``nullspace_of_rows``:
+# one elimination of every row, then one of the kernel vectors.
+def single_system_nullspace(rows, cols):
+    pivots, reduced = linalg._eliminate(rows)
+    pivot_set = set(pivots)
+    raw = []
+    for f in range(cols):
+        if f in pivot_set:
+            continue
+        v = {f: F(1)}
+        for p, row in zip(pivots, reduced):
+            if f in row:
+                v[p] = -row[f]
+        raw.append(v)
+    _, canonical = linalg._eliminate(raw)
+    return [tuple(row.get(j, F(0)) for j in range(cols)) for row in canonical]
+
+
+SPARSE_VALUES = st.sampled_from(
+    [1, -1, 2, -3, F(1), F(-2), Fraction(1, 2), Fraction(-5, 3), Fraction(10**12, 7)]
+)
+
+
+@st.composite
+def block_systems(draw):
+    """Sparse rows over planted blocks of columns (interleaved, some with no
+    row at all), with rows of one entry, empty rows and int/Fraction values."""
+    cols = draw(st.integers(0, 12))
+    block_of = draw(st.lists(st.integers(0, 3), min_size=cols, max_size=cols))
+    rows = [{} for _ in range(draw(st.integers(0, 2)))]
+    for b in sorted(set(block_of)):
+        members = [c for c in range(cols) if block_of[c] == b]
+        for _ in range(draw(st.integers(0, len(members) + 1))):
+            support = draw(st.lists(st.sampled_from(members), min_size=1, max_size=3,
+                                    unique=True))
+            rows.append({c: draw(SPARSE_VALUES) for c in support})
+    return draw(st.permutations(rows)), cols
+
+
+def typed(basis):
+    return [tuple((x, type(x)) for x in v) for v in basis]
+
+
+@settings(derandomize=True, database=None, max_examples=200)
+@given(block_systems())
+def test_blockwise_nullspace_matches_the_single_system_oracle(system):
+    rows, cols = system
+    expected = typed(single_system_nullspace([dict(r) for r in rows], cols))
+    assert typed(linalg.nullspace_of_rows([dict(r) for r in rows], cols)) == expected
+
+
 def test_matrix_arithmetic_and_immutability():
     a = QMatrix([[1, 2], [3, 4]])
     b = QMatrix([[0, 1], [1, 0]])
