@@ -51,13 +51,12 @@ from .errors import (
 )
 from .groupoid import BaseFun, FiniteGroupoid, groupoid_isomorphic
 from .liebundle import BundleAction, LieBundle, LieFiber
-from .linalg import QMatrix, nullspace_of_rows, rank_of_rows, rational_eigenvalues
+from .linalg import QMatrix, nullspace_of_rows, rational_eigenvalues
 from .rationals import add_terms, linear
 
 _ZERO = Fraction(0)
 
 TABLE_GROUPLIKE_DIM_BOUND = 12
-TABLE_THETA_TRUNCATION = 4
 THETA_HOM_SAMPLES = 12
 THETA_HOM_SEED = 23
 
@@ -135,11 +134,14 @@ def solve_primitives(carrier: HopfAlgebroid) -> PrimBasis:
     for y in carrier.base.points:
         labels = carrier.labels_at(y)
         idx = {l: i for i, l in enumerate(labels)}
-        unit = [(idx[l0], -c0) for l0, c0 in carrier.unit_at(y).coeffs.items()]
+        unit = carrier.unit_at(y).coeffs
+        if not unit.keys() <= idx.keys():
+            raise AnalysisError("primitives", f"the unit at {y!r} leaves the fiber there")
+        unit_terms = [(idx[l0], -c0) for l0, c0 in unit.items()]
         rows = {}
         for col, l in enumerate(labels):
             column = {(idx[l1], idx[l2]): c for (l1, l2), c in carrier.delta_label(l)}
-            for i0, c0 in unit:
+            for i0, c0 in unit_terms:
                 add_terms(column, (((i0, col), c0), ((col, i0), c0)))
             for key, c in column.items():
                 rows.setdefault(key, {})[col] = c
@@ -239,14 +241,12 @@ def _grouplikes_table(carrier: HopfAlgebroid, point):
     # normalized grouplike is precisely a simultaneous eigenvector whose
     # eigenvalue under R_j is its own j-th coordinate, so refining rational
     # eigenspaces operator by operator enumerates every candidate.
-    ops = []
-    for j in range(d):
-        rows = [[_ZERO] * d for _ in range(d)]
-        for i, l in enumerate(labels):
-            for (l1, l2), c in carrier.delta_label(l):
-                if l2 == labels[j]:
-                    rows[idx[l1]][i] += c
-        ops.append(QMatrix(rows))
+    ops = [[[_ZERO] * d for _ in range(d)] for _ in range(d)]
+    for i, l in enumerate(labels):
+        for (l1, l2), c in carrier.delta_label(l):
+            if l2 in idx:
+                ops[idx[l2]][idx[l1]][i] += c
+    ops = [QMatrix(rows) for rows in ops]
     spaces = [(QMatrix.identity(d), [])]
     for op in ops:
         candidates = rational_eigenvalues(op)
@@ -261,16 +261,12 @@ def _grouplikes_table(carrier: HopfAlgebroid, point):
         spaces = refined
         if not spaces:
             break
+    # The candidate eigenvalues are distinct roots, so every space carries a
+    # distinct tuple and so a distinct candidate.
     out = []
-    seen = set()
     for _basis, tup in spaces:
-        coeffs = {l: lam for l, lam in zip(labels, tup) if lam}
-        candidate = AlgebroidElement(carrier, coeffs)
-        sig = candidate.signature()
-        if sig in seen:
-            continue
+        candidate = AlgebroidElement(carrier, {l: lam for l, lam in zip(labels, tup) if lam})
         if _is_grouplike_at(carrier, candidate, point):
-            seen.add(sig)
             out.append(candidate)
     out.sort(key=lambda e: e.signature())
     return out
@@ -503,13 +499,18 @@ class ThetaMap:
     """The comparison map, kept as the images of the domain labels.
 
     At each point their sparse rows (``_rows_at``) are the one system behind
-    ``ranks``, ``witness_outside_image`` and the dense ``matrices``.
+    ``ranks``, ``witnesses`` and the dense ``matrices``; ``build_theta``
+    solves it once.  Its kernel is the canonical basis of the vectors
+    orthogonal to every image: the rank is the codomain dimension minus the
+    kernel's, and where the kernel is not empty the witness is the codomain
+    label at the pivot of its first vector, a label outside the image.
     """
 
     domain: ConvolutionAlgebroid
     codomain: HopfAlgebroid
     images: dict
     ranks: dict = field(default_factory=dict)
+    witnesses: dict = field(default_factory=dict)
     hom_checks: list = field(default_factory=list)
 
     def _rows_at(self, point) -> list:
@@ -556,33 +557,20 @@ class ThetaMap:
     def all_bijective(self) -> bool:
         return all(self.bijective_at(p) for p in self.codomain.base.points)
 
-    def witness_outside_image(self, point):
-        """A codomain basis label outside the image at the point, if any.
-
-        It is the pivot label of the first vector in the canonical basis of
-        the vectors orthogonal to every image.
-        """
-        labels = self.codomain.labels_at(point)
-        if self.ranks[point] == len(labels):
-            return None
-        first = nullspace_of_rows(self._rows_at(point), len(labels))[0]
-        return self.codomain.format_label(labels[next(i for i, c in enumerate(first) if c)])
-
 
 def build_theta(carrier: HopfAlgebroid, gsp: SpectralGroupoid, prim: PrimBasis,
                 action: BundleAction) -> ThetaMap:
     """Assemble the map (PBW monomial over arrow) -> product of representatives.
 
     The reconstructed side has the carrier's own truncation.  A table carrier
-    has none and uses ``TABLE_THETA_TRUNCATION``, and no bound would change
-    the result: a nonzero primitive x has linearly independent powers
-    (delta(x^n) is the binomial sum of x^k (x) x^(n-k)), so a
-    finite-dimensional Hopf algebroid over Q has no primitives and the
-    reconstructed fibers of a table are 0-dimensional.  No image overflows:
-    a label of degree k <= truncation maps to a product of k degree-1
-    primitives, or to a table.
+    has none and uses 0, and no bound would change the result: a nonzero
+    primitive x has linearly independent powers (delta(x^n) is the binomial
+    sum of x^k (x) x^(n-k)), so a finite-dimensional Hopf algebroid over Q
+    has no primitives and the reconstructed fibers of a table are
+    0-dimensional.  No image overflows: a label of degree k <= truncation
+    maps to a product of k degree-1 primitives, or to a table.
     """
-    truncation = getattr(carrier, "truncation", TABLE_THETA_TRUNCATION)
+    truncation = getattr(carrier, "truncation", 0)
     domain = ConvolutionAlgebroid(gsp.groupoid, action.bundle, action, truncation)
 
     product_cache = {}
@@ -608,7 +596,12 @@ def build_theta(carrier: HopfAlgebroid, gsp: SpectralGroupoid, prim: PrimBasis,
 
     theta = ThetaMap(domain, carrier, images)
     for p in carrier.base.points:
-        theta.ranks[p] = rank_of_rows(theta._rows_at(p))
+        labels = carrier.labels_at(p)
+        kernel = nullspace_of_rows(theta._rows_at(p), len(labels))
+        theta.ranks[p] = len(labels) - len(kernel)
+        if kernel:
+            first = next(i for i, c in enumerate(kernel[0]) if c)
+            theta.witnesses[p] = carrier.format_label(labels[first])
     theta.hom_checks = _verify_theta_hom(theta, truncation)
     return theta
 
@@ -827,7 +820,7 @@ def analyze(carrier: HopfAlgebroid, samples: int = 60, seed: int = 11) -> Analys
             report.hypothesis_failures.append(
                 f"the algebroid is not free over its arrows at {bad!r} (hypothesis ii)"
             )
-            report.witness = theta.witness_outside_image(bad)
+            report.witness = theta.witnesses.get(bad)
     except FinhopfError as exc:
         if isinstance(exc, AnalysisError):
             report.stage_error = (exc.stage, exc.message)

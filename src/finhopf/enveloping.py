@@ -36,6 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import comb
 
 from .errors import DimensionMismatch, TruncationOverflow
@@ -70,18 +71,17 @@ def unit_mono(dim: int) -> Monomial:
 
 
 def monomials_up_to(dim: int, degree: int) -> list[Monomial]:
-    """All PBW monomials of total degree <= degree, in canonical order."""
-    out = [()] if dim == 0 else []
-    if dim > 0:
-        def rec(prefix, remaining, slots):
-            if slots == 0:
-                out.append(tuple(prefix))
-                return
-            for a in range(remaining + 1):
-                rec(prefix + [a], remaining - a, slots - 1)
-        rec([], degree, dim)
-    out.sort(key=mono_key)
-    return out
+    """All PBW monomials of total degree <= degree, in canonical order.
+
+    The sorted words of each degree come out of
+    ``combinations_with_replacement`` in lexicographic order, which is the
+    ``mono_key`` order.
+    """
+    return [
+        tuple(word.count(i) for i in range(dim))
+        for d in range(degree + 1)
+        for word in combinations_with_replacement(range(dim), d)
+    ]
 
 
 def _entry(fiber: LieFiber, m: Monomial, i: int):

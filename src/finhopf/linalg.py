@@ -4,14 +4,14 @@ Matrices are stored dense, but all elimination happens on sparse rows in
 one helper, ``_eliminate``: each row is reduced against the pivot rows
 found so far, and back substitution finishes the job.  The reduced row
 echelon form is unique, so results are canonical: ``solve`` and ``inverse``
-read it off ``QMatrix.rref``, ``rank_of_rows`` (behind ``QMatrix.rank``)
-counts its pivots, and ``nullspace_of_rows`` (behind ``QMatrix.nullspace``)
-returns the unique basis of the kernel that is itself in reduced echelon
-form with pivot entries 1.  The two ``_of_rows`` functions also take sparse
-systems directly, with entries that may be ``int``s or ``Fraction``s.
-``nullspace_of_rows`` first splits the system into blocks of columns that
-share rows and solves each block on its own; a block of one column needs no
-elimination at all.
+read it off ``QMatrix.rref``, and ``nullspace_of_rows`` (behind
+``QMatrix.nullspace``) returns the unique basis of the kernel that is itself
+in reduced echelon form with pivot entries 1.  That kernel is the one answer
+to rank and invertibility too: a rank is the number of columns minus the
+kernel dimension.  ``nullspace_of_rows`` also takes sparse systems directly,
+with entries that may be ``int``s or ``Fraction``s; it first splits the
+system into blocks of columns that share rows and solves each block on its
+own, and a block of one column needs no elimination at all.
 """
 
 from __future__ import annotations
@@ -64,14 +64,6 @@ def _eliminate(rows):
             f = row[q]
             add_terms(row, ((c, -f * x) for c, x in pivot_rows[q].items()))
     return pivots, [pivot_rows[p] for p in pivots]
-
-
-def rank_of_rows(rows) -> int:
-    """The rank of a system given as zero-free sparse ``{col: value}`` rows.
-
-    The rows are consumed by the elimination.
-    """
-    return len(_eliminate(rows)[0])
 
 
 def _block_kernel(rows, columns):
@@ -260,7 +252,7 @@ class QMatrix:
         return QMatrix(dense, cols=self.cols), pivots
 
     def rank(self) -> int:
-        return rank_of_rows({j: x for j, x in enumerate(r) if x} for r in self.data)
+        return self.cols - len(self.nullspace())
 
     def nullspace(self):
         """Canonical kernel basis: echelonized rows with pivot entries 1."""
@@ -297,7 +289,8 @@ class QMatrix:
         return QMatrix([r[n:] for r in reduced.data], cols=n)
 
     def is_invertible(self) -> bool:
-        return self.inverse() is not None
+        """Square with an empty kernel; no inverse is built."""
+        return self.rows == self.cols and not self.nullspace()
 
     def char_poly(self):
         """Characteristic polynomial coefficients, ascending: x^n + c[n-1]x^(n-1)+...

@@ -502,7 +502,7 @@ def test_theta_is_bijective_and_homomorphic_on_sign_line():
     assert theta.all_bijective
     assert theta.dims_at("x") == (10, 10)
     assert theta.hom_checks and all(c.ok for c in theta.hom_checks)
-    assert theta.witness_outside_image("x") is None
+    assert theta.witnesses.get("x") is None
     # theta sends the degree-one monomial over the unit arrow to the primitive
     unit = theta.domain.groupoid.units["x"]
     x1 = theta.domain.basis_element((unit, (1,)))
@@ -518,7 +518,7 @@ def test_theta_detects_missing_group_algebra_part():
     assert theta.dims_at("pt") == (2, 6)
     assert theta.ranks["pt"] == 2
     assert not theta.all_bijective
-    assert theta.witness_outside_image("pt") is not None
+    assert theta.witnesses.get("pt") is not None
 
 
 def theta_of(carrier):
@@ -542,7 +542,7 @@ def test_theta_builds_no_dense_matrix(make_carrier, monkeypatch):
     action = build_prim_action(carrier, gsp, prim)
     monkeypatch.setattr(QMatrix, "__init__", counting)
     theta = build_theta(carrier, gsp, prim, action)
-    witnesses = [theta.witness_outside_image(p) for p in carrier.base.points]
+    witnesses = [theta.witnesses.get(p) for p in carrier.base.points]
     assert built == []
     assert [w is None for w in witnesses] == [theta.bijective_at(p) for p in carrier.base.points]
     assert len(theta.matrices) == len(built) == len(carrier.base.points)
@@ -554,7 +554,39 @@ def test_witness_is_the_first_pivot_of_the_dense_left_kernel():
     m = theta.matrices["pt"]
     kernel = QMatrix([m.column(j) for j in range(m.cols)]).nullspace()
     first = next(i for i, c in enumerate(kernel[0]) if c)
-    assert theta.witness_outside_image("pt") == theta.codomain.format_label(labels[first])
+    assert theta.witnesses.get("pt") == theta.codomain.format_label(labels[first])
+
+
+def test_analyze_solves_the_theta_system_once_per_point(monkeypatch):
+    carrier = funs3()
+    solved = []
+    real = analysis_module.ThetaMap._rows_at
+
+    def counting(self, point):
+        solved.append(point)
+        return real(self, point)
+
+    monkeypatch.setattr(analysis_module.ThetaMap, "_rows_at", counting)
+    report = analyze(carrier, samples=20).decision
+    assert report.verdict == "NOT_ISO" and report.witness
+    assert solved == list(carrier.base.points)
+
+
+def misplaced_unit_model():
+    """pairh3 with the unit at x mapped to the arrow into y: the loader
+    accepts it, since the unit laws are semantic."""
+    model = pairh3_model()
+    model["groupoid"]["units"]["x"] = "ayy"
+    return model
+
+
+def test_a_unit_outside_its_fiber_is_a_primitives_error():
+    carrier = carrier_from_model(misplaced_unit_model())
+    with pytest.raises(AnalysisError) as exc:
+        solve_primitives(carrier)
+    assert exc.value.stage == "primitives"
+    assert "'x'" in exc.value.message
+    assert analyze(carrier, samples=20).decision.stage_error[0] == "axioms"
 
 
 @pytest.mark.parametrize("model", [

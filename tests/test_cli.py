@@ -12,7 +12,7 @@ from finhopf.cli import EXIT_INPUT_ERROR, EXIT_OK, EXIT_PROPERTY_FAILS, build_pa
 from finhopf.modelio import FORMAT_NAME, save_model
 from finhopf.models import funs3_model, pairh3_model, random_model, z2line_model
 
-from test_analysis import rescaled_group_algebra_model
+from test_analysis import misplaced_unit_model, rescaled_group_algebra_model
 
 
 def run(args, capsys):
@@ -117,6 +117,17 @@ def test_spectral(model_files, capsys):
     data = json.loads(out)
     assert len(data["arrows"]) == 2
     assert data["droppedNonInvariant"] == 0
+
+
+def test_primitives_on_a_misplaced_unit_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "misplaced-unit.json"
+    save_model(misplaced_unit_model(), path)
+    for extra in ([], ["--json"]):
+        code, out, err = run(["primitives", str(path), *extra], capsys)
+        assert code == EXIT_INPUT_ERROR and out == ""
+        assert err.startswith("error: [primitives] the unit at 'x'")
+    code, out, _ = run(["cgk", str(path)], capsys)
+    assert code == EXIT_INPUT_ERROR and "stage axioms failed" in out
 
 
 def test_cgk_exit_codes(model_files, capsys):

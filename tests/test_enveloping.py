@@ -1,5 +1,6 @@
 """Truncated enveloping algebras: straightening goldens, Hopf laws, overflow."""
 
+import itertools
 import random
 from fractions import Fraction
 from math import comb
@@ -44,6 +45,13 @@ def gen(i, n=4):
 
 
 P, Q, Z = (0,), (1,), (2,)  # generator indices as words
+
+
+@pytest.mark.parametrize("dim", range(6))
+def test_monomials_up_to_is_every_exponent_vector_in_canonical_order(dim):
+    for degree in range(9 if dim < 4 else 6):
+        every = [m for m in itertools.product(range(degree + 1), repeat=dim) if sum(m) <= degree]
+        assert monomials_up_to(dim, degree) == sorted(every, key=mono_key)
 
 
 def test_monomials_up_to_counts():

@@ -158,6 +158,31 @@ def test_inverse_golden():
     assert not QMatrix([[1, 2], [2, 4]]).is_invertible()
 
 
+SQUARE_MATRICES = st.integers(0, 5).flatmap(
+    lambda n: st.lists(st.lists(ENTRIES, min_size=n, max_size=n), min_size=n, max_size=n)
+    .map(lambda data: QMatrix(data, cols=n))
+)
+
+
+@settings(derandomize=True, database=None, max_examples=200)
+@given(st.one_of(SQUARE_MATRICES, MATRICES))
+def test_invertible_exactly_when_an_inverse_exists(m):
+    assert m.is_invertible() == (m.inverse() is not None)
+
+
+@pytest.mark.parametrize("m, invertible", [
+    (QMatrix([], cols=0), True),
+    (QMatrix.identity(3), True),
+    (QMatrix([[1, 2], [2, 4]]), False),
+    (QMatrix([[1, 0, 0], [0, 1, 0]]), False),
+    (QMatrix([[1, 0], [0, 1], [0, 0]]), False),
+    (QMatrix.from_columns([], rows=2), False),
+])
+def test_invertibility_on_square_non_square_and_empty_shapes(m, invertible):
+    assert m.is_invertible() is invertible
+    assert (m.inverse() is not None) is invertible
+
+
 def test_zero_dimensional_edge_cases():
     empty = QMatrix([], cols=0)
     assert empty.inverse() == empty

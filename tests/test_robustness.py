@@ -1,0 +1,163 @@
+"""Seeded perturbations of valid models through every model command.
+
+Each document is a preset or a ``random_model`` with one to three random
+edits: groupoid units, inverses and compose rows remapped or dropped, action
+entries changed, brackets added and the truncation lowered to 0-2 on
+convolution models; products, coproducts, counits and antipodes changed or
+dropped on tables.  Whatever the edits, a command must end with exit code 0,
+1 or 2 and let no exception escape.
+"""
+
+import random
+from functools import partial
+
+import pytest
+
+from finhopf.cli import main
+from finhopf.modelio import save_model
+from finhopf.models import funs3_model, pairh3_model, random_model, z2line_model
+
+SOURCES = {
+    "z2line": z2line_model,
+    "pairh3": pairh3_model,
+    "funs3": funs3_model,
+    **{f"random{seed}": partial(random_model, seed) for seed in range(8)},
+}
+COMMANDS = ("validate", "check-axioms", "primitives", "grouplikes", "spectral", "cgk", "roundtrip")
+# Fewer samples than the defaults keep the sampled commands quick.
+SAMPLED = {"check-axioms", "cgk", "roundtrip"}
+SCALARS = (0, 1, -1, 2, "1/2", "-5/3", f"{10**30}/7")
+DOCUMENTS_PER_SOURCE = 3
+
+
+def _drop(rng, items):
+    """Remove one random entry of a list or a dict, if it has one."""
+    if items:
+        items.pop(rng.randrange(len(items)) if isinstance(items, list) else rng.choice(sorted(items)))
+
+
+def _arrow(model, rng):
+    return rng.choice(model["groupoid"]["arrows"])["id"]
+
+
+def _label(model, rng):
+    return rng.choice(model["table"]["basis"])["id"]
+
+
+def remap_unit(model, rng):
+    units = model["groupoid"]["units"]
+    if units:
+        units[rng.choice(sorted(units))] = _arrow(model, rng)
+
+
+def drop_unit(model, rng):
+    _drop(rng, model["groupoid"]["units"])
+
+
+def remap_inverse(model, rng):
+    inverse = model["groupoid"]["inverse"]
+    if inverse:
+        inverse[rng.choice(sorted(inverse))] = _arrow(model, rng)
+
+
+def drop_inverse(model, rng):
+    _drop(rng, model["groupoid"]["inverse"])
+
+
+def remap_compose(model, rng):
+    rows = model["groupoid"]["compose"]
+    if rows:
+        rng.choice(rows)[rng.randrange(3)] = _arrow(model, rng)
+
+
+def drop_compose(model, rng):
+    _drop(rng, model["groupoid"]["compose"])
+
+
+def change_action_entry(model, rng):
+    matrix = rng.choice(model["action"])["matrix"]
+    if matrix and matrix[0]:
+        row = rng.choice(matrix)
+        row[rng.randrange(len(row))] = rng.choice(SCALARS)
+
+
+def add_bracket(model, rng):
+    fiber = rng.choice(model["bundle"])
+    if fiber["basis"]:
+        a, b, c = (rng.choice(fiber["basis"]) for _ in range(3))
+        fiber["brackets"].append([a, b, {c: rng.choice(SCALARS[1:])}])
+
+
+def lower_truncation(model, rng):
+    model["truncation"] = rng.randint(0, 2)
+
+
+def change_product(model, rng):
+    rows = model["table"]["mul"]
+    if rows:
+        rng.choice(rows)[2] = {_label(model, rng): rng.choice(SCALARS[1:])}
+
+
+def drop_product(model, rng):
+    _drop(rng, model["table"]["mul"])
+
+
+def change_coproduct(model, rng):
+    terms = model["table"]["delta"].get(_label(model, rng))
+    if terms:
+        k = rng.randrange(3)
+        rng.choice(terms)[k] = _label(model, rng) if k < 2 else rng.choice(SCALARS[1:])
+
+
+def drop_coproduct(model, rng):
+    _drop(rng, model["table"]["delta"].get(_label(model, rng)))
+
+
+def change_counit(model, rng):
+    model["table"]["counit"][_label(model, rng)] = rng.choice(SCALARS)
+
+
+def drop_counit(model, rng):
+    _drop(rng, model["table"]["counit"])
+
+
+def change_antipode(model, rng):
+    model["table"]["antipode"][_label(model, rng)] = {_label(model, rng): rng.choice(SCALARS[1:])}
+
+
+def drop_antipode(model, rng):
+    _drop(rng, model["table"]["antipode"])
+
+
+EDITS = {
+    "convolution": (remap_unit, drop_unit, remap_inverse, drop_inverse, remap_compose,
+                    drop_compose, change_action_entry, add_bracket, lower_truncation),
+    "table": (change_product, drop_product, change_coproduct, drop_coproduct,
+              change_counit, drop_counit, change_antipode, drop_antipode),
+}
+
+
+def perturbed(model, rng):
+    """``model`` with one to three random edits made in place, and their names."""
+    edits = [rng.choice(EDITS[model["kind"]]) for _ in range(rng.randint(1, 3))]
+    for edit in edits:
+        edit(model, rng)
+    return model, [edit.__name__ for edit in edits]
+
+
+@pytest.mark.parametrize("source", sorted(SOURCES))
+def test_perturbed_models_end_every_command_with_an_exit_code(source, tmp_path, capsys):
+    rng = random.Random(source)
+    for k in range(DOCUMENTS_PER_SOURCE):
+        model, edits = perturbed(SOURCES[source](), rng)
+        path = tmp_path / f"{source}-{k}.json"
+        save_model(model, path)
+        for command in COMMANDS:
+            args = [command, str(path)] + (["--samples", "10"] if command in SAMPLED else [])
+            try:
+                code = main(args)
+            except Exception as exc:
+                raise AssertionError(f"{command} on {source} with {edits} raised") from exc
+            capsys.readouterr()
+            assert code in (0, 1, 2), (command, source, edits, code)
+
