@@ -279,11 +279,6 @@ def solve_grouplikes_at(carrier: HopfAlgebroid, point) -> list:
     return _grouplikes_table(carrier, point)
 
 
-def _is_s_invariant_grouplike(carrier, rep) -> bool:
-    srep = carrier.antipode(rep)
-    return carrier.delta(srep) == FiberTensor.of_pair(srep, srep)
-
-
 def _source_of(carrier, rep, point):
     source = None
     for x in carrier.base.points:
@@ -324,52 +319,42 @@ def build_spectral_groupoid(carrier: HopfAlgebroid) -> SpectralGroupoid:
     dropped = 0
     for y in carrier.base.points:
         for rep in solve_grouplikes_at(carrier, y):
-            if not _is_s_invariant_grouplike(carrier, rep):
+            srep = carrier.antipode(rep)
+            if carrier.delta(srep) != FiberTensor.of_pair(srep, srep):
                 dropped += 1
                 continue
-            records.append((y, _source_of(carrier, rep, y), rep))
+            records.append((y, _source_of(carrier, rep, y), rep, srep))
     point_index = {p: i for i, p in enumerate(carrier.base.points)}
     records.sort(key=lambda r: (point_index[r[0]], point_index[r[1]], r[2].signature()))
 
     ids = [f"s{i}" for i in range(len(records))]
-    by_signature = {rep.signature(): ids[i] for i, (_y, _x, rep) in enumerate(records)}
+    by_signature = {rep.signature(): ids[i] for i, (_y, _x, rep, _s) in enumerate(records)}
     if len(by_signature) != len(records):
         raise AnalysisError("spectral", "duplicate grouplike representatives")
     source = {ids[i]: rec[1] for i, rec in enumerate(records)}
     target = {ids[i]: rec[0] for i, rec in enumerate(records)}
     reps = {ids[i]: rec[2] for i, rec in enumerate(records)}
 
-    units = {}
-    for x in carrier.base.points:
-        sig = carrier.unit_at(x).signature()
-        if sig not in by_signature:
-            raise AnalysisError(
-                "spectral", f"the embedded unit at {x!r} is not among the grouplikes"
-            )
-        units[x] = by_signature[sig]
+    def arrow(element, message):
+        """The spectral arrow whose representative is ``element``."""
+        found = by_signature.get(element.signature())
+        if found is None:
+            raise AnalysisError("spectral", message)
+        return found
 
-    inverse = {}
-    for g in ids:
-        sig = carrier.antipode(reps[g]).signature()
-        if sig not in by_signature:
-            raise AnalysisError(
-                "spectral", f"antipode of arrow {g!r} leaves the grouplike set"
-            )
-        inverse[g] = by_signature[sig]
-
-    compose = {}
-    for g in ids:
-        for h in ids:
-            if source[g] != target[h]:
-                continue
-            prod = carrier.mul(reps[g], reps[h])
-            sig = prod.signature()
-            if sig not in by_signature:
-                raise AnalysisError(
-                    "spectral",
-                    f"product of arrows {g!r}, {h!r} leaves the grouplike set",
-                )
-            compose[(g, h)] = by_signature[sig]
+    units = {
+        x: arrow(carrier.unit_at(x), f"the embedded unit at {x!r} is not among the grouplikes")
+        for x in carrier.base.points
+    }
+    inverse = {
+        g: arrow(rec[3], f"antipode of arrow {g!r} leaves the grouplike set")
+        for g, rec in zip(ids, records)
+    }
+    compose = {
+        (g, h): arrow(carrier.mul(reps[g], reps[h]),
+                      f"product of arrows {g!r}, {h!r} leaves the grouplike set")
+        for g in ids for h in ids if source[g] == target[h]
+    }
 
     groupoid = FiniteGroupoid(carrier.base, ids, source, target, units, inverse, compose)
     violations = groupoid.validate()

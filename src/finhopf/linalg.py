@@ -11,7 +11,9 @@ to rank and invertibility too: a rank is the number of columns minus the
 kernel dimension.  ``nullspace_of_rows`` also takes sparse systems directly,
 with entries that may be ``int``s or ``Fraction``s; it first splits the
 system into blocks of columns that share rows and solves each block on its
-own, and a block of one column needs no elimination at all.
+own, and a block of one column needs no elimination at all.  A larger block
+is eliminated once, pivots taken from the right, which leaves each free
+column's kernel vector already canonical.
 """
 
 from __future__ import annotations
@@ -67,19 +69,25 @@ def _eliminate(rows):
 
 
 def _block_kernel(rows, columns):
-    """Canonical kernel rows, as sparse maps, of the ``rows`` over ``columns`` (ascending)."""
-    pivots, reduced = _eliminate(rows)
-    pivot_set = set(pivots)
-    raw = []
+    """Canonical kernel rows, as sparse maps, of the ``rows`` over ``columns`` (ascending).
+
+    One elimination with the column keys negated makes each pivot the
+    rightmost column of its row.  So a free column f gives e_f minus, at each
+    pivot p right of f, row p's entry at f: a vector led by its 1 at f and
+    zero at every other free column, which is the canonical vector itself.
+    """
+    pivots, reduced = _eliminate([{-c: x for c, x in row.items()} for row in rows])
+    pivot_set = {-p for p in pivots}
+    kernel = []
     for f in columns:
         if f in pivot_set:
             continue
         v = {f: _ONE}
         for p, row in zip(pivots, reduced):
-            if f in row:
-                v[p] = -row[f]
-        raw.append(v)
-    return _eliminate(raw)[1]
+            if -f in row:
+                v[-p] = -row[-f]
+        kernel.append(v)
+    return kernel
 
 
 def nullspace_of_rows(rows, cols):
@@ -87,7 +95,7 @@ def nullspace_of_rows(rows, cols):
 
     ``rows`` are ``{col: value}`` maps over ``cols`` unknowns, with ``int`` or
     ``Fraction`` values and no zero entry; an empty map is no equation.  They
-    are consumed by the elimination.  The basis vectors are dense tuples of
+    are left as they are.  The basis vectors are dense tuples of
     ``Fraction``s: the unique basis of the kernel that is itself in reduced
     echelon form with pivot entries 1.
 
@@ -95,7 +103,8 @@ def nullspace_of_rows(rows, cols):
     direct sum of the block kernels, and merging their canonical bases by
     leading column gives the canonical basis of the whole.  A one-column
     block is the unit vector of its column when no row holds it, and adds
-    nothing otherwise; a larger block is eliminated on its own rows.
+    nothing otherwise; a larger block is eliminated once on its own rows,
+    pivots from the right (``_block_kernel``).
     """
     parent = list(range(cols))
 
@@ -296,18 +305,19 @@ class QMatrix:
         """Characteristic polynomial coefficients, ascending: x^n + c[n-1]x^(n-1)+...
 
         Computed by the Faddeev-LeVerrier recursion, which stays in exact
-        rationals throughout.
+        rationals throughout: M_k = A M_(k-1) + c_(n-k+1) I and
+        c_(n-k) = -tr(A M_k) / k.  Each step multiplies by A once: the next
+        step starts from the product A M_k taken for the trace.
         """
         if self.rows != self.cols:
             raise DimensionMismatch("characteristic polynomial needs a square matrix")
         n = self.rows
         coeffs = [_ZERO] * n + [_ONE]
-        m = QMatrix.zeros(n, n)
+        am = QMatrix.zeros(n, n)
         ident = QMatrix.identity(n)
         c = _ONE
         for k in range(1, n + 1):
-            m = self * m + ident.scale(c)
-            am = self * m
+            am = self * (am + ident.scale(c))
             trace = sum((am.data[i][i] for i in range(n)), _ZERO)
             c = -trace / k
             coeffs[n - k] = c

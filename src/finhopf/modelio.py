@@ -298,10 +298,19 @@ def save_model(model, path) -> None:
 
 
 def _read_document(path):
-    """The parsed JSON document at ``path``, not yet validated as a model."""
+    """The parsed JSON document at ``path``, not yet validated as a model;
+    a key repeated in one JSON object is an error, not a silent override."""
+    def unique_keys(pairs):
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ModelFormatError(str(path), f"duplicate JSON key {key!r}")
+            obj[key] = value
+        return obj
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=unique_keys)
     except OSError as exc:
         raise ModelFormatError(str(path), f"cannot read file: {exc}") from None
     except json.JSONDecodeError as exc:

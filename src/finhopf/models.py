@@ -255,7 +255,8 @@ def random_model(seed: int):
         "compose": compose,
     }
     model["bundle"] = [
-        {"point": p, "basis": list(basis), "brackets": brackets} for p in points
+        {"point": p, "basis": list(basis), "brackets": [[a, b, dict(c)] for a, b, c in brackets]}
+        for p in points
     ]
     model["action"] = action
     model["truncation"] = 3 if kind == "heisenberg" else 4

@@ -15,6 +15,7 @@ from finhopf.algebroid import (
     AlgebroidElement,
     ConvolutionAlgebroid,
     FiberTensor,
+    HopfAlgebroid,
     TableAlgebroid,
     check_axioms,
     run_law,
@@ -302,6 +303,24 @@ def test_non_involutive_antipode_caught_by_suite():
     assert not report.ok
     assert any(c.name in ("antipode_involutive", "axiom_iv_antipode_on_base")
                for c in report.failures())
+
+
+def test_each_single_sample_coproduct_is_built_once(monkeypatch):
+    carrier = carrier_from_model(load("workloads").sl2_model(4))
+    calls = []
+    real = HopfAlgebroid.delta
+
+    def counting(self, a):
+        calls.append(1)
+        return real(self, a)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(HopfAlgebroid, "delta", counting)
+        report = check_axioms(carrier, samples=100)
+    assert report.ok and len(carrier.base.points) == 1
+    # One per single sample for the five laws that read it, three per pair
+    # for the multiplicative coproduct, and one per point on the base.
+    assert len(calls) == 100 + 3 * 100 + 1
 
 
 SAMPLED_LAWS = {

@@ -166,10 +166,9 @@ def test_convolution_primitive_systems_need_no_elimination(monkeypatch):
     for carrier in (pairh3_at(6), carrier_from_model(load("workloads").sl2_model(6))):
         assert eliminations_in_solve(monkeypatch, carrier)[1] == 0
     # The unit of Fun(S3) is the sum of all six indicators, so its unit rows
-    # join the six labels into one block: one elimination of its rows and one
-    # of its kernel vectors.
+    # join the six labels into one block, eliminated once.
     prim, count = eliminations_in_solve(monkeypatch, funs3())
-    assert count == 2
+    assert count == 1
     assert prim.ranks() == {"pt": 0}
 
 

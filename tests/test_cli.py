@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from finhopf.cli import EXIT_INPUT_ERROR, EXIT_OK, EXIT_PROPERTY_FAILS, build_parser, main
-from finhopf.modelio import FORMAT_NAME, save_model
+from finhopf.modelio import FORMAT_NAME, model_to_text, save_model
 from finhopf.models import funs3_model, pairh3_model, random_model, z2line_model
 
 from test_analysis import misplaced_unit_model, rescaled_group_algebra_model
@@ -150,6 +150,71 @@ def test_roundtrip(model_files, capsys):
     code, out, err = run(["roundtrip", model_files["funs3"]], capsys)
     assert code == EXIT_INPUT_ERROR and out == ""
     assert err == "error: [roundtrip] round trip needs a constructed (convolution) model\n"
+
+
+def test_a_repeated_json_key_is_a_model_error(tmp_path, capsys):
+    # Were the last value kept, Fun(S3) would load with counit(d012) = 0: a
+    # valid model that only the axiom suite rejects.
+    text = model_to_text(funs3_model())
+    counit = '"counit": {\n      "d012": 1\n    }'
+    assert counit in text
+    path = tmp_path / "repeated.json"
+    path.write_text(text.replace(counit, '"counit": {"d012": 1, "d012": 0}'), encoding="utf-8")
+    for command in ("validate", "check-axioms"):
+        code, out, err = run([command, str(path)], capsys)
+        assert (code, out) == (EXIT_INPUT_ERROR, "")
+        assert err == f"model error: {path}: duplicate JSON key 'd012'\n"
+
+
+def unit_arrows_model(dims):
+    """Only unit arrows, over one point per entry of ``dims``, each with an
+    abelian fiber of that dimension."""
+    points = ["x", "y"][:len(dims)]
+    model = {key: z2line_model()[key] for key in ("format", "version")}
+    model.update(
+        kind="convolution",
+        base=points,
+        groupoid={
+            "arrows": [{"id": f"e{p}", "src": p, "tgt": p} for p in points],
+            "units": {p: f"e{p}" for p in points},
+            "inverse": {f"e{p}": f"e{p}" for p in points},
+            "compose": [[f"e{p}"] * 3 for p in points],
+        },
+        bundle=[{"point": p, "basis": [f"P{i}" for i in range(d)], "brackets": []}
+                for p, d in zip(points, dims)],
+        action=[{"arrow": f"e{p}", "matrix": [[int(i == j) for j in range(d)] for i in range(d)]}
+                for p, d in zip(points, dims)],
+        truncation=2,
+    )
+    return model
+
+
+def test_non_constant_primitive_rank_is_reported_and_still_decided(tmp_path, capsys):
+    path = tmp_path / "ranks-1-0.json"
+    save_model(unit_arrows_model([1, 0]), path)
+    code, out, _ = run(["cgk", str(path), "--json"], capsys)
+    data = json.loads(out)
+    assert code == EXIT_OK and data["verdict"] == "ISO"
+    assert data["constantRank"] is False and data["primRank"] == {"x": 1, "y": 0}
+    assert data["hypothesisFailures"] == [
+        "primitive module does not have constant rank (hypothesis i)"]
+    assert data["annotations"] == ["decomposition evaluated despite non-constant primitive rank"]
+    assert data["spectral"] == {"arrows": 2}
+    code, out, _ = run(["roundtrip", str(path)], capsys)
+    assert code == EXIT_OK and out.endswith("round trip: ok\n")
+
+
+def test_a_zero_dimensional_fiber_is_decided_as_its_unit_arrow(tmp_path, capsys):
+    path = tmp_path / "point.json"
+    save_model(unit_arrows_model([0]), path)
+    code, out, _ = run(["cgk", str(path), "--json"], capsys)
+    data = json.loads(out)
+    assert code == EXIT_OK and data["verdict"] == "ISO"
+    assert data["constantRank"] is True and data["primRank"] == {"x": 0}
+    assert data["spectral"] == {"arrows": 1}
+    assert data["theta"] == {"x": {"dim": 1, "rank": 1}}
+    code, out, _ = run(["roundtrip", str(path)], capsys)
+    assert code == EXIT_OK and out.endswith("round trip: ok\n")
 
 
 def readme_commands():

@@ -199,6 +199,27 @@ def test_char_poly_golden():
     assert list(m.char_poly()) == [F(-2), F(-5), F(1)]
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 5])
+def test_char_poly_multiplies_by_the_matrix_once_per_step(n, monkeypatch):
+    m = QMatrix([[(i * n + j) % 7 - 3 + (i == j) for j in range(n)] for i in range(n)])
+    calls = []
+    real = QMatrix.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        return real(self, other)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(QMatrix, "__mul__", counting)
+        coeffs = m.char_poly()
+    assert len(calls) == n
+    # Cayley-Hamilton: the polynomial vanishes at the matrix.
+    value, power = QMatrix.zeros(n, n), QMatrix.identity(n)
+    for c in coeffs:
+        value, power = value + power.scale(c), power * m
+    assert value == QMatrix.zeros(n, n)
+
+
 def test_rational_roots_golden():
     # 2x^3 - x^2 - 7x + 6 = (x-1)(x+2)(2x-3)
     coeffs = (F(6), F(-7), F(-1), F(2))

@@ -244,3 +244,83 @@ def test_label_bound_refuses_a_huge_truncation_before_enumerating(tmp_path, caps
     monkeypatch.setattr(algebroid, "CONVOLUTION_MAX_LABELS", 139)
     with pytest.raises(ModelFormatError, match="got 140 at truncation 4"):
         carrier_from_model(pairh3_model())
+
+
+def two_point_table_model():
+    """Indicators of two isolated units, one at each of two points, as a table."""
+    model = {key: z2line_model()[key] for key in ("format", "version")}
+    model.update(kind="table", base=["x", "y"], table={
+        "basis": [{"id": "ux", "target": "x"}, {"id": "uy", "target": "y"}],
+        "baseEmbedding": {"x": {"ux": 1}, "y": {"uy": 1}},
+        "mul": [["ux", "ux", {"ux": 1}], ["uy", "uy", {"uy": 1}]],
+        "delta": {"ux": [["ux", "ux", 1]], "uy": [["uy", "uy", 1]]},
+        "counit": {"ux": 1, "uy": 1},
+        "antipode": {"ux": {"ux": 1}, "uy": {"uy": 1}},
+    })
+    return model
+
+
+def _add_label_without_right_unit(table):
+    # g at x is fixed by the left local unit, but no product g * u is given.
+    table["basis"].append({"id": "g", "target": "x"})
+    table["mul"].append(["ux", "g", {"g": 1}])
+
+
+# One edit of the two-point table per coherence check of table import, with
+# the exact line ``validate`` prints for it.
+TABLE_IMPORT_ERRORS = [
+    pytest.param(lambda t: t["basis"][1].update(id="ux"),
+                 "duplicate basis names", id="duplicate-name"),
+    pytest.param(lambda t: t["basis"][1].update(target="z"),
+                 "basis element 'uy' has no valid target point", id="no-target"),
+    pytest.param(lambda t: t["baseEmbedding"].pop("y"),
+                 "base embedding must cover every point exactly", id="embedding-cover"),
+    pytest.param(lambda t: t["baseEmbedding"]["x"].update(ghost=1),
+                 "base embedding at 'x' mentions unknown name 'ghost'", id="embedding-name"),
+    pytest.param(lambda t: t["baseEmbedding"]["x"].update(uy=1),
+                 "base embedding at 'x' touches 'uy' with target 'y'", id="embedding-point"),
+    pytest.param(lambda t: t["mul"].append(["ux", "ghost", {"ux": 1}]),
+                 "product table uses unknown pair ('ux', 'ghost')", id="product-pair"),
+    pytest.param(lambda t: t["mul"][0][2].update(ghost=1),
+                 "product ('ux', 'ux') mentions unknown name 'ghost'", id="product-name"),
+    pytest.param(lambda t: t["mul"][0][2].update(uy=1),
+                 "product ('ux', 'ux') leaves the target grading", id="product-grading"),
+    pytest.param(lambda t: t["delta"].update(ghost=[["ux", "ux", 1]]),
+                 "delta table has an entry for unknown label 'ghost'", id="delta-label"),
+    pytest.param(lambda t: t["counit"].update(ghost=1),
+                 "counit table has an entry for unknown label 'ghost'", id="counit-label"),
+    pytest.param(lambda t: t["antipode"].update(ghost={"ux": 1}),
+                 "antipode table has an entry for unknown label 'ghost'", id="antipode-label"),
+    pytest.param(lambda t: t["delta"]["ux"].append(["ux", "ghost", 1]),
+                 "coproduct of 'ux' uses unknown names", id="coproduct-name"),
+    pytest.param(lambda t: t["delta"]["ux"].append(["ux", "uy", 1]),
+                 "coproduct of 'ux' is not fiberwise at its target", id="coproduct-fiber"),
+    # Within an entry, every name of the embedding is checked before any
+    # placement, but each coproduct term is checked in full as it comes.
+    pytest.param(lambda t: t["baseEmbedding"]["x"].update(uy=1, ghost=1),
+                 "base embedding at 'x' mentions unknown name 'ghost'", id="embedding-names-first"),
+    pytest.param(lambda t: t["delta"]["ux"].extend([["ux", "uy", 1], ["ux", "ghost", 1]]),
+                 "coproduct of 'ux' is not fiberwise at its target", id="coproduct-term-order"),
+    pytest.param(lambda t: t["antipode"]["uy"].update(ghost=1),
+                 "antipode of 'uy' mentions unknown name 'ghost'", id="antipode-name"),
+    pytest.param(lambda t: t["mul"][0][2].update(ux=2),
+                 "embedded unit at 'x' does not act as the left local unit on 'ux'",
+                 id="left-unit"),
+    pytest.param(_add_label_without_right_unit,
+                 "global unit fails on the right of 'g'", id="right-unit"),
+]
+
+
+@pytest.mark.parametrize("edit, message", TABLE_IMPORT_ERRORS)
+def test_each_table_import_error_has_its_own_message(edit, message, tmp_path, capsys):
+    model = two_point_table_model()
+    edit(model["table"])
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    assert main(["validate", str(path)]) == EXIT_INPUT_ERROR
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"model error: model.table: {message}\n")
+
+
+def test_the_two_point_table_imports():
+    assert carrier_from_model(two_point_table_model()).dim == 2

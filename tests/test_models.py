@@ -57,6 +57,22 @@ def test_random_model_is_deterministic():
     assert random_model(17) != random_model(18)
 
 
+def test_editing_a_random_model_leaves_every_other_one_as_it_was():
+    # Heisenberg fibers carry a bracket; the robustness suite edits brackets
+    # in place, so no document may share them with another or with the
+    # generator.
+    seeds = [s for s in range(32) if random_model(s)["bundle"][0]["brackets"]]
+    assert seeds
+    before = {s: model_to_text(random_model(s)) for s in seeds}
+    for s in seeds:
+        model = random_model(s)
+        first, *rest = model["bundle"]
+        first["brackets"][0][2]["P"] = 5
+        first["brackets"].append(["Q", "Z", {"P": 1}])
+        assert all(fiber["brackets"] == [["P", "Q", {"Z": 1}]] for fiber in rest)
+    assert {s: model_to_text(random_model(s)) for s in seeds} == before
+
+
 def test_random_model_documents_are_pinned():
     """The benchmark corpus and its reference digests are built from these documents."""
     text = "".join(model_to_text(random_model(s)) for s in range(256))
