@@ -78,13 +78,6 @@ class PrimBasis:
     anchor_trivial: bool = True
     bracket_closed: bool = True
 
-    @property
-    def elements(self):
-        out = []
-        for p in self.carrier.base.points:
-            out.extend(self.per_point.get(p, []))
-        return out
-
     def rank_at(self, point) -> int:
         return len(self.per_point.get(point, []))
 
@@ -525,8 +518,8 @@ class ThetaMap:
         return out
 
     def apply(self, u: AlgebroidElement) -> AlgebroidElement:
-        terms = linear(u.coeffs.items(), lambda l: self.images[l].coeffs.items())
-        return AlgebroidElement(self.codomain, terms)
+        terms = linear(u._c.items(), lambda l: self.images[l]._c.items())
+        return AlgebroidElement._of(self.codomain, terms)
 
     def dims_at(self, point):
         return (
@@ -648,7 +641,7 @@ def _map_tensor(tensor: FiberTensor, theta: ThetaMap) -> FiberTensor:
     codomain, images = theta.codomain, theta.images
 
     def image(key):
-        return pair_terms(codomain, images[key[0]].coeffs.items(), images[key[1]].coeffs.items())
+        return pair_terms(codomain, images[key[0]]._c.items(), images[key[1]]._c.items())
 
     return FiberTensor._fiberwise(codomain, 2, linear(tensor._d.items(), image))
 

@@ -46,13 +46,6 @@ class LieFiber:
         return len(self.basis)
 
     @classmethod
-    def abelian(cls, basis) -> "LieFiber":
-        basis = tuple(basis)
-        n = len(basis)
-        zero = tuple(tuple(tuple(_ZERO for _ in range(n)) for _ in range(n)) for _ in range(n))
-        return cls(basis, zero)
-
-    @classmethod
     def from_sparse(cls, basis, entries) -> "LieFiber":
         """Build from sparse entries [(i, j, coeffs)].
 
@@ -78,10 +71,6 @@ class LieFiber:
                     else:
                         table[i][j] = tuple(_ZERO for _ in range(n))
         return cls(basis, tuple(tuple(row for row in plane) for plane in table))
-
-    @classmethod
-    def heisenberg(cls, basis=("P", "Q", "Z")) -> "LieFiber":
-        return cls.from_sparse(basis, [(0, 1, (0, 0, 1))])
 
     def bracket_coeffs(self, i, j) -> tuple[Fraction, ...]:
         return self.brackets[i][j]

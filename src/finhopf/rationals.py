@@ -12,8 +12,11 @@ structure constants keep the internal form.  It only adds, subtracts and
 multiplies, which are exact on mixed ``int`` and ``Fraction`` operands; it
 never divides, since ``int / int`` is a float.
 
-Every sparse coefficient map is built by ``add_terms``, which accumulates
-``(key, c)`` pairs, or by ``linear``, the one fold of terms through a linear map.
+Every sparse coefficient map is built by one of three folds: ``add_terms``
+adds ``(key, c)`` pairs into a map, ``linear`` folds terms through a linear
+map, and ``bilinear`` folds two term sequences through a bilinear one.  Each
+runs the same accumulate step inline, with no generator per input term, and
+keeps its map zero-free: a key whose coefficient cancels is removed.
 """
 
 from __future__ import annotations
@@ -64,9 +67,7 @@ def add_terms(out: dict, pairs) -> dict:
     """Add ``(key, coeff)`` pairs into the zero-free map ``out``, in place.
 
     A key whose coefficient cancels is removed, so ``out`` stays zero-free;
-    a new key stores ``c`` itself, so callers pass Fractions.
-    Every sparse coefficient map in the package (PBW monomials, carrier
-    labels, same-target label tuples) is accumulated through here.
+    a new key stores ``c`` itself, so callers pass exact scalars.
     """
     get = out.get
     for key, c in pairs:
@@ -84,10 +85,46 @@ def add_terms(out: dict, pairs) -> dict:
 def linear(terms, image) -> dict:
     """The coefficient map of ``sum c * image(key)`` over ``(key, c)`` terms.
 
-    ``image(key)`` gives ``(key, w)`` terms, added in through one
-    ``add_terms`` per input term, in order; that fixes the key order.
+    ``image(key)`` gives ``(key, w)`` terms, accumulated as ``add_terms``
+    does, input term by input term, in order; that fixes the key order.
     """
     out = {}
+    get = out.get
     for key, c in terms:
-        add_terms(out, ((k, c * w) for k, w in image(key)))
+        for k, w in image(key):
+            w = c * w
+            acc = get(k)
+            if acc is None:
+                if w:
+                    out[k] = w
+            elif acc := acc + w:
+                out[k] = acc
+            else:
+                del out[k]
+    return out
+
+
+def bilinear(left, right, product) -> dict:
+    """The coefficient map of ``sum c1 * c2 * product(k1, k2)`` over the term pairs.
+
+    It visits the ``(k1, c1)`` terms of ``left``, and for each the ``(k2, c2)``
+    terms of ``right`` (so ``right`` is iterated once per left term), and
+    accumulates as ``add_terms`` does, in that order; that fixes the key
+    order, and the first pair whose ``product`` raises is the one reported.
+    """
+    out = {}
+    get = out.get
+    for k1, c1 in left:
+        for k2, c2 in right:
+            c12 = c1 * c2
+            for k, w in product(k1, k2):
+                w = c12 * w
+                acc = get(k)
+                if acc is None:
+                    if w:
+                        out[k] = w
+                elif acc := acc + w:
+                    out[k] = acc
+                else:
+                    del out[k]
     return out

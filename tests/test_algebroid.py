@@ -24,7 +24,7 @@ from finhopf.analysis import analyze
 from finhopf.enveloping import UElement, mono_transport, monomials_up_to
 from finhopf.errors import CoherenceError, DimensionMismatch, TruncationOverflow
 from finhopf.groupoid import BaseFun, BaseSpace
-from finhopf.liebundle import BundleAction, LieBundle, LieFiber
+from finhopf.liebundle import BundleAction, LieBundle
 from finhopf.linalg import QMatrix
 from finhopf.modelio import carrier_from_model
 from finhopf.models import funs3_model, pairh3_model, random_model, z2line_model
@@ -32,6 +32,7 @@ from finhopf.rationals import add_terms, rat_str
 
 from test_benchmark_reference import load
 from test_groupoid import base_fun, z2
+from test_liebundle import abelian, heisenberg
 
 
 def z2line():
@@ -45,7 +46,7 @@ def h3_z2_carrier(z_sign, truncation=4):
     flips Z, which does NOT preserve [P, Q] = Z.
     """
     g = z2()
-    bundle = LieBundle(g.base, (LieFiber.heisenberg(),))
+    bundle = LieBundle(g.base, (heisenberg(),))
     flip = QMatrix([[-1, 0, 0], [0, -1, 0], [0, 0, z_sign]])
     action = BundleAction(g, bundle, {"e": QMatrix.identity(3), "s": flip})
     return ConvolutionAlgebroid(g, bundle, action, truncation)
@@ -321,6 +322,25 @@ def test_each_single_sample_coproduct_is_built_once(monkeypatch):
     # One per single sample for the five laws that read it, three per pair
     # for the multiplicative coproduct, and one per point on the base.
     assert len(calls) == 100 + 3 * 100 + 1
+
+
+def test_each_pair_sample_product_is_built_once(monkeypatch):
+    carrier = carrier_from_model(load("workloads").sl2_model(4))
+    calls = []
+    real = HopfAlgebroid.mul
+
+    def counting(self, a, b):
+        calls.append(1)
+        return real(self, a, b)
+
+    with monkeypatch.context() as patch:
+        # Each carrier class binds ``mul`` in its own namespace.
+        patch.setattr(type(carrier), "mul", counting)
+        report = check_axioms(carrier, samples=100, seed=1)
+    assert report.ok
+    # Three per pair (its product, shared by three laws, then one more for the
+    # counit law and one for the antihomomorphism), four per triple.
+    assert len(calls) == 3 * 100 + 4 * 100
 
 
 SAMPLED_LAWS = {
@@ -722,7 +742,7 @@ def test_non_injective_action_overflows_label_by_label():
     an overflow of a label pair is an overflow of the whole product.
     """
     g = z2()
-    bundle = LieBundle(g.base, (LieFiber.abelian(["X", "Y"]),))
+    bundle = LieBundle(g.base, (abelian(["X", "Y"]),))
     collapse = QMatrix([[1, 1], [0, 0]])
     action = BundleAction(g, bundle, {"e": QMatrix.identity(2), "s": collapse})
     carrier = ConvolutionAlgebroid(g, bundle, action, 1)
@@ -855,6 +875,57 @@ def test_public_coefficients_are_fractions(model):
         assert all_fractions(t.data.values())
     for u in fiber_elements:
         assert all_fractions(u.terms.values())
+
+
+def test_integral_models_compute_in_ints():
+    """Integral structure constants and samples keep every stored coefficient
+    an ``int``; a ``Fraction`` would make each later product a ``Fraction`` one."""
+    models = [load("workloads").sl2_model(4), at_truncation(pairh3_model(), 4)]
+    for model in models:
+        carrier = carrier_from_model(model)
+        rng = random.Random(5)
+        stored = []
+        for _ in range(20):
+            a, b = carrier.random_element(rng), carrier.random_element(rng)
+            da = carrier.delta(a)
+            for x in (carrier.mul(a, b), carrier.antipode(a), da.collapse(),
+                      carrier.embed(carrier.counit(b))):
+                stored += x._c.values()
+            stored += da._d.values()
+        assert stored and all(type(c) is int for c in stored)
+
+
+def test_carrier_built_results_match_the_public_constructors():
+    """Each carrier operation stores exact, nonzero coefficients, equal to what
+    ``AlgebroidElement`` and ``FiberTensor`` make of its public ones."""
+    models_with_fractions = 0
+    for index in range(40):
+        carrier = carrier_from_model(random_model(index))
+        rng = random.Random(index)
+        point = carrier.base.points[0]
+        fractions = False
+        for _ in range(3):
+            a, b = carrier.random_element(rng), carrier.random_element(rng)
+            da, db = carrier.delta(a), carrier.delta(b)
+            elements = [a + b, -a, a - b, a.scale(Fraction(3, 2)), a.at_point(point),
+                        carrier.mul(a, b), carrier.antipode(a),
+                        carrier.embed(carrier.counit(b)), da.collapse(),
+                        da.counit_leg(0).to_element()]
+            tensors = [da, da + db, da - db, da.scale(2), da.scale(0),
+                       FiberTensor.of_pair(a, b), da.delta_leg(1), da.counit_leg(1),
+                       da.right_mul_leg(0, b), da.mul_pairwise(db)]
+            for x in elements:
+                assert all(type(c) in (int, Fraction) and c for c in x._c.values())
+                assert x == AlgebroidElement(carrier, x.coeffs)
+            for t in tensors:
+                assert all(type(c) in (int, Fraction) and c for c in t._d.values())
+                assert t == FiberTensor(carrier, t.arity, t.data)
+            assert da.scale(0).is_zero()
+            fractions |= any(type(c) is Fraction for x in elements[5:] for c in x._c.values())
+        models_with_fractions += fractions
+    # 13 of the 40 models have rational entries; 10 of them show one in a
+    # product, antipode, embedding or collapse of these samples.
+    assert models_with_fractions == 10
 
 
 def test_coefficient_views_are_read_only():

@@ -32,8 +32,9 @@ from finhopf.rationals import add_terms, exact
 from test_benchmark_reference import load
 from test_analysis import rescaled_group_algebra_model
 from test_groupoid import z2
+from test_liebundle import abelian, heisenberg
 
-H3 = LieFiber.heisenberg()
+H3 = heisenberg()
 
 
 def u_h3(terms, n=4):
@@ -203,7 +204,7 @@ def test_coassociativity_sampled():
 
 
 def test_transport_sign_flip():
-    x_fiber = LieFiber.abelian(("X",))
+    x_fiber = abelian(("X",))
     u = UElement(x_fiber, "pt", 4, {(3,): 1})  # X^3
     moved = u.transport(QMatrix([[-1]]), x_fiber, "pt")
     assert moved == UElement(x_fiber, "pt", 4, {(3,): -1})
@@ -523,7 +524,7 @@ def sl2_carrier(n):
 
 
 def test_tables_of_integral_fibers_hold_ints():
-    for fiber in (LieFiber.heisenberg(), sl2_carrier(4).bundle.fiber("x")):
+    for fiber in (heisenberg(), sl2_carrier(4).bundle.fiber("x")):
         for m1 in monomials_up_to(3, 2):
             for m2 in monomials_up_to(3, 2):
                 mono_mul(fiber, m1, m2, 4)

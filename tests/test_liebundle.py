@@ -11,8 +11,18 @@ from finhopf.linalg import QMatrix
 from test_groupoid import pair_groupoid, z2
 
 
+def heisenberg():
+    """A fresh Heisenberg fiber, [P, Q] = Z."""
+    return LieFiber.from_sparse(("P", "Q", "Z"), [(0, 1, (0, 0, 1))])
+
+
+def abelian(basis):
+    """The abelian fiber on ``basis``: every bracket is zero."""
+    return LieFiber.from_sparse(basis, [])
+
+
 def test_heisenberg_structure():
-    h = LieFiber.heisenberg()
+    h = heisenberg()
     assert h.dim == 3
     assert h.basis == ("P", "Q", "Z")
     assert h.bracket_coeffs(0, 1) == (0, 0, 1)
@@ -23,10 +33,10 @@ def test_heisenberg_structure():
 
 
 def test_abelian_fiber():
-    a = LieFiber.abelian(("X", "Y"))
+    a = abelian(("X", "Y"))
     assert a.validate() == []
     assert a.bracket_of_vectors((1, 0), (0, 1)) == (0, 0)
-    zero = LieFiber.abelian(())
+    zero = abelian(())
     assert zero.dim == 0 and zero.validate() == []
 
 
@@ -54,14 +64,14 @@ def test_jacobi_violation_detected():
 
 def test_bundle_validation():
     base = BaseSpace(("x", "y"))
-    bundle = LieBundle(base, (LieFiber.heisenberg(), LieFiber.heisenberg()))
+    bundle = LieBundle(base, (heisenberg(), heisenberg()))
     assert bundle.validate() == []
     assert bundle.fiber("x").basis == ("P", "Q", "Z")
 
 
 def test_action_valid_identity():
     g = pair_groupoid(["x", "y"])
-    bundle = LieBundle(g.base, (LieFiber.heisenberg(), LieFiber.heisenberg()))
+    bundle = LieBundle(g.base, (heisenberg(), heisenberg()))
     eye = QMatrix.identity(3)
     action = BundleAction(g, bundle, {a: eye for a in g.arrows})
     assert action.validate() == []
@@ -69,7 +79,7 @@ def test_action_valid_identity():
 
 def test_action_sign_flip_valid():
     g = z2()
-    bundle = LieBundle(g.base, (LieFiber.abelian(("X",)),))
+    bundle = LieBundle(g.base, (abelian(("X",)),))
     action = BundleAction(
         g, bundle, {"e": QMatrix.identity(1), "s": QMatrix([[-1]])}
     )
@@ -78,7 +88,7 @@ def test_action_sign_flip_valid():
 
 def test_action_catches_non_bracket_preserving():
     g = z2()
-    bundle = LieBundle(g.base, (LieFiber.heisenberg(),))
+    bundle = LieBundle(g.base, (heisenberg(),))
     bad = QMatrix([[1, 0, 0], [0, 1, 0], [0, 0, -1]])  # Z -> -Z but [P,Q]=Z fixed
     action = BundleAction(g, bundle, {"e": QMatrix.identity(3), "s": bad})
     assert any("bracket" in v for v in action.validate())
@@ -86,7 +96,7 @@ def test_action_catches_non_bracket_preserving():
 
 def test_action_catches_non_functorial():
     g = z2()
-    bundle = LieBundle(g.base, (LieFiber.abelian(("X",)),))
+    bundle = LieBundle(g.base, (abelian(("X",)),))
     action = BundleAction(
         g, bundle, {"e": QMatrix.identity(1), "s": QMatrix([[2]])}
     )
@@ -96,7 +106,7 @@ def test_action_catches_non_functorial():
 
 def test_action_catches_non_identity_unit():
     g = z2()
-    bundle = LieBundle(g.base, (LieFiber.abelian(("X",)),))
+    bundle = LieBundle(g.base, (abelian(("X",)),))
     action = BundleAction(
         g, bundle, {"e": QMatrix([[-1]]), "s": QMatrix.identity(1)}
     )
@@ -105,7 +115,7 @@ def test_action_catches_non_identity_unit():
 
 def test_action_catches_singular_matrix():
     g = z2()
-    bundle = LieBundle(g.base, (LieFiber.abelian(("X", "Y")),))
+    bundle = LieBundle(g.base, (abelian(("X", "Y")),))
     singular = QMatrix([[1, 1], [1, 1]])
     action = BundleAction(
         g, bundle, {"e": QMatrix.identity(2), "s": singular}
@@ -115,6 +125,6 @@ def test_action_catches_singular_matrix():
 
 def test_action_catches_shape_mismatch():
     g = z2()
-    bundle = LieBundle(g.base, (LieFiber.abelian(("X",)),))
+    bundle = LieBundle(g.base, (abelian(("X",)),))
     action = BundleAction(g, bundle, {"e": QMatrix.identity(1), "s": QMatrix.identity(2)})
     assert any("expected 1x1" in v for v in action.validate())
