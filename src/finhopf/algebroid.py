@@ -179,12 +179,11 @@ class AlgebroidElement:
             raise DimensionMismatch("elements belong to different carriers")
 
 
-def pair_terms(carrier, left, right, scale=_ONE):
-    """The same-target terms of ``scale * (left (x) right)``, over ``(label, c)`` terms."""
+def pair_terms(carrier, left, right):
+    """The same-target terms of ``left (x) right``, over ``(label, c)`` terms."""
     target = carrier.label_target
     for l1, c1 in left:
         t1 = target(l1)
-        c1 = scale * c1
         for l2, c2 in right:
             if target(l2) == t1:
                 yield (l1, l2), c1 * c2
@@ -284,13 +283,10 @@ class FiberTensor:
         carrier = self.carrier
         if element.carrier is not carrier:
             raise DimensionMismatch("element belongs to another carrier")
-        cache = {}
+        right = element._c.items()
 
         def expand(label):
-            if label not in cache:
-                prod = carrier._product(((label, _ONE),), element._c.items())
-                cache[label] = [((l,), c) for l, c in prod.items()]
-            return cache[label]
+            return (((l,), c) for l, c in carrier._product(((label, _ONE),), right).items())
 
         return self._splice(leg, expand, width=1)
 
@@ -302,17 +298,13 @@ class FiberTensor:
         if other.carrier is not carrier:
             raise DimensionMismatch("tensors belong to different carriers")
         product = carrier.mul_label
-        out = {}
-        for (a1, a2), c in self._d.items():
-            for (b1, b2), d in other._d.items():
-                # The left leg is multiplied first, so it raises any overflow first.
-                left = product(a1, b1)
-                if not left:
-                    continue
-                right = product(a2, b2)
-                if right:
-                    add_terms(out, pair_terms(carrier, left, right, c * d))
-        return self._fiberwise(carrier, 2, out)
+
+        def legwise(a, b):
+            # The left legs are multiplied first, so they raise any overflow first.
+            left = product(a[0], b[0])
+            return pair_terms(carrier, left, product(a[1], b[1])) if left else ()
+
+        return self._fiberwise(carrier, 2, bilinear(self._d.items(), other._d.items(), legwise))
 
     def collapse(self) -> AlgebroidElement:
         """The antipode convolution: the sum of ``c * S(l1) * l2`` over the terms.

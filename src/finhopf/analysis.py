@@ -10,10 +10,11 @@ may have been built from:
 2. ``solve_grouplikes_at`` / ``build_spectral_groupoid``: the normalized
    grouplike germs at each point, filtered by antipode-invariance, assembled
    into a finite groupoid under the localized product.
-3. ``build_prim_action``: each spectral arrow conjugates primitives between
-   fibers through the good pair its representative cuts out at the target
-   (``canonical_good_pair``, then ``conjugate_by_pair``); the matrices form
-   a bundle action.
+3. ``build_prim_action``: each spectral arrow g into y conjugates primitives
+   between fibers, b -> rep_g * b * rep_(g^-1).  That is conjugation by the
+   good pair rep_g cuts out at y, by three facts the spectral stage proved:
+   rep_g is a normalized grouplike, 1_y * rep_g = rep_g and
+   S(rep_g) = rep_(g^-1).  The matrices form a bundle action.
 4. ``build_theta``: the comparison map from the reconstructed convolution
    algebroid onto the input, kept as the images of the domain labels, with
    the exact rank of those images at each base point.
@@ -157,14 +158,17 @@ def solve_primitives(carrier: HopfAlgebroid) -> PrimBasis:
         for r in indicators:
             if not carrier.anchor(x, r).is_zero():
                 prim.anchor_trivial = False
-    # Each ordered pair is multiplied once, in ``elements`` order, which fixes
-    # the first overflow; same-point brackets form the table ``prim_bundle`` reads.
-    for p, i, x in indexed:
-        for q, j, y in indexed:
+    # Each unordered pair is multiplied once, in ``indexed`` order, which fixes
+    # the first overflow; same-point brackets form the table ``prim_bundle``
+    # reads.  [y, x] = -[x, y] and [x, x] = 0 by arithmetic, so they are filled in.
+    for k, (p, i, x) in enumerate(indexed):
+        brackets[p][i][i] = (_ZERO,) * len(per_point[p])
+        for q, j, y in indexed[k + 1:]:
             lie = carrier.mul(x, y) - carrier.mul(y, x)
             if p == q:
                 coords = prim.coords_in_basis(lie, p)
                 brackets[p][i][j] = coords
+                brackets[p][j][i] = None if coords is None else tuple(-c for c in coords)
                 closed = coords is not None
             else:
                 closed = prim.contains(lie)
@@ -300,14 +304,12 @@ class SpectralGroupoid:
     dropped_non_invariant: int = 0
 
     def arrow_of(self, element: AlgebroidElement):
-        sig = element.signature()
-        for arrow, rep in self.representatives.items():
-            if rep.signature() == sig:
-                return arrow
-        return None
+        """The arrow whose representative equals ``element``, or None."""
+        return next((a for a, rep in self.representatives.items() if rep == element), None)
 
 
 def build_spectral_groupoid(carrier: HopfAlgebroid) -> SpectralGroupoid:
+    """The groupoid of spectral arrows, with units, inverses and composites matched by value."""
     records = []
     dropped = 0
     for y in carrier.base.points:
@@ -321,8 +323,8 @@ def build_spectral_groupoid(carrier: HopfAlgebroid) -> SpectralGroupoid:
     records.sort(key=lambda r: (point_index[r[0]], point_index[r[1]], r[2].signature()))
 
     ids = [f"s{i}" for i in range(len(records))]
-    by_signature = {rep.signature(): ids[i] for i, (_y, _x, rep, _s) in enumerate(records)}
-    if len(by_signature) != len(records):
+    by_value = {frozenset(rec[2]._c.items()): ids[i] for i, rec in enumerate(records)}
+    if len(by_value) != len(records):
         raise AnalysisError("spectral", "duplicate grouplike representatives")
     source = {ids[i]: rec[1] for i, rec in enumerate(records)}
     target = {ids[i]: rec[0] for i, rec in enumerate(records)}
@@ -330,7 +332,7 @@ def build_spectral_groupoid(carrier: HopfAlgebroid) -> SpectralGroupoid:
 
     def arrow(element, message):
         """The spectral arrow whose representative is ``element``."""
-        found = by_signature.get(element.signature())
+        found = by_value.get(frozenset(element._c.items()))
         if found is None:
             raise AnalysisError("spectral", message)
         return found
@@ -433,21 +435,25 @@ def conjugate_by_pair(pair: GoodPair, b: AlgebroidElement) -> AlgebroidElement:
 
 def build_prim_action(carrier: HopfAlgebroid, gsp: SpectralGroupoid,
                       prim: PrimBasis) -> BundleAction:
-    """Conjugate primitive fibers along spectral arrows, as exact matrices."""
+    """Conjugate primitive fibers along spectral arrows, as exact matrices.
+
+    An arrow g from x to y maps a primitive b at x to rep_g * b * rep_(g^-1):
+    ``conjugate_by_pair(canonical_good_pair(carrier, rep_g, y), b)``, since
+    ``build_spectral_groupoid`` proved that rep_g is a normalized grouplike
+    (so ``make_good_pair`` accepts it), that 1_y * rep_g = rep_g (the unit law
+    of its ``validate()``) and that S(rep_g) = rep_(g^-1) (the inverse it matched).
+    """
     bundle = prim_bundle(prim)
+    groupoid, reps = gsp.groupoid, gsp.representatives
     matrices = {}
-    for arrow in gsp.groupoid.arrows:
-        x = gsp.groupoid.source[arrow]
-        y = gsp.groupoid.target[arrow]
-        rep = gsp.representatives[arrow]
-        pair = canonical_good_pair(carrier, rep, y)
+    for arrow in groupoid.arrows:
+        x, y = groupoid.source[arrow], groupoid.target[arrow]
+        rep, rep_inverse = reps[arrow], reps[groupoid.inverse[arrow]]
         columns = []
         for basis_el in prim.per_point.get(x, []):
-            image = conjugate_by_pair(pair, basis_el)
+            image = carrier.mul(carrier.mul(rep, basis_el), rep_inverse)
             if any(t != y for t in image.target_points()):
-                raise RankMismatch(
-                    f"conjugation along {arrow!r} leaves the fiber at {y!r}"
-                )
+                raise RankMismatch(f"conjugation along {arrow!r} leaves the fiber at {y!r}")
             coords = prim.coords_in_basis(image, y)
             if coords is None:
                 raise RankMismatch(

@@ -1,5 +1,6 @@
 """Structure analysis: primitives, grouplikes, spectral groupoid, theta."""
 
+import collections
 import functools
 import random
 import time
@@ -224,6 +225,53 @@ def test_prim_bundle_reads_the_bracket_table_and_multiplies_nothing(monkeypatch)
         prim_bundle(prim)
 
 
+def carrier_calls(monkeypatch, carrier, names=("mul", "delta", "antipode", "counit", "embed")):
+    """Count the calls of the carrier operations ``names``, by name."""
+    calls = collections.Counter()
+    for name in names:
+        real = getattr(carrier, name)
+
+        def counting(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(carrier, name, counting)
+    return calls
+
+
+def test_each_primitive_commutator_is_computed_once(monkeypatch):
+    carrier = pairh3()
+    calls = carrier_calls(monkeypatch, carrier, ("mul",))
+    prim = solve_primitives(carrier)
+    # 15 unordered pairs of the 6 primitives, two products each, and 12 anchors
+    assert calls["mul"] == 42
+    assert prim.bracket_closed
+    # the entries filled in by antisymmetry are the commutators themselves
+    for p, basis in prim.per_point.items():
+        for i, x in enumerate(basis):
+            for j, y in enumerate(basis):
+                lie = carrier.mul(x, y) - carrier.mul(y, x)
+                assert prim.brackets[p][i][j] == prim.coords_in_basis(lie, p), (p, i, j)
+
+
+def test_one_generator_fibers_are_decided_at_truncation_one():
+    # Their primitives have no commutator to take, so nothing multiplies two
+    # of them; the decision and the ranks are those at N=2.
+    for make in (z2line_model, lambda: random_model(3)):
+        decisions = []
+        for n in (1, 2):
+            model = make()
+            model["truncation"] = n
+            decisions.append(analyze(carrier_from_model(model)).decision)
+        assert [d.verdict for d in decisions] == ["ISO", "ISO"]
+        assert decisions[0].prim_ranks == decisions[1].prim_ranks
+    # A Heisenberg fiber still multiplies two degree-1 primitives at N=1.
+    decision = analyze(pairh3_at(1)).decision
+    assert decision.verdict == "ERROR"
+    assert decision.stage_error == ("primitives", "degree 2 exceeds truncation bound 1 "
+                                    "(product of stored monomials; no silent truncation)")
+
+
 def test_primitive_commutation_identity_with_base():
     # for primitive X and base function r:  X r = r X + embed(counit(X r))
     for carrier in (z2line(), pairh3()):
@@ -351,6 +399,35 @@ def test_spectral_groupoid_of_sign_line():
     assert groupoid_isomorphic(gsp.groupoid, carrier.groupoid) is not None
     # representatives are the arrow indicators, found by signature
     assert gsp.arrow_of(carrier.basis_element(("s", (0,)))) == other
+
+
+def test_spectral_groupoid_calls_signature_only_to_sort(monkeypatch):
+    calls = []
+    real = AlgebroidElement.signature
+
+    def counting(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(AlgebroidElement, "signature", counting)
+    # pairh3: its 4 arrows are sorted into s0..s3; funs3: its 2 grouplikes
+    # are sorted at the point, then its 2 arrows.  Units, inverses and
+    # composites are matched by value.
+    for carrier in (pairh3(), funs3()):
+        calls.clear()
+        build_spectral_groupoid(carrier)
+        assert len(calls) == 4
+
+
+def test_arrow_of_reads_the_current_representatives():
+    carrier = z2line()
+    gsp = build_spectral_groupoid(carrier)
+    sign = carrier.basis_element(("s", (0,)))
+    arrow = gsp.arrow_of(sign)
+    assert gsp.representatives[arrow] == sign
+    assert gsp.arrow_of(sign.scale(2)) is None
+    del gsp.representatives[arrow]
+    assert gsp.arrow_of(sign) is None
 
 
 def test_spectral_groupoid_of_pair_carrier():
@@ -495,6 +572,42 @@ def test_prim_action_matches_input_on_pair_carrier():
         fiber_dim = carrier.bundle.fiber(carrier.groupoid.target[g]).dim
         mapped = gsp.arrow_of(carrier.basis_element((g, (0,) * fiber_dim)))
         assert action.matrix(mapped) == carrier.action.matrix(g)
+
+
+def test_prim_action_only_multiplies(monkeypatch):
+    carrier = pairh3()
+    prim, gsp = solve_primitives(carrier), build_spectral_groupoid(carrier)
+    calls = carrier_calls(monkeypatch, carrier)
+    pairs, real = [], analysis_module.make_good_pair
+
+    def counting(*args):
+        pairs.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(analysis_module, "make_good_pair", counting)
+    build_prim_action(carrier, gsp, prim)
+    # 4 arrows, 3 primitives at each source, 2 products each
+    assert calls == {"mul": 24}
+    assert pairs == []
+
+
+def test_prim_action_is_the_good_pair_conjugation():
+    # the instances of acceptance criterion 5
+    from test_acceptance import instance
+
+    keys = ["z2line", "pairh3", "funs3", "h3point"] + [f"rnd:{s}" for s in range(1, 26)]
+    for key in keys:
+        carrier = instance(key)
+        prim, gsp = solve_primitives(carrier), build_spectral_groupoid(carrier)
+        action = build_prim_action(carrier, gsp, prim)
+        groupoid = gsp.groupoid
+        for arrow in groupoid.arrows:
+            x, y = groupoid.source[arrow], groupoid.target[arrow]
+            pair = canonical_good_pair(carrier, gsp.representatives[arrow], y)
+            columns = [prim.coords_in_basis(conjugate_by_pair(pair, b), y)
+                       for b in prim.per_point.get(x, [])]
+            assert action.matrix(arrow) == QMatrix.from_columns(columns, rows=prim.rank_at(y)), (
+                key, arrow)
 
 
 def test_theta_is_bijective_and_homomorphic_on_sign_line():

@@ -1,6 +1,7 @@
 """End-to-end command line behaviour and exit codes."""
 
 import hashlib
+import importlib.util
 import json
 import re
 import shlex
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from finhopf.cli import EXIT_INPUT_ERROR, EXIT_OK, EXIT_PROPERTY_FAILS, build_parser, main
+from finhopf import models
 from finhopf.modelio import FORMAT_NAME, model_to_text, save_model
 from finhopf.models import funs3_model, pairh3_model, random_model, z2line_model
 
@@ -265,14 +267,19 @@ def test_missing_subcommand_is_an_input_error(capsys):
     assert code == EXIT_INPUT_ERROR
 
 
-def pairh3_at(truncation):
-    model = pairh3_model()
+def at_truncation(make, truncation):
+    model = make()
     model["truncation"] = truncation
     return model
 
 
+def pairh3_at(truncation):
+    return at_truncation(pairh3_model, truncation)
+
+
 GOLDEN_MODELS = {
     "z2line": z2line_model,
+    "z2line-N1": lambda: at_truncation(z2line_model, 1),
     "funs3": funs3_model,
     "pairh3-N1": lambda: pairh3_at(1),
     "pairh3-N3": lambda: pairh3_at(3),
@@ -282,11 +289,15 @@ GOLDEN_MODELS = {
 }
 
 # (exit code, sha256 of the --json stdout).  pairh3 at N=1 pins the text of
-# the overflow that stops its primitive stage.
+# the overflow that stops its primitive stage; z2line at N=1, whose fiber has
+# one generator and so no commutator to take, is decided.
 CLI_GOLDENS = {
     ("z2line", "cgk"): (0, "58701062a67a67451e8aad64bcd80bc90a98be0e6533af09fc4fe6deb6e08306"),
     ("z2line", "roundtrip"): (0, "b879ada7446dce6145775d498e9cec47f00740f34d4d883e9247cfc99bdaec11"),
     ("z2line", "check-axioms"): (0, "8191a0e2de20ef61678ba2145628bb97d9c13acea0054e721d5fdb33d60febd8"),
+    ("z2line-N1", "cgk"): (0, "59ede36743a22fb17f8a39b7863f7dc57ba4c1fb06d1346d3c59de5cce424c36"),
+    ("z2line-N1", "roundtrip"): (0, "dcfded5e5218a4981e3ae15a9f546cd4deef4853e46548d65f9efd6a3e718287"),
+    ("z2line-N1", "check-axioms"): (0, "8191a0e2de20ef61678ba2145628bb97d9c13acea0054e721d5fdb33d60febd8"),
     ("funs3", "cgk"): (1, "f5790cf1d5289d6b6c68c0abba359c9efbba53ef8db73780fe86044ab5671400"),
     ("funs3", "roundtrip"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("funs3", "check-axioms"): (0, "84932f89f666975a47f62ff3d4d951eda814db3d8c0d2a41a7e463d57df35a97"),
@@ -317,6 +328,113 @@ def test_json_output_goldens(name, tmp_path, capsys):
         code, out, _ = run([command, str(path), "--json", *extra], capsys)
         digest = hashlib.sha256(out.encode()).hexdigest()
         assert (code, digest) == CLI_GOLDENS[(name, command)], command
+
+
+# (exit code, sha256 of stdout) of each stage command, as text and with --json.
+STAGE_GOLDENS = {
+    ("funs3", "validate", "text"): (0, "009d962905920ad0e3ff46c6987fad36418982deb81796fd1f58e326d167c268"),
+    ("funs3", "validate", "json"): (0, "7e4bbee3892d39c5c8fc726c86996477282e22c33f15d1d845e4370ee818544c"),
+    ("funs3", "primitives", "text"): (0, "aae2220b412347dec13c390971b20e070457675945a1eeacdb39febf283f38e9"),
+    ("funs3", "primitives", "json"): (0, "0464e0b911d0116812668e4adbb11736fed317dc5d28854042591c1e0ec16cd0"),
+    ("funs3", "grouplikes", "text"): (0, "4a8c3082c328f64c824e207542ee66624a3d66abaa6f93d0d187a53b7798e551"),
+    ("funs3", "grouplikes", "json"): (0, "526584905f1c795b3cf4b823bcb2685defec727310d93ae8f744cbc238a0ace2"),
+    ("funs3", "spectral", "text"): (0, "949b826e05426c2a8b6c5bbbd9a0a7654400ad6a4c462c642d9f8e1011b84b90"),
+    ("funs3", "spectral", "json"): (0, "09f7747bb81bfb99a0af164ef3231b484ef1475205a88fe7c27d264874ba65ab"),
+    ("pairh3-N1", "validate", "text"): (0, "009d962905920ad0e3ff46c6987fad36418982deb81796fd1f58e326d167c268"),
+    ("pairh3-N1", "validate", "json"): (0, "7e4bbee3892d39c5c8fc726c86996477282e22c33f15d1d845e4370ee818544c"),
+    ("pairh3-N1", "primitives", "text"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("pairh3-N1", "primitives", "json"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("pairh3-N1", "grouplikes", "text"): (0, "dc606b4ca8d6ae454c58da62f6cb39b31a30c70c0040d218a5e713949aecd685"),
+    ("pairh3-N1", "grouplikes", "json"): (0, "d17ca293cc5a4fdb8b8fde11d3b35ce734315199c112915324c781adcc401375"),
+    ("pairh3-N1", "spectral", "text"): (0, "9a9c7d060a6bc3a53cdaf3e6ac5617c267ab5be981dafb4797e792899aeb4f37"),
+    ("pairh3-N1", "spectral", "json"): (0, "2c3e7165f1c02989a6c34ae7b74c1f5666ac5d0fdee4a9d0d0b840573273c2c5"),
+    ("pairh3-N3", "validate", "text"): (0, "009d962905920ad0e3ff46c6987fad36418982deb81796fd1f58e326d167c268"),
+    ("pairh3-N3", "validate", "json"): (0, "7e4bbee3892d39c5c8fc726c86996477282e22c33f15d1d845e4370ee818544c"),
+    ("pairh3-N3", "primitives", "text"): (0, "b3cc5b3c1a6ac0ced027d6304bdc82104308c827f707cda4366f47f6519ca586"),
+    ("pairh3-N3", "primitives", "json"): (0, "0c470ee1a984bcc2d3f411c6f5388564e23fa2b2361bf4b83ac8b6ee1c4f1f09"),
+    ("pairh3-N3", "grouplikes", "text"): (0, "dc606b4ca8d6ae454c58da62f6cb39b31a30c70c0040d218a5e713949aecd685"),
+    ("pairh3-N3", "grouplikes", "json"): (0, "d17ca293cc5a4fdb8b8fde11d3b35ce734315199c112915324c781adcc401375"),
+    ("pairh3-N3", "spectral", "text"): (0, "9a9c7d060a6bc3a53cdaf3e6ac5617c267ab5be981dafb4797e792899aeb4f37"),
+    ("pairh3-N3", "spectral", "json"): (0, "2c3e7165f1c02989a6c34ae7b74c1f5666ac5d0fdee4a9d0d0b840573273c2c5"),
+    ("random-0", "validate", "text"): (0, "009d962905920ad0e3ff46c6987fad36418982deb81796fd1f58e326d167c268"),
+    ("random-0", "validate", "json"): (0, "7e4bbee3892d39c5c8fc726c86996477282e22c33f15d1d845e4370ee818544c"),
+    ("random-0", "primitives", "text"): (0, "09f98bb9eb715aef56904974821dcd82358e498bf416ad5deccd3d8880f3f127"),
+    ("random-0", "primitives", "json"): (0, "65bf6c686141844cc1a3c82f956f2e6adb6b2b0763908d9c6f0287649f3d2418"),
+    ("random-0", "grouplikes", "text"): (0, "73b081145d7cce00f044ec728f0049e341a848849ed8583a2a30aba72485c6ea"),
+    ("random-0", "grouplikes", "json"): (0, "05cac5e0ca572eb8dddf29d922b477e144b8cf3de6e61d3639c460532f3ca533"),
+    ("random-0", "spectral", "text"): (0, "3fcd0672937798eaff6d0459ab30de6539791d5445f64269508a9e1d11616434"),
+    ("random-0", "spectral", "json"): (0, "068cebc35e13306e3a25daae0cc274f2ae6cafeb172abe19d14d776d5d29a2af"),
+    ("random-1", "validate", "text"): (0, "009d962905920ad0e3ff46c6987fad36418982deb81796fd1f58e326d167c268"),
+    ("random-1", "validate", "json"): (0, "7e4bbee3892d39c5c8fc726c86996477282e22c33f15d1d845e4370ee818544c"),
+    ("random-1", "primitives", "text"): (0, "e9a7ec7d0ae756bf24ed6a09412011f76df8ea0de9741d5421fbf80df65a7518"),
+    ("random-1", "primitives", "json"): (0, "6512f3155a4752d113b34202bba347a5f329a2912d8de1cbdacfea97db1a1440"),
+    ("random-1", "grouplikes", "text"): (0, "2edb6a80eac155d4288904aaebb48a6ba06142aad42724bc5b19fe87d5cf0610"),
+    ("random-1", "grouplikes", "json"): (0, "05af8273c0de7ec3814f0846e6c028e69c0f49f3ace286c9ea3c66d407a8802b"),
+    ("random-1", "spectral", "text"): (0, "89b6e730cff9af26460405a4ac92fca474691a79f7fe7019e26cc495be3f1932"),
+    ("random-1", "spectral", "json"): (0, "f214c655f6dc37286215b2ab1f8420b8850d5fd7e548858066c07aca91194584"),
+    ("random-2", "validate", "text"): (0, "009d962905920ad0e3ff46c6987fad36418982deb81796fd1f58e326d167c268"),
+    ("random-2", "validate", "json"): (0, "7e4bbee3892d39c5c8fc726c86996477282e22c33f15d1d845e4370ee818544c"),
+    ("random-2", "primitives", "text"): (0, "e9a7ec7d0ae756bf24ed6a09412011f76df8ea0de9741d5421fbf80df65a7518"),
+    ("random-2", "primitives", "json"): (0, "6512f3155a4752d113b34202bba347a5f329a2912d8de1cbdacfea97db1a1440"),
+    ("random-2", "grouplikes", "text"): (0, "c6215f527603d81cb71f0bc0a03f023b6c62ec1122abd7f10ac6af443a549a49"),
+    ("random-2", "grouplikes", "json"): (0, "4658521ea7bbfe0b22d8955aa6ad6bcd2b035c30b0edaf40cf56cacbc487a3d8"),
+    ("random-2", "spectral", "text"): (0, "e59d7d6b955e0d1976e718c2e01a49df279649cc3183f5a0abfef8e3defb6f23"),
+    ("random-2", "spectral", "json"): (0, "b9bb40f1351b21396c1c5ec60262a88f4c7fbe06d68caf68f17851d6649a64ab"),
+    ("z2line", "validate", "text"): (0, "009d962905920ad0e3ff46c6987fad36418982deb81796fd1f58e326d167c268"),
+    ("z2line", "validate", "json"): (0, "7e4bbee3892d39c5c8fc726c86996477282e22c33f15d1d845e4370ee818544c"),
+    ("z2line", "primitives", "text"): (0, "dba2aea877d218bb1d69ef7b39420be15f7b3313f3d64c11455cd06744f6ef9f"),
+    ("z2line", "primitives", "json"): (0, "494b47c33a941180860372dd2801338f4a54b24036ee9cc26396ab09cf5402f1"),
+    ("z2line", "grouplikes", "text"): (0, "33dc98af46dee191822459d44526a2fafda4246b028920f44a413de3613edb2d"),
+    ("z2line", "grouplikes", "json"): (0, "d6cc356c1c320dbef415e1e9ae8515fd3937431f0f35daf7cce955a1d2ab642c"),
+    ("z2line", "spectral", "text"): (0, "5b40e3c856512ed079c352b44a7d549eb52c49120d1b500a1d6f05f9b32ce43c"),
+    ("z2line", "spectral", "json"): (0, "e5c21b3e7bcf6945274fa104caad702994fc0350c8f458209a9849a9fa88f967"),
+    ("z2line-N1", "validate", "text"): (0, "009d962905920ad0e3ff46c6987fad36418982deb81796fd1f58e326d167c268"),
+    ("z2line-N1", "validate", "json"): (0, "7e4bbee3892d39c5c8fc726c86996477282e22c33f15d1d845e4370ee818544c"),
+    ("z2line-N1", "primitives", "text"): (0, "dba2aea877d218bb1d69ef7b39420be15f7b3313f3d64c11455cd06744f6ef9f"),
+    ("z2line-N1", "primitives", "json"): (0, "494b47c33a941180860372dd2801338f4a54b24036ee9cc26396ab09cf5402f1"),
+    ("z2line-N1", "grouplikes", "text"): (0, "33dc98af46dee191822459d44526a2fafda4246b028920f44a413de3613edb2d"),
+    ("z2line-N1", "grouplikes", "json"): (0, "d6cc356c1c320dbef415e1e9ae8515fd3937431f0f35daf7cce955a1d2ab642c"),
+    ("z2line-N1", "spectral", "text"): (0, "5b40e3c856512ed079c352b44a7d549eb52c49120d1b500a1d6f05f9b32ce43c"),
+    ("z2line-N1", "spectral", "json"): (0, "e5c21b3e7bcf6945274fa104caad702994fc0350c8f458209a9849a9fa88f967"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_MODELS))
+def test_stage_command_goldens(name, tmp_path, capsys):
+    path = tmp_path / f"{name}.json"
+    save_model(GOLDEN_MODELS[name](), path)
+    for command in ("validate", "primitives", "grouplikes", "spectral"):
+        for fmt, extra in (("text", []), ("json", ["--json"])):
+            code, out, _ = run([command, str(path), *extra], capsys)
+            digest = hashlib.sha256(out.encode()).hexdigest()
+            assert (code, digest) == STAGE_GOLDENS[(name, command, fmt)], (command, fmt)
+
+
+def load_tool(name):
+    path = Path(__file__).resolve().parents[1] / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"tools_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_cli_digests_tool_runs_every_model_command_in_both_formats():
+    tool = load_tool("cli_digests")
+    docs = {name: GOLDEN_MODELS[name]() for name in ("z2line-N1", "funs3")}
+    lines = [line.split() for line in tool.digest_lines(docs)]
+    assert [(m, c, f) for m, c, f, *_ in lines] == [
+        (m, c, f) for m in docs for c in tool.COMMANDS for f in ("text", "json")]
+    # exit code and stdout digest of each run, as the goldens record them
+    by_run = {(m, c, f): (code, out) for m, c, f, code, out, _err in lines}
+    for (name, command), (code, digest) in CLI_GOLDENS.items():
+        if name in docs and command != "check-axioms":  # the golden takes 30 samples
+            assert by_run[(name, command, "json")] == (f"exit={code}", f"out={digest}")
+    for (name, command, fmt), (code, digest) in STAGE_GOLDENS.items():
+        if name in docs:
+            assert by_run[(name, command, fmt)] == (f"exit={code}", f"out={digest}")
+    # the z2line and pairh3 presets are rungs of their ladders
+    names = list(tool.model_set(models, lambda n: {"sl2": n}))
+    assert len(names) == 65 and names[-1] == "funs3"
 
 
 def test_root_search_bound_is_an_input_error(tmp_path, capsys):

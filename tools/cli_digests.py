@@ -1,0 +1,109 @@
+"""Digest the CLI's answers on a fixed model set, one line per run.
+
+Usage::
+
+    python3 tools/cli_digests.py [ROOT] > digests.txt
+
+ROOT is a checkout of this repository (default: the one holding this
+script); its ``src/finhopf`` answers and its ``perfbench/workloads.py``
+gives the benchmark's ``sl2`` model.  Every model is run through the seven
+model commands, text and ``--json``, each with its CLI defaults, and each
+run gives one line: model, command, format, exit code, and the sha256 of
+stdout and of stderr.  Two checkouts answer alike exactly when their
+outputs diff empty::
+
+    python3 tools/cli_digests.py /path/to/parent > before.txt
+    python3 tools/cli_digests.py > after.txt
+    diff before.txt after.txt
+
+The models: the presets, ``pairh3`` and ``z2line`` at truncations 0 to 8,
+``sl2`` at 1 to 6 and ``random_model`` seeds 0 to 39; the ``z2line`` and
+``pairh3`` presets are rungs of their ladders and run there (65 models, 910
+runs).  Runs go in-process, from a temporary directory, with the model files
+named relatively, so a message that quotes a path is the same on any
+machine.  Standard library only.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+COMMANDS = ("validate", "check-axioms", "primitives", "grouplikes", "spectral", "cgk",
+            "roundtrip")
+
+
+def model_set(models, sl2_model) -> dict:
+    """Model name -> document: the ladders, ``random_model`` 0-39, then each
+    preset that is not already a rung of its ladder."""
+    docs = {}
+
+    def at(build, n):
+        doc = build()
+        doc["truncation"] = n
+        return doc
+
+    for n in range(9):
+        docs[f"pairh3-N{n}"] = at(models.pairh3_model, n)
+    for n in range(9):
+        docs[f"z2line-N{n}"] = at(models.z2line_model, n)
+    for n in range(1, 7):
+        docs[f"sl2-N{n}"] = sl2_model(n)
+    for seed in range(40):
+        docs[f"random-{seed}"] = models.random_model(seed)
+    for name, build in models.PRESETS.items():
+        doc = build()
+        if doc not in docs.values():
+            docs[name] = doc
+    return docs
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def digest_lines(docs: dict):
+    """One digest line per (model, command, format), in that order."""
+    from finhopf.cli import main
+    from finhopf.modelio import model_to_text
+
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as workdir:
+        os.chdir(workdir)
+        try:
+            for name, doc in docs.items():
+                path = f"{name}.json"
+                Path(path).write_text(model_to_text(doc), encoding="utf-8")
+                for command in COMMANDS:
+                    for fmt, extra in (("text", []), ("json", ["--json"])):
+                        out, err = io.StringIO(), io.StringIO()
+                        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                            try:
+                                code = main([command, path, *extra])
+                            except SystemExit as exc:
+                                code = exc.code
+                        yield (f"{name} {command} {fmt} exit={code} "
+                               f"out={_sha(out.getvalue())} err={_sha(err.getvalue())}")
+        finally:
+            os.chdir(cwd)
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    root = Path(argv[0] if argv else Path(__file__).resolve().parents[1]).resolve()
+    sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
+    from finhopf import models
+    from workloads import sl2_model
+
+    for line in digest_lines(model_set(models, sl2_model)):
+        print(line)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
