@@ -70,6 +70,8 @@ from .rationals import add_terms, bilinear, exact, linear, rat, rat_str
 
 _ZERO = 0
 _ONE = 1
+# The coefficients of sampled elements: nonzero ``int``s, stored as they are.
+_SAMPLE_COEFFS = (-3, -2, -1, 1, 2, 3)
 
 # pairh3 at truncation 50 has 93,704 labels and builds in about 0.4 s
 # (Python 3.11 on a 2-core Xeon); far larger models would hang the loader.
@@ -399,8 +401,12 @@ class HopfAlgebroid(ABC):
         return FiberTensor._fiberwise(self, 2, linear(a._c.items(), self.delta_label))
 
     def counit(self, a: AlgebroidElement) -> BaseFun:
+        return BaseFun(self.base, self._counit_values(a))
+
+    def _counit_values(self, a: AlgebroidElement) -> tuple:
+        """The counit of a as one ``exact`` value per base point, in point order."""
         values = linear(a._c.items(), lambda l: ((self.label_target(l), self.counit_label(l)),))
-        return BaseFun(self.base, tuple(values.get(p, _ZERO) for p in self.base.points))
+        return tuple(exact(values.get(p, _ZERO)) for p in self.base.points)
 
     def antipode(self, a: AlgebroidElement) -> AlgebroidElement:
         return AlgebroidElement._of(self, linear(a._c.items(), self.antipode_label))
@@ -408,8 +414,17 @@ class HopfAlgebroid(ABC):
     def embed(self, f: BaseFun) -> AlgebroidElement:
         if f.base != self.base:
             raise DimensionMismatch("function lives on a different base")
-        values = ((p, exact(v)) for p, v in zip(self.base.points, f.values) if v)
-        return AlgebroidElement._of(self, linear(values, lambda p: self.unit_at(p)._c.items()))
+        return self._embed_values(exact(v) for v in f.values)
+
+    def _embed_values(self, values) -> AlgebroidElement:
+        """The embedding of the base function with these ``exact`` values, one
+        per base point, as the sum of value times unit over the points."""
+        units = getattr(self, "_unit_terms", None)
+        if units is None:
+            units = {p: tuple(self.unit_at(p)._c.items()) for p in self.base.points}
+            self._unit_terms = units
+        terms = ((p, v) for p, v in zip(self.base.points, values) if v)
+        return AlgebroidElement._of(self, linear(terms, units.__getitem__))
 
     @abstractmethod
     def unit_at(self, point) -> AlgebroidElement: ...
@@ -478,7 +493,7 @@ class ConvolutionAlgebroid(HopfAlgebroid):
         self._antipode_cache = {}
         self._products = {}
         self._transports = {}
-        self._monomials = {}
+        self._samplers = {}
 
     # The benchmark tracer patches ``mul`` in each carrier class's own namespace.
     mul = HopfAlgebroid.mul
@@ -502,11 +517,13 @@ class ConvolutionAlgebroid(HopfAlgebroid):
         those of ``mono_mul`` by m1 folded over the transport of m2 along h,
         at g.  The transported terms come in ``mono_key`` order, so an
         overflow names the lowest-degree transported term that overflows.
-        Products are memoized per carrier, and transports per (arrow,
-        monomial).  A pair whose arrows do not compose gives ``()`` without
-        touching the memo.  The memo holds products only: a pair whose
-        product overflows the truncation is not stored, and ``mono_mul``
-        raises that overflow again on every call.
+        Label products are memoized per carrier, and transports per (arrow,
+        monomial); each monomial product is read from the fiber's product
+        table, so one that recurs under another arrow or another transported
+        term is not multiplied again.  A pair whose arrows do not compose
+        gives ``()`` without touching the memo.  The memo holds products
+        only: a pair whose product overflows the truncation is not stored,
+        and ``mono_mul`` raises that overflow again on every call.
         """
         (h, m1), (k, m2) = l1, l2
         g = self.groupoid.compose_table.get((h, k))
@@ -557,19 +574,21 @@ class ConvolutionAlgebroid(HopfAlgebroid):
 
     def random_element(self, rng, degree_cap=None):
         cap = self.truncation // 3 if degree_cap is None else degree_cap
-        arrows = sorted(self.groupoid.arrows)
+        cap = min(cap, self.truncation)
+        sampler = self._samplers.get(cap)
+        if sampler is None:  # the sorted arrows, and each arrow's monomials of degree <= cap
+            arrows = sorted(self.groupoid.arrows)
+            monos = {g: monomials_up_to(self.bundle.fiber(self.groupoid.target[g]).dim, cap)
+                     for g in arrows}
+            sampler = self._samplers[cap] = (arrows, monos)
+        arrows, monos = sampler
         chosen = rng.sample(arrows, k=min(len(arrows), rng.randint(1, 2)))
         coeffs = {}
-        pool = [-3, -2, -1, 1, 2, 3]
         for g in chosen:
-            key = (self.bundle.fiber(self.groupoid.target[g]).dim, min(cap, self.truncation))
-            monos = self._monomials.get(key)
-            if monos is None:
-                monos = self._monomials[key] = monomials_up_to(*key)
             for _ in range(rng.randint(1, 2)):
-                m = rng.choice(monos)
-                coeffs[(g, m)] = rng.choice(pool)
-        return AlgebroidElement(self, coeffs)
+                m = rng.choice(monos[g])  # drawn before its coefficient, so seeded samples hold
+                coeffs[(g, m)] = rng.choice(_SAMPLE_COEFFS)
+        return AlgebroidElement._of(self, coeffs)
 
     def validate(self):
         report = []
@@ -703,10 +722,9 @@ class TableAlgebroid(HopfAlgebroid):
         return AlgebroidElement(self, dict(self._r_embed[point]))
 
     def random_element(self, rng, degree_cap=None):
-        pool = [-3, -2, -1, 1, 2, 3]
         k = rng.randint(1, min(2, len(self._labels)))
-        chosen = rng.sample(list(self._labels), k=k)
-        return AlgebroidElement(self, {n: rng.choice(pool) for n in chosen})
+        chosen = rng.sample(self._labels, k=k)
+        return AlgebroidElement._of(self, {n: rng.choice(_SAMPLE_COEFFS) for n in chosen})
 
     def validate(self):
         return []  # structural coherence is enforced at import time
@@ -857,11 +875,14 @@ def check_axioms(carrier: HopfAlgebroid, samples: int = 100, seed: int = 1) -> A
                 return fmt(a)
         return None
 
-    # (iii) counit and coproduct are multiplicative
+    # (iii) counit and coproduct are multiplicative.  This law and (v) compare
+    # and embed exact counit values, which ``carrier.counit`` exposes as Fractions.
+    counit, embed = carrier._counit_values, carrier._embed_values
+
     def counit_mult(abp):
         a, b, ab = abp
-        lhs = carrier.counit(ab)
-        rhs = carrier.counit(carrier.mul(a, carrier.embed(carrier.counit(b))))
+        lhs = counit(ab)
+        rhs = counit(carrier.mul(a, embed(counit(b))))
         return None if lhs == rhs else fmt(a, b)
 
     def comult_mult(abp):
@@ -884,7 +905,7 @@ def check_axioms(carrier: HopfAlgebroid, samples: int = 100, seed: int = 1) -> A
     def convolution_identity(at):
         a, t = at
         lhs = t.collapse()
-        rhs = carrier.embed(carrier.counit(carrier.antipode(a)))
+        rhs = embed(counit(carrier.antipode(a)))
         return None if lhs == rhs else fmt(a)
 
     # coalgebra laws

@@ -5,18 +5,23 @@ of total degree at most N.  Any product whose raw degree would exceed N raises
 TruncationOverflow before any work is discarded; results are never silently
 truncated.
 
-Products are read from one multiplication table per fiber, kept on the
-``LieFiber`` object that uses it and filled on first use: the entry for an
-ordered monomial m and a generator x_i is the normal form of m * x_i.  If the
-last letter x_j of m is at most x_i the entry is m with x_i appended;
-otherwise m = m' x_j and m x_i = (m' x_i) x_j + m' [x_j, x_i], where every
-term on the right is again an entry of lower degree or an append.  A product
-m1 * m2 folds the table over the letters of m2; only entries with
-deg m + 1 <= N are ever read, so the table of a fiber used at truncation N
-has at most (monomials of degree < N) * dim entries.  This is the rewriting
+Products are read from two tables per fiber, kept on the ``LieFiber`` object
+that uses them and filled on first use.  The PBW table's entry for an ordered
+monomial m and a generator x_i is the normal form of m * x_i.  If the last
+letter x_j of m is at most x_i the entry is m with x_i appended; otherwise
+m = m' x_j and m x_i = (m' x_i) x_j + m' [x_j, x_i], where every term on the
+right is again an entry of lower degree or an append.  This is the rewriting
 of an index word at its leftmost descent, xy -> yx + [x, y], memoized per
 (monomial, generator), so the normal forms are the same for any bracket
-table, whether or not it is antisymmetric or satisfies Jacobi.
+table, whether or not it is antisymmetric or satisfies Jacobi.  The product
+table's entry for a monomial pair (m1, m2) is the normal form of m1 * m2: the
+entry for (m1, m2') times x_j through the PBW table, where x_j is the last
+letter of m2 and m2 = m2' x_j.  So m1 is multiplied by the letters of m2 from
+left to right, once per prefix of m2.  At truncation N only PBW entries with
+deg m + 1 <= N are read and only product entries with deg m1 + deg m2 <= N
+are stored, so a fiber of dimension d holds at most
+(monomials of degree < N) * d PBW entries and at most C(N + 2d, 2d) product
+entries, one per pair of monomials of total degree <= N.
 
 The Hopf structure is the usual one determined on generators: generators are
 primitive, the counit kills positive degree, and the antipode negates
@@ -111,24 +116,50 @@ def _times(fiber: LieFiber, terms, column) -> dict:
     return linear(terms, lambda m: ((u, e * w) for i, e in column for u, w in _entry(fiber, m, i)))
 
 
+def _ordered(terms):
+    """``(monomial, c)`` terms as an ``exact`` tuple in ``mono_key`` order."""
+    return tuple(sorted(((m, exact(c)) for m, c in terms), key=lambda t: mono_key(t[0])))
+
+
 def _fold(fiber: LieFiber, start, columns):
     """Multiply ``start`` on the right by each column in turn; terms in ``mono_key`` order."""
     terms = start
     for column in columns:
         terms = _times(fiber, terms, column).items()
-    return tuple(sorted(((m, exact(c)) for m, c in terms), key=lambda t: mono_key(t[0])))
+    return _ordered(terms)
 
 
 def mono_mul(fiber: LieFiber, m1: Monomial, m2: Monomial, truncation: int):
     """The product m1 * m2 as ``(monomial, c)`` terms, in ``mono_key`` order.
 
-    The degree bound is checked on the two factors, before any rewriting.
+    The degree bound is checked on the two factors, before any lookup, so an
+    overflowing call stores nothing.  The product is read from the fiber's
+    product table; a missing entry is filled from the longest stored prefix
+    of m2's word, one letter at a time, storing each longer prefix on the way.
     """
     total = mono_degree(m1) + mono_degree(m2)
     if total > truncation:
         raise TruncationOverflow(total, truncation,
                                  "product of stored monomials; no silent truncation")
-    return _fold(fiber, ((m1, 1),), [((i, 1),) for i in mono_word(m2)])
+    table = fiber.product_table
+    entry = table.get((m1, m2))
+    if entry is None:
+        word = mono_word(m2)
+        prefix = list(m2)
+        stored = len(word)
+        while stored:  # strip letters off the end until a stored prefix remains
+            stored -= 1
+            prefix[word[stored]] -= 1
+            entry = table.get((m1, tuple(prefix)))
+            if entry is not None:
+                break
+        else:
+            entry = ((m1, 1),)
+        for j in word[stored:]:
+            prefix[j] += 1
+            entry = _ordered(_times(fiber, entry, ((j, 1),)).items())
+            table[(m1, tuple(prefix))] = entry
+    return entry
 
 
 def mono_delta(m: Monomial):

@@ -25,9 +25,13 @@ class LieFiber:
 
     basis: tuple[str, ...]
     brackets: tuple[tuple[tuple[Fraction, ...], ...], ...]
-    # The PBW multiplication table of U(fiber), filled by ``enveloping`` on
-    # first use and owned by this fiber object; not part of its value.
+    # The tables of U(fiber), filled by ``enveloping`` on first use and owned
+    # by this fiber object; not part of its value.  ``pbw_table`` maps
+    # (monomial, generator) to the normal form of m * x_i; ``product_table``
+    # maps a monomial pair (m1, m2) with deg m1 + deg m2 within the truncation
+    # of some ``mono_mul`` call to the normal form of m1 * m2.
     pbw_table: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    product_table: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.basis)

@@ -901,13 +901,16 @@ def test_carrier_built_results_match_the_public_constructors():
     models_with_fractions = 0
     for index in range(40):
         carrier = carrier_from_model(random_model(index))
-        rng = random.Random(index)
+        rng, twin = random.Random(index), random.Random(index)
         point = carrier.base.points[0]
         fractions = False
         for _ in range(3):
             a, b = carrier.random_element(rng), carrier.random_element(rng)
+            # The samples are those of the reference draw, from the same rng calls.
+            cap = carrier.truncation // 3
+            assert [a, b] == [wide_element(carrier, twin, cap, 2, 2) for _ in range(2)]
             da, db = carrier.delta(a), carrier.delta(b)
-            elements = [a + b, -a, a - b, a.scale(Fraction(3, 2)), a.at_point(point),
+            elements = [a, b, a + b, -a, a - b, a.scale(Fraction(3, 2)), a.at_point(point),
                         carrier.mul(a, b), carrier.antipode(a),
                         carrier.embed(carrier.counit(b)), da.collapse(),
                         da.counit_leg(0).to_element()]
@@ -921,7 +924,7 @@ def test_carrier_built_results_match_the_public_constructors():
                 assert all(type(c) in (int, Fraction) and c for c in t._d.values())
                 assert t == FiberTensor(carrier, t.arity, t.data)
             assert da.scale(0).is_zero()
-            fractions |= any(type(c) is Fraction for x in elements[5:] for c in x._c.values())
+            fractions |= any(type(c) is Fraction for x in elements[7:] for c in x._c.values())
         models_with_fractions += fractions
     # 13 of the 40 models have rational entries; 10 of them show one in a
     # product, antipode, embedding or collapse of these samples.

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from finhopf import enveloping
 from finhopf.algebroid import ConvolutionAlgebroid, check_axioms
 from finhopf.enveloping import (
     UElement,
@@ -26,7 +27,7 @@ from finhopf.errors import TruncationOverflow
 from finhopf.liebundle import BundleAction, LieBundle, LieFiber
 from finhopf.linalg import QMatrix
 from finhopf.modelio import carrier_from_model
-from finhopf.models import funs3_model, pairh3_model
+from finhopf.models import funs3_model, pairh3_model, z2line_model
 from finhopf.rationals import add_terms, exact
 
 from test_benchmark_reference import load
@@ -554,6 +555,40 @@ def test_coproduct_rows_are_ints_and_elements_keep_fractions():
 def test_table_is_bounded_by_the_truncation():
     carrier = sl2_carrier(10)
     fiber = carrier.bundle.fiber("x")
-    assert fiber.pbw_table == {}
+    assert fiber.pbw_table == {} and fiber.product_table == {}
     assert check_axioms(carrier).ok
     assert 0 < len(fiber.pbw_table) <= len(monomials_up_to(3, 9)) * 3
+    assert fiber.product_table
+    assert all(mono_degree(m1) + mono_degree(m2) <= 10 for m1, m2 in fiber.product_table)
+
+
+def test_product_table_fills_a_deep_word_without_recursion():
+    """z2line at truncation 3000 is a legal model; a product of two powers of
+    its one generator fills 1500 prefixes of the right factor."""
+    model = z2line_model()
+    model["truncation"] = 3000
+    fiber = carrier_from_model(model).bundle.fibers[0]
+    assert mono_mul(fiber, (1000,), (1500,), 3000) == (((2500,), 1),)
+    assert len(fiber.product_table) == 1500
+
+
+def test_an_overflowing_product_stores_nothing():
+    fiber = heisenberg()
+    with pytest.raises(TruncationOverflow):
+        mono_mul(fiber, (1, 1, 0), (0, 1, 1), 3)
+    assert fiber.product_table == {} and fiber.pbw_table == {}
+
+
+def test_a_repeated_product_is_read_from_the_table(monkeypatch):
+    fiber = sl2_carrier(6).bundle.fiber("x")
+    first = mono_mul(fiber, (0, 2, 1), (1, 1, 2), 8)
+    calls = []
+    times = enveloping._times
+    monkeypatch.setattr(enveloping, "_times", lambda *args: calls.append(args) or times(*args))
+    assert mono_mul(fiber, (0, 2, 1), (1, 1, 2), 8) is first
+    assert calls == []
+    # The stored product is a prefix of the longer right factor, so one more
+    # letter is multiplied on, in one call: the table entry of any monomial
+    # times the last generator is an append, which rewrites nothing.
+    mono_mul(fiber, (0, 2, 1), (1, 1, 3), 9)
+    assert len(calls) == 1
