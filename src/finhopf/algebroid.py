@@ -391,6 +391,10 @@ class HopfAlgebroid(ABC):
             raise DimensionMismatch("element belongs to another carrier")
         return AlgebroidElement._of(self, self._product(a._c.items(), b._c.items()))
 
+    def bracket(self, a: AlgebroidElement, b: AlgebroidElement) -> AlgebroidElement:
+        """The commutator a * b - b * a."""
+        return self.mul(a, b) - self.mul(b, a)
+
     def zero(self) -> AlgebroidElement:
         return AlgebroidElement(self, {})
 
@@ -525,17 +529,48 @@ class ConvolutionAlgebroid(HopfAlgebroid):
         only: a pair whose product overflows the truncation is not stored,
         and ``mono_mul`` raises that overflow again on every call.
         """
-        (h, m1), (k, m2) = l1, l2
-        g = self.groupoid.compose_table.get((h, k))
+        g = self.groupoid.compose_table.get((l1[0], l2[0]))
         if g is None:
             return ()
         entry = self._products.get((l1, l2))
         if entry is None:
-            fiber, n = self.bundle.fiber(self.groupoid.target[h]), self.truncation
-            product = linear(self._transport(h, m2), lambda m: mono_mul(fiber, m1, m, n))
-            entry = tuple(((g, m), exact(c)) for m, c in product.items())
-            self._products[(l1, l2)] = entry
+            entry = self._products[(l1, l2)] = self._label_product(g, l1, l2, self.truncation)
         return entry
+
+    def _label_product(self, g, l1, l2, bound):
+        """The terms at the composite g of the product of two labels, under a degree bound."""
+        (h, m1), (_k, m2) = l1, l2
+        fiber = self.bundle.fiber(self.groupoid.target[h])
+        product = linear(self._transport(h, m2), lambda m: mono_mul(fiber, m1, m, bound))
+        return tuple(((g, m), exact(c)) for m, c in product.items())
+
+    def bracket(self, a, b):
+        """The commutator a * b - b * a, bounded only after it cancels.
+
+        Each label product is formed under the bound deg m1 + deg m2, which a
+        transport never exceeds, so none overflows; these products bypass
+        the memo, which holds products under the truncation only.  A
+        commutator term above the truncation raises ``TruncationOverflow``,
+        so at truncation 1 the commutator of two degree-1 labels is exact.
+        """
+        if a.carrier is not self or b.carrier is not self:
+            raise DimensionMismatch("element belongs to another carrier")
+        compose = self.groupoid.compose_table
+
+        def product(l1, l2):
+            g = compose.get((l1[0], l2[0]))
+            if g is None:
+                return ()
+            return self._label_product(g, l1, l2, sum(l1[1]) + sum(l2[1]))
+
+        out = bilinear(a._c.items(), b._c.items(), product)
+        ba = bilinear(b._c.items(), a._c.items(), product)
+        add_terms(out, ((l, -c) for l, c in ba.items()))
+        for _g, m in out:
+            if sum(m) > self.truncation:
+                raise TruncationOverflow(sum(m), self.truncation,
+                                         "commutator of stored monomials; no silent truncation")
+        return AlgebroidElement._of(self, out)
 
     def _transport(self, arrow, m):
         """``mono_transport`` of m along the arrow, computed once per (arrow, monomial)."""

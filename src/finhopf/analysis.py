@@ -4,9 +4,10 @@ The pipeline recovers, from a Hopf algebroid alone, the geometric data it
 may have been built from:
 
 1. ``solve_primitives``: the module of primitive elements (coproduct is
-   unit-tensor-x + x-tensor-unit), found as an exact nullspace, with its
-   fiberwise ranks, bracket closure, antipode behaviour and anchor, and the
-   bracket table at each point that ``prim_bundle`` reads.
+   unit-tensor-x + x-tensor-unit), found label by label on a convolution
+   carrier and as an exact nullspace on a table, with its fiberwise ranks,
+   bracket closure, antipode behaviour and anchor, and the bracket table at
+   each point that ``prim_bundle`` reads.
 2. ``solve_grouplikes_at`` / ``build_spectral_groupoid``: the normalized
    grouplike germs at each point, filtered by antipode-invariance, assembled
    into a finite groupoid under the localized product.
@@ -43,6 +44,7 @@ from .algebroid import (
     pair_terms,
     run_law,
 )
+from .enveloping import mono_delta
 from .errors import (
     AnalysisError,
     FinhopfError,
@@ -116,34 +118,70 @@ class PrimBasis:
         return coords if rebuilt == element.coeffs else None
 
 
+def _primitives_constructed(carrier: ConvolutionAlgebroid, point, unit):
+    # Exactness of the per-label test: delta(g, m) lies in the span of the
+    # pairs (g, m1) (x) (g, m2) with m1 + m2 = m, so a coproduct key is
+    # reached by one label only, and the unit terms of a label l sit at
+    # 1_y (x) l and l (x) 1_y, where 1_y is the unit label at the point.  So
+    # every row of the primitive system has one column, and the kernel is
+    # spanned by the unit vectors of the labels whose column
+    # delta(l) - 1_y (x) l - l (x) 1_y is zero: in label order, that is the
+    # reduced echelon basis.  A label is dropped at the first coproduct key
+    # that no unit term cancels.  In ascending split order the first key,
+    # (g, 0) (x) l, is cancelled only on the unit arrow in positive degree,
+    # and the second, (g, x_i) (x) (g, m - x_i), only in degree 1, so at most
+    # two coproduct terms are read per label.
+    out = []
+    for l in carrier.labels_at(point):
+        g, m = l
+        expected = add_terms({}, [((l0, l), c0) for l0, c0 in unit]
+                             + [((l, l0), c0) for l0, c0 in unit])
+        for (m1, m2), c in mono_delta(m):
+            if expected.pop(((g, m1), (g, m2)), None) != c:
+                break
+        else:  # both splits of a generator cancelled both unit terms
+            out.append(carrier.basis_element(l))
+    return out
+
+
+def _primitives_table(carrier: HopfAlgebroid, point, unit):
+    labels = carrier.labels_at(point)
+    idx = {l: i for i, l in enumerate(labels)}
+    unit_terms = [(idx[l0], -c0) for l0, c0 in unit]
+    rows = {}
+    for col, l in enumerate(labels):
+        column = {(idx[l1], idx[l2]): c for (l1, l2), c in carrier.delta_label(l)}
+        for i0, c0 in unit_terms:
+            add_terms(column, (((i0, col), c0), ((col, i0), c0)))
+        for key, c in column.items():
+            rows.setdefault(key, {})[col] = c
+    basis = []
+    for v in nullspace_of_rows(rows.values(), len(labels)):
+        coeffs = {l: c for l, c in zip(labels, v) if c}
+        basis.append(AlgebroidElement(carrier, coeffs))
+    return basis
+
+
 def solve_primitives(carrier: HopfAlgebroid) -> PrimBasis:
     """The canonical echelonized basis of the primitive module, with flags.
 
     At each point y the equation delta(a) = eta (x) a + a (x) eta is an
-    exact system over the labels at y, with a sparse row per label pair;
-    ``nullspace_of_rows`` solves it block by block.  Each label's column is
-    its coproduct minus the two unit terms, written straight into the rows.
+    exact system over the labels at y, with a sparse row per label pair.  On
+    a convolution carrier every row has one column, so each label is tested
+    on its own from the first two terms of its coproduct, and the basis is
+    the unit vectors of the labels that pass.  On a table carrier each
+    label's column is its coproduct minus the two unit terms, written
+    straight into the rows, and ``nullspace_of_rows`` solves the system block
+    by block.  The commutators of the basis are taken with ``bracket``.
     """
+    solve = (_primitives_constructed if isinstance(carrier, ConvolutionAlgebroid)
+             else _primitives_table)
     per_point, brackets = {}, {}
     for y in carrier.base.points:
-        labels = carrier.labels_at(y)
-        idx = {l: i for i, l in enumerate(labels)}
-        unit = carrier.unit_at(y).coeffs
-        if not unit.keys() <= idx.keys():
+        unit = carrier.unit_at(y)._c.items()
+        if any(carrier.label_target(l0) != y for l0, _c in unit):
             raise AnalysisError("primitives", f"the unit at {y!r} leaves the fiber there")
-        unit_terms = [(idx[l0], -c0) for l0, c0 in unit.items()]
-        rows = {}
-        for col, l in enumerate(labels):
-            column = {(idx[l1], idx[l2]): c for (l1, l2), c in carrier.delta_label(l)}
-            for i0, c0 in unit_terms:
-                add_terms(column, (((i0, col), c0), ((col, i0), c0)))
-            for key, c in column.items():
-                rows.setdefault(key, {})[col] = c
-        basis = []
-        for v in nullspace_of_rows(rows.values(), len(labels)):
-            coeffs = {l: c for l, c in zip(labels, v) if c}
-            basis.append(AlgebroidElement(carrier, coeffs))
-        per_point[y] = basis
+        basis = per_point[y] = solve(carrier, y, unit)
         brackets[y] = [[None] * len(basis) for _ in basis]
     prim = PrimBasis(carrier, per_point, brackets)
 
@@ -158,13 +196,13 @@ def solve_primitives(carrier: HopfAlgebroid) -> PrimBasis:
         for r in indicators:
             if not carrier.anchor(x, r).is_zero():
                 prim.anchor_trivial = False
-    # Each unordered pair is multiplied once, in ``indexed`` order, which fixes
+    # Each unordered pair is bracketed once, in ``indexed`` order, which fixes
     # the first overflow; same-point brackets form the table ``prim_bundle``
     # reads.  [y, x] = -[x, y] and [x, x] = 0 by arithmetic, so they are filled in.
     for k, (p, i, x) in enumerate(indexed):
         brackets[p][i][i] = (_ZERO,) * len(per_point[p])
         for q, j, y in indexed[k + 1:]:
-            lie = carrier.mul(x, y) - carrier.mul(y, x)
+            lie = carrier.bracket(x, y)
             if p == q:
                 coords = prim.coords_in_basis(lie, p)
                 brackets[p][i][j] = coords

@@ -17,11 +17,12 @@ table, whether or not it is antisymmetric or satisfies Jacobi.  The product
 table's entry for a monomial pair (m1, m2) is the normal form of m1 * m2: the
 entry for (m1, m2') times x_j through the PBW table, where x_j is the last
 letter of m2 and m2 = m2' x_j.  So m1 is multiplied by the letters of m2 from
-left to right, once per prefix of m2.  At truncation N only PBW entries with
-deg m + 1 <= N are read and only product entries with deg m1 + deg m2 <= N
-are stored, so a fiber of dimension d holds at most
-(monomials of degree < N) * d PBW entries and at most C(N + 2d, 2d) product
-entries, one per pair of monomials of total degree <= N.
+left to right, once per prefix of m2.  A product in which no letter of m2
+comes before the last letter of m1 is an append and is not stored.  Under a
+degree bound N only PBW entries with deg m + 1 <= N are read and only product
+entries with deg m1 + deg m2 <= N are stored, so a fiber of dimension d holds
+at most (monomials of degree < N) * d PBW entries and at most C(N + 2d, 2d)
+product entries, one per pair of monomials of total degree <= N.
 
 The Hopf structure is the usual one determined on generators: generators are
 primitive, the counit kills positive degree, and the antipode negates
@@ -41,8 +42,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations_with_replacement
-from math import comb
+from itertools import combinations_with_replacement, product
+from math import comb, prod
 
 from .errors import DimensionMismatch, TruncationOverflow
 from .liebundle import LieFiber
@@ -133,14 +134,19 @@ def mono_mul(fiber: LieFiber, m1: Monomial, m2: Monomial, truncation: int):
     """The product m1 * m2 as ``(monomial, c)`` terms, in ``mono_key`` order.
 
     The degree bound is checked on the two factors, before any lookup, so an
-    overflowing call stores nothing.  The product is read from the fiber's
-    product table; a missing entry is filled from the longest stored prefix
-    of m2's word, one letter at a time, storing each longer prefix on the way.
+    overflowing call stores nothing.  When no letter of m2 comes before the
+    last letter of m1 the product is m1 with m2 appended, returned as it is
+    and not stored.  Any other product is read from the fiber's product
+    table; a missing entry is filled from the longest stored prefix of m2's
+    word, one letter at a time, storing each longer prefix on the way.
     """
     total = mono_degree(m1) + mono_degree(m2)
     if total > truncation:
         raise TruncationOverflow(total, truncation,
                                  "product of stored monomials; no silent truncation")
+    last = max((k for k, a in enumerate(m1) if a), default=0)  # the last letter of m1
+    if not any(m2[:last]):  # no letter of m2 precedes it: the product is an append
+        return ((tuple(a + b for a, b in zip(m1, m2)), 1),)
     table = fiber.product_table
     entry = table.get((m1, m2))
     if entry is None:
@@ -167,12 +173,11 @@ def mono_delta(m: Monomial):
 
     Splitting an ordered monomial leaves both halves ordered, so no
     restraightening is needed and no overflow can occur.  The terms come in
-    ascending order of ``(left, right)``.
+    ascending order of ``(left, right)`` and are made one at a time, so a
+    reader that stops early builds no more of them.
     """
-    splits = [((), 1)]
-    for a in m:
-        splits = [(left + (b,), w * comb(a, b)) for left, w in splits for b in range(a + 1)]
-    return (((left, tuple(a - b for a, b in zip(m, left))), w) for left, w in splits)
+    for left in product(*(range(a + 1) for a in m)):
+        yield (left, tuple(a - b for a, b in zip(m, left))), prod(map(comb, m, left))
 
 
 def mono_antipode(fiber: LieFiber, m: Monomial):

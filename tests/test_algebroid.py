@@ -718,6 +718,42 @@ def test_product_memo_holds_only_composable_pairs():
     assert all((h, k) in compose for (h, _m1), (k, _m2) in carrier._products)
 
 
+def test_bracket_is_the_commutator_of_the_products():
+    """Where no product overflows, ``bracket`` is ``mul(a, b) - mul(b, a)``."""
+    rng = random.Random(5)
+    carriers = [carrier_from_model(pairh3_model()), carrier_from_model(funs3_model()),
+                carrier_from_model(load("workloads").sl2_model(6)), z2line(),
+                h3_z2_carrier(-1)]
+    carriers += [carrier_from_model(random_model(seed)) for seed in range(8)]
+    for carrier in carriers:
+        for _ in range(10):
+            a, b = carrier.random_element(rng), carrier.random_element(rng)
+            assert carrier.bracket(a, b) == carrier.mul(a, b) - carrier.mul(b, a)
+    a, b = z2line(), z2line()
+    with pytest.raises(DimensionMismatch):
+        a.bracket(a.one(), b.one())
+
+
+def test_bracket_cancels_before_the_truncation_bound():
+    """At N=1 the commutator [P, Q] = Z of the Heisenberg fiber is exact,
+    although each product has degree 2; a degree-2 term that survives the
+    cancellation still overflows, and the product memo is never written."""
+    model = pairh3_model()
+    model["truncation"] = 1
+    carrier = carrier_from_model(model)
+    p, q, z = (carrier.basis_element(("axx", m)) for m in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    assert carrier.bracket(p, q) == z and carrier.bracket(q, p) == z.scale(-1)
+    assert carrier.bracket(p, z).is_zero()
+    with pytest.raises(TruncationOverflow):
+        carrier.mul(p, q)
+    # The arrows axy and ayx compose both ways, to different units: nothing cancels.
+    left, right = carrier.basis_element(("axy", (1, 0, 0))), carrier.basis_element(("ayx", (0, 1, 0)))
+    with pytest.raises(TruncationOverflow, match="degree 2 exceeds truncation bound 1 "
+                                                 r"\(commutator"):
+        carrier.bracket(left, right)
+    assert carrier._products == {}
+
+
 def test_each_transport_is_computed_once(monkeypatch):
     """``mul_label`` and ``antipode_label`` share one transport per (arrow, monomial)."""
     carrier = carrier_from_model(load("workloads").sl2_model(6))

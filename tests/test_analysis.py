@@ -35,7 +35,7 @@ from finhopf.errors import AnalysisError, NotAGoodPair, SolverIncomplete
 from finhopf.groupoid import BaseFun, BaseSpace, groupoid_isomorphic
 from finhopf.linalg import QMatrix
 from finhopf.modelio import carrier_from_model
-from finhopf.models import funs3_model, pairh3_model, random_model, z2line_model
+from finhopf.models import PRESETS, funs3_model, pairh3_model, random_model, z2line_model
 
 from test_algebroid import (
     h3_z2_carrier,
@@ -194,6 +194,115 @@ def test_blockwise_primitive_bases_match_the_single_system_oracle(monkeypatch):
             assert typed_bases(solve_primitives(carrier)) == blockwise
 
 
+def cyclic_model(basis, brackets, matrix, order, truncation):
+    """One point with Z/order acting on its fiber, the generator by ``matrix``."""
+    arrows = [f"r{k}" for k in range(order)]
+    power, powers = QMatrix.identity(len(basis)), []
+    for _ in arrows:
+        powers.append(power)
+        power = power * QMatrix(matrix)
+    return {
+        "format": "hopf-algebroid-model",
+        "version": 1,
+        "kind": "convolution",
+        "base": ["x"],
+        "groupoid": {
+            "arrows": [{"id": a, "src": "x", "tgt": "x"} for a in arrows],
+            "units": {"x": "r0"},
+            "inverse": {arrows[k]: arrows[-k % order] for k in range(order)},
+            "compose": [[arrows[i], arrows[j], arrows[(i + j) % order]]
+                        for i in range(order) for j in range(order)],
+        },
+        "bundle": [{"point": "x", "basis": basis, "brackets": brackets}],
+        "action": [{"arrow": a, "matrix": [[int(m.entry(i, j)) for j in range(m.cols)]
+                                           for i in range(m.rows)]}
+                   for a, m in zip(arrows, powers)],
+        "truncation": truncation,
+    }
+
+
+def sl2_z3_model(truncation):
+    """sl2 = span(H, E, F) under Z/3, by an order-3 automorphism."""
+    return cyclic_model(["H", "E", "F"],
+                        [["H", "E", {"E": 2}], ["H", "F", {"F": -2}], ["E", "F", {"H": 1}]],
+                        [[-1, 0, 1], [0, 0, -1], [-2, -1, 1]], 3, truncation)
+
+
+def affine_line_z2_model(truncation):
+    """[X, Y] = Y under Z/2, acting by X -> X + Y, Y -> -Y."""
+    return cyclic_model(["X", "Y"], [["X", "Y", {"Y": 1}]], [[1, 0], [1, -1]], 2, truncation)
+
+
+def full_system_bases(carrier):
+    """Per point, the ``nullspace_of_rows`` basis of the whole primitive
+    system: one column per label, its coproduct minus the two unit terms."""
+    out = {}
+    for y in carrier.base.points:
+        labels = carrier.labels_at(y)
+        idx = {l: i for i, l in enumerate(labels)}
+        unit = carrier.unit_at(y).coeffs
+        rows = {}
+        for col, l in enumerate(labels):
+            column = {}
+            terms = [((idx[l1], idx[l2]), c) for (l1, l2), c in carrier.delta_label(l)]
+            for l0, c0 in unit.items():
+                terms += [((idx[l0], col), -c0), ((col, idx[l0]), -c0)]
+            for key, c in terms:
+                column[key] = column.get(key, 0) + c
+            for key, c in column.items():
+                if c:
+                    rows.setdefault(key, {})[col] = c
+        out[y] = [[(l, c, type(c)) for l, c in zip(labels, v) if c]
+                  for v in linalg.nullspace_of_rows(rows.values(), len(labels))]
+    return out
+
+
+def per_label_oracle_carriers():
+    models = [build() for build in PRESETS.values()]
+    models += [random_model(seed) for seed in range(40)]
+    models += [load("workloads").sl2_model(n) for n in range(7)]
+    models += [build(n) for build in (sl2_z3_model, affine_line_z2_model) for n in (2, 3, 4)]
+    return [carrier_from_model(model) for model in models]
+
+
+def test_per_label_primitives_match_the_full_system():
+    carriers = per_label_oracle_carriers()
+    assert sum(c.kind == "convolution" for c in carriers) == len(carriers) - 1
+    for carrier in carriers:
+        bases = {p: [[(l, c, type(c)) for l, c in b.coeffs.items()] for b in basis]
+                 for p, basis in solve_primitives(carrier).per_point.items()}
+        assert bases == full_system_bases(carrier)
+    # The item-12 models: a primitive rank of dim g, and the sl2 basis is H, E, F.
+    for build, dim in ((sl2_z3_model, 3), (affine_line_z2_model, 2)):
+        prim = solve_primitives(carrier_from_model(build(3)))
+        assert prim.ranks() == {"x": dim}
+        assert [b.coeffs for b in prim.per_point["x"]] == [
+            {("r0", tuple(int(i == k) for i in range(dim))): 1} for k in range(dim)]
+
+
+def test_the_per_label_test_reads_at_most_two_coproduct_terms(monkeypatch):
+    read = []
+    real = analysis_module.mono_delta
+
+    def counting(m):
+        read.append(0)
+        for term in real(m):
+            read[-1] += 1
+            yield term
+
+    monkeypatch.setattr(analysis_module, "mono_delta", counting)
+    for carrier in (pairh3_at(8), carrier_from_model(load("workloads").sl2_model(8))):
+        read.clear()
+        solve_primitives(carrier)
+        assert len(read) == carrier.dim and max(read) == 2
+        assert not carrier._delta_cache
+    for carrier in (pairh3_at(0), carrier_from_model(load("workloads").sl2_model(0))):
+        read.clear()
+        prim = solve_primitives(carrier)
+        assert read == [1] * carrier.dim
+        assert set(prim.ranks().values()) == {0}
+
+
 def test_prim_bundle_recovers_bracket():
     prim = solve_primitives(pairh3())
     bundle = prim_bundle(prim)
@@ -241,10 +350,10 @@ def carrier_calls(monkeypatch, carrier, names=("mul", "delta", "antipode", "coun
 
 def test_each_primitive_commutator_is_computed_once(monkeypatch):
     carrier = pairh3()
-    calls = carrier_calls(monkeypatch, carrier, ("mul",))
+    calls = carrier_calls(monkeypatch, carrier, ("mul", "bracket"))
     prim = solve_primitives(carrier)
-    # 15 unordered pairs of the 6 primitives, two products each, and 12 anchors
-    assert calls["mul"] == 42
+    # 15 unordered pairs of the 6 primitives, one bracket each, and 12 anchors
+    assert calls == {"bracket": 15, "mul": 12}
     assert prim.bracket_closed
     # the entries filled in by antisymmetry are the commutators themselves
     for p, basis in prim.per_point.items():
@@ -255,9 +364,11 @@ def test_each_primitive_commutator_is_computed_once(monkeypatch):
 
 
 def test_one_generator_fibers_are_decided_at_truncation_one():
-    # Their primitives have no commutator to take, so nothing multiplies two
-    # of them; the decision and the ranks are those at N=2.
-    for make in (z2line_model, lambda: random_model(3)):
+    # One-generator primitives have no commutator to take, and a commutator
+    # of two degree-1 primitives cancels its degree-2 terms before the bound
+    # is checked; so the decision, the ranks and the spectral arrows at N=1
+    # are those at N=2.
+    for make in (z2line_model, lambda: random_model(3), pairh3_model):
         decisions = []
         for n in (1, 2):
             model = make()
@@ -265,11 +376,10 @@ def test_one_generator_fibers_are_decided_at_truncation_one():
             decisions.append(analyze(carrier_from_model(model)).decision)
         assert [d.verdict for d in decisions] == ["ISO", "ISO"]
         assert decisions[0].prim_ranks == decisions[1].prim_ranks
-    # A Heisenberg fiber still multiplies two degree-1 primitives at N=1.
-    decision = analyze(pairh3_at(1)).decision
-    assert decision.verdict == "ERROR"
-    assert decision.stage_error == ("primitives", "degree 2 exceeds truncation bound 1 "
-                                    "(product of stored monomials; no silent truncation)")
+        assert decisions[0].spectral_arrows == decisions[1].spectral_arrows
+    assert decisions[0].prim_ranks == {"x": 3, "y": 3}
+    assert decisions[0].spectral_arrows == 4
+    assert roundtrip(pairh3_at(1)).ok
 
 
 def test_primitive_commutation_identity_with_base():

@@ -563,13 +563,31 @@ def test_table_is_bounded_by_the_truncation():
 
 
 def test_product_table_fills_a_deep_word_without_recursion():
+    """Q * P^1500 in the Heisenberg fiber fills 1500 prefixes of the right factor."""
+    fiber = heisenberg()
+    assert mono_mul(fiber, (0, 1, 0), (1500, 0, 0), 1501) == (
+        ((1499, 0, 1), -1500), ((1500, 1, 0), 1))
+    assert len(fiber.product_table) == 1500
+
+
+def test_an_append_is_returned_without_a_table_entry():
     """z2line at truncation 3000 is a legal model; a product of two powers of
-    its one generator fills 1500 prefixes of the right factor."""
+    its one generator is an append, as is any product whose right factor
+    starts at or after the last letter of the left one."""
     model = z2line_model()
     model["truncation"] = 3000
     fiber = carrier_from_model(model).bundle.fibers[0]
     assert mono_mul(fiber, (1000,), (1500,), 3000) == (((2500,), 1),)
-    assert len(fiber.product_table) == 1500
+    assert fiber.product_table == {}
+    fiber = heisenberg()
+    for m1, m2 in (((1, 1, 0), (0, 2, 1)), ((0, 0, 0), (1, 0, 2)), ((2, 0, 1), (0, 0, 0)),
+                   ((1, 0, 0), (3, 1, 0))):
+        append = tuple(map(sum, zip(m1, m2)))
+        assert _straighten(fiber, mono_word(m1) + mono_word(m2), 1) == {append: 1}
+        assert mono_mul(fiber, m1, m2, 6) == ((append, 1),)
+    assert fiber.product_table == {} and fiber.pbw_table == {}
+    with pytest.raises(TruncationOverflow):
+        mono_mul(fiber, (0, 0, 2), (0, 0, 2), 3)
 
 
 def test_an_overflowing_product_stores_nothing():
