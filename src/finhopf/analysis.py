@@ -4,13 +4,16 @@ The pipeline recovers, from a Hopf algebroid alone, the geometric data it
 may have been built from:
 
 1. ``solve_primitives``: the module of primitive elements (coproduct is
-   unit-tensor-x + x-tensor-unit), found label by label on a convolution
-   carrier and as an exact nullspace on a table, with its fiberwise ranks,
-   bracket closure, antipode behaviour and anchor, and the bracket table at
-   each point that ``prim_bundle`` reads.
+   unit-tensor-x + x-tensor-unit), read off the construction on a
+   convolution carrier (the generators over the unit arrows) and found as an
+   exact nullspace on a table, with its fiberwise ranks, bracket closure,
+   antipode behaviour and anchor, and the bracket table at each point that
+   ``prim_bundle`` reads.
 2. ``solve_grouplikes_at`` / ``build_spectral_groupoid``: the normalized
-   grouplike germs at each point, filtered by antipode-invariance, assembled
-   into a finite groupoid under the localized product.
+   grouplike germs at each point (on a convolution carrier the unit
+   coefficients over the arrows, on a table the checked eigenvector
+   candidates), filtered by antipode-invariance, assembled into a finite
+   groupoid under the localized product.
 3. ``build_prim_action``: each spectral arrow g into y conjugates primitives
    between fibers, b -> rep_g * b * rep_(g^-1).  That is conjugation by the
    good pair rep_g cuts out at y, by three facts the spectral stage proved:
@@ -44,7 +47,6 @@ from .algebroid import (
     pair_terms,
     run_law,
 )
-from .enveloping import mono_delta
 from .errors import (
     AnalysisError,
     FinhopfError,
@@ -118,30 +120,23 @@ class PrimBasis:
         return coords if rebuilt == element.coeffs else None
 
 
-def _primitives_constructed(carrier: ConvolutionAlgebroid, point, unit):
-    # Exactness of the per-label test: delta(g, m) lies in the span of the
-    # pairs (g, m1) (x) (g, m2) with m1 + m2 = m, so a coproduct key is
-    # reached by one label only, and the unit terms of a label l sit at
-    # 1_y (x) l and l (x) 1_y, where 1_y is the unit label at the point.  So
-    # every row of the primitive system has one column, and the kernel is
-    # spanned by the unit vectors of the labels whose column
-    # delta(l) - 1_y (x) l - l (x) 1_y is zero: in label order, that is the
-    # reduced echelon basis.  A label is dropped at the first coproduct key
-    # that no unit term cancels.  In ascending split order the first key,
-    # (g, 0) (x) l, is cancelled only on the unit arrow in positive degree,
-    # and the second, (g, x_i) (x) (g, m - x_i), only in degree 1, so at most
-    # two coproduct terms are read per label.
-    out = []
-    for l in carrier.labels_at(point):
-        g, m = l
-        expected = add_terms({}, [((l0, l), c0) for l0, c0 in unit]
-                             + [((l, l0), c0) for l0, c0 in unit])
-        for (m1, m2), c in mono_delta(m):
-            if expected.pop(((g, m1), (g, m2)), None) != c:
-                break
-        else:  # both splits of a generator cancelled both unit terms
-            out.append(carrier.basis_element(l))
-    return out
+def _primitives_constructed(carrier: ConvolutionAlgebroid, point, _unit):
+    # Exactness of the closed form: delta(g, m) is the sum of the pairs
+    # (g, m1) (x) (g, m2) with m1 + m2 = m, each with a nonzero coefficient,
+    # so a coproduct key is reached by one label only, every row of the
+    # primitive system has one column, and the kernel is spanned by the unit
+    # vectors of the labels whose coproduct is exactly the two unit terms
+    # 1_y (x) l + l (x) 1_y, where 1_y = (u, 0) for the unit arrow u at y.
+    # The key (g, 0) (x) (g, m) is a unit term only when g = u and m has
+    # positive degree (at m = 0 both unit terms fall on it, with
+    # coefficient 2).  The key (g, x_i) (x) (g, m - x_i), for a letter x_i
+    # of m, is a unit term only when m - x_i = 0, that is when m has degree
+    # 1, and then delta(l) is the two unit terms.  So the primitives are the
+    # generators (u, x_i), and in label order they are the reduced echelon
+    # basis; at truncation 0 there are none.
+    unit_arrow = carrier.groupoid.units[point]
+    return [carrier.basis_element(l) for l in carrier.labels_at(point)
+            if l[0] == unit_arrow and sum(l[1]) == 1]
 
 
 def _primitives_table(carrier: HopfAlgebroid, point, unit):
@@ -167,12 +162,12 @@ def solve_primitives(carrier: HopfAlgebroid) -> PrimBasis:
 
     At each point y the equation delta(a) = eta (x) a + a (x) eta is an
     exact system over the labels at y, with a sparse row per label pair.  On
-    a convolution carrier every row has one column, so each label is tested
-    on its own from the first two terms of its coproduct, and the basis is
-    the unit vectors of the labels that pass.  On a table carrier each
-    label's column is its coproduct minus the two unit terms, written
-    straight into the rows, and ``nullspace_of_rows`` solves the system block
-    by block.  The commutators of the basis are taken with ``bracket``.
+    a convolution carrier its solution is known in closed form: the basis is
+    the generators (unit arrow, x_i) at y, in label order, and no coproduct
+    is read.  On a table carrier each label's column is its coproduct minus
+    the two unit terms, written straight into the rows, and
+    ``nullspace_of_rows`` solves the system block by block.  The commutators
+    of the basis are taken with ``bracket``.
     """
     solve = (_primitives_constructed if isinstance(carrier, ConvolutionAlgebroid)
              else _primitives_table)
@@ -232,14 +227,6 @@ def prim_bundle(prim: PrimBasis):
 # grouplikes and the spectral groupoid
 # ---------------------------------------------------------------------------
 
-def _is_grouplike_at(carrier, candidate, point) -> bool:
-    if candidate.is_zero():
-        return False
-    if carrier.counit(candidate)(point) != 1:
-        return False
-    return carrier.delta(candidate) == FiberTensor.of_pair(candidate, candidate)
-
-
 def _grouplikes_constructed(carrier: ConvolutionAlgebroid, point):
     # Exactness of the enumeration: a grouplike germ at the point is
     # supported on a single arrow (off-diagonal arrow pairs appear in
@@ -248,17 +235,12 @@ def _grouplikes_constructed(carrier: ConvolutionAlgebroid, point):
     # the graded piece at twice the highest positive support degree m gives
     # u_m (x) u_m = 0, so no positive degree survives, and the counit pins
     # the remaining scalar to 1.  Hence exactly the unit coefficient over
-    # each arrow into the point.
-    out = []
-    for g in carrier.groupoid.arrows_into(point):
-        fiber = carrier.bundle.fiber(point)
-        candidate = carrier.basis_element((g, tuple([0] * fiber.dim)))
-        if not _is_grouplike_at(carrier, candidate, point):
-            raise AnalysisError(
-                "spectral", f"unit coefficient over arrow {g!r} fails the grouplike laws"
-            )
-        out.append(candidate)
-    return out
+    # each arrow into the point.  The spectral stage checks both laws of
+    # every germ: S maps the coefficient over g to the one over g^-1, so its
+    # coproduct test of S(rep) covers each germ, and ``_source_of`` requires
+    # the anchor to be a point evaluation, which pins the counit to 1.
+    zero = (0,) * carrier.bundle.fiber(point).dim
+    return [carrier.basis_element((g, zero)) for g in carrier.groupoid.arrows_into(point)]
 
 
 def _grouplikes_table(carrier: HopfAlgebroid, point):
@@ -301,14 +283,20 @@ def _grouplikes_table(carrier: HopfAlgebroid, point):
     out = []
     for _basis, tup in spaces:
         candidate = AlgebroidElement(carrier, {l: lam for l, lam in zip(labels, tup) if lam})
-        if _is_grouplike_at(carrier, candidate, point):
+        if (not candidate.is_zero() and carrier.counit(candidate)(point) == 1
+                and carrier.delta(candidate) == FiberTensor.of_pair(candidate, candidate)):
             out.append(candidate)
     out.sort(key=lambda e: e.signature())
     return out
 
 
 def solve_grouplikes_at(carrier: HopfAlgebroid, point) -> list:
-    """All exact normalized grouplike germs at a base point."""
+    """All exact normalized grouplike germs at a base point.
+
+    On a convolution carrier they are the unit coefficients over the arrows
+    into the point, by construction; ``build_spectral_groupoid`` checks their
+    laws.  On a table each eigenvector candidate is checked here.
+    """
     if isinstance(carrier, ConvolutionAlgebroid):
         return _grouplikes_constructed(carrier, point)
     return _grouplikes_table(carrier, point)
@@ -480,6 +468,8 @@ def build_prim_action(carrier: HopfAlgebroid, gsp: SpectralGroupoid,
     ``build_spectral_groupoid`` proved that rep_g is a normalized grouplike
     (so ``make_good_pair`` accepts it), that 1_y * rep_g = rep_g (the unit law
     of its ``validate()``) and that S(rep_g) = rep_(g^-1) (the inverse it matched).
+    A non-square matrix raises ``RankMismatch``; ``BundleAction.validate``
+    reports a singular square one, so each kernel is taken once.
     """
     bundle = prim_bundle(prim)
     groupoid, reps = gsp.groupoid, gsp.representatives
@@ -499,7 +489,7 @@ def build_prim_action(carrier: HopfAlgebroid, gsp: SpectralGroupoid,
                 )
             columns.append(coords)
         m = QMatrix.from_columns(columns, rows=prim.rank_at(y))
-        if m.rows != m.cols or not m.is_invertible():
+        if m.rows != m.cols:
             raise RankMismatch(
                 f"conjugation along {arrow!r} is not a bijection between fibers "
                 f"({m.cols} -> {m.rows})"

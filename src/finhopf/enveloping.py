@@ -173,8 +173,7 @@ def mono_delta(m: Monomial):
 
     Splitting an ordered monomial leaves both halves ordered, so no
     restraightening is needed and no overflow can occur.  The terms come in
-    ascending order of ``(left, right)`` and are made one at a time, so a
-    reader that stops early builds no more of them.
+    ascending order of ``(left, right)``.
     """
     for left in product(*(range(a + 1) for a in m)):
         yield (left, tuple(a - b for a, b in zip(m, left))), prod(map(comb, m, left))

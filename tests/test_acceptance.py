@@ -27,7 +27,7 @@ from finhopf.errors import TruncationOverflow
 from finhopf.groupoid import BaseFun, groupoid_isomorphic
 from finhopf.liebundle import BundleAction, LieBundle
 from finhopf.linalg import QMatrix
-from finhopf.modelio import FORMAT_NAME, FORMAT_VERSION, carrier_from_model
+from finhopf.modelio import FORMAT_NAME, FORMAT_VERSION, carrier_from_model, model_to_text
 from finhopf.models import funs3_model, pairh3_model, random_model, z2line_model
 
 from test_analysis import prim_elements
@@ -35,6 +35,9 @@ from test_liebundle import abelian, heisenberg
 
 _ZERO = Fraction(0)
 H3 = heisenberg()
+# The generated instances of criteria 1 and 5: the first 25 seeds from 1 whose
+# ``random_model`` documents are distinct (seed 14 repeats 3, and 18 repeats 15).
+GENERATED_SEEDS = tuple(s for s in range(1, 28) if s not in (14, 18))
 
 AXIOM_CHECK_NAMES = {
     "axiom_i_counit_on_base",
@@ -107,7 +110,10 @@ def span_contains(carrier, generators, elements):
 
 def test_criterion_1_axiom_suite():
     start = time.monotonic()
-    keys = ["z2line", "pairh3"] + [f"rnd:{s}" for s in range(1, 26)]
+    documents = {s: model_to_text(random_model(s)) for s in range(1, 28)}
+    assert len({documents[s] for s in GENERATED_SEEDS}) == 25
+    assert documents[14] == documents[3] and documents[18] == documents[15]
+    keys = ["z2line", "pairh3"] + [f"rnd:{s}" for s in GENERATED_SEEDS]
     for key in keys:
         report = check_axioms(instance(key), samples=100, seed=1)
         assert {c.name for c in report.checks} == AXIOM_CHECK_NAMES, key
@@ -318,7 +324,7 @@ def proposition_t_inverse_on_d(carrier, prim, gsp):
 
 def test_criterion_5_proposition_suite():
     keys = (["z2line", "pairh3", "funs3", "h3point"]
-            + [f"rnd:{s}" for s in range(1, 26)])
+            + [f"rnd:{s}" for s in GENERATED_SEEDS])
     for key in keys:
         carrier = instance(key)
         prim = solve_primitives(carrier)

@@ -3,12 +3,14 @@
 import collections
 import functools
 import random
+import sys
 import time
 from fractions import Fraction
 
 import pytest
 
 from finhopf import analysis as analysis_module
+from finhopf import enveloping as enveloping_module
 from finhopf import linalg
 from finhopf.algebroid import (
     AlgebroidElement,
@@ -280,27 +282,50 @@ def test_per_label_primitives_match_the_full_system():
             {("r0", tuple(int(i == k) for i in range(dim))): 1} for k in range(dim)]
 
 
-def test_the_per_label_test_reads_at_most_two_coproduct_terms(monkeypatch):
-    read = []
-    real = analysis_module.mono_delta
+def test_constructed_primitives_read_no_coproduct(monkeypatch):
+    # The closed form: the generators over each unit arrow, in label order,
+    # with no coproduct read or cached; at truncation 0 there are none.
+    reads = collections.Counter()
+    # every binding of ``mono_delta`` in the package, and both carrier methods
+    bindings = [(module, "mono_delta") for name, module in list(sys.modules.items())
+                if name.startswith("finhopf")
+                and getattr(module, "mono_delta", None) is enveloping_module.mono_delta]
+    assert (enveloping_module, "mono_delta") in bindings
+    for owner, name in bindings + [(HopfAlgebroid, "delta"), (ConvolutionAlgebroid, "delta_label")]:
+        def counting(*args, _real=getattr(owner, name), _name=name):
+            reads[_name] += 1
+            return _real(*args)
 
-    def counting(m):
-        read.append(0)
-        for term in real(m):
-            read[-1] += 1
-            yield term
+        monkeypatch.setattr(owner, name, counting)
+    for n in (0, 4, 16):
+        for carrier in (pairh3_at(n), carrier_from_model(load("workloads").sl2_model(n))):
+            prim = solve_primitives(carrier)
+            assert not reads and not carrier._delta_cache, (n, reads)
+            for p in carrier.base.points:
+                dim = carrier.bundle.fiber(p).dim if n else 0
+                unit = carrier.groupoid.units[p]
+                assert [b.coeffs for b in prim.per_point[p]] == [
+                    {(unit, tuple(int(i == k) for i in range(dim))): 1} for k in range(dim)]
 
-    monkeypatch.setattr(analysis_module, "mono_delta", counting)
-    for carrier in (pairh3_at(8), carrier_from_model(load("workloads").sl2_model(8))):
-        read.clear()
-        solve_primitives(carrier)
-        assert len(read) == carrier.dim and max(read) == 2
-        assert not carrier._delta_cache
-    for carrier in (pairh3_at(0), carrier_from_model(load("workloads").sl2_model(0))):
-        read.clear()
-        prim = solve_primitives(carrier)
-        assert read == [1] * carrier.dim
-        assert set(prim.ranks().values()) == {0}
+
+def test_each_germ_law_and_action_kernel_is_checked_once(monkeypatch):
+    carrier = pairh3_at(4)
+    prim = solve_primitives(carrier)
+    # 4 germs: the coproduct of each antipode image, and 2 anchors each in
+    # ``_source_of``; the germs themselves are read off the construction.
+    calls = carrier_calls(monkeypatch, carrier, ("delta", "counit"))
+    gsp = build_spectral_groupoid(carrier)
+    assert calls == {"delta": 4, "counit": 8}
+    kernels, real = [], QMatrix.nullspace
+
+    def counting(self):
+        kernels.append(self)
+        return real(self)
+
+    monkeypatch.setattr(QMatrix, "nullspace", counting)
+    build_prim_action(carrier, gsp, prim)
+    # one kernel per arrow, taken by ``BundleAction.validate``
+    assert len(kernels) == 4
 
 
 def test_prim_bundle_recovers_bracket():
@@ -703,9 +728,9 @@ def test_prim_action_only_multiplies(monkeypatch):
 
 def test_prim_action_is_the_good_pair_conjugation():
     # the instances of acceptance criterion 5
-    from test_acceptance import instance
+    from test_acceptance import GENERATED_SEEDS, instance
 
-    keys = ["z2line", "pairh3", "funs3", "h3point"] + [f"rnd:{s}" for s in range(1, 26)]
+    keys = ["z2line", "pairh3", "funs3", "h3point"] + [f"rnd:{s}" for s in GENERATED_SEEDS]
     for key in keys:
         carrier = instance(key)
         prim, gsp = solve_primitives(carrier), build_spectral_groupoid(carrier)
@@ -908,6 +933,33 @@ def test_roundtrip_on_presets():
         assert report.rank_matches
         assert report.groupoid_isomorphic
         assert report.action_matches
+
+
+def large_entry_model():
+    """The pair groupoid on x, y with 1-dimensional abelian fibers at
+    truncation 3, transporting by 10**30/7 from x to y and back by its inverse."""
+    model = pairh3_model()
+    model["bundle"] = [{"point": p, "basis": ["X"], "brackets": []} for p in ("x", "y")]
+    scalars = {"axy": f"7/{10**30}", "ayx": f"{10**30}/7"}
+    model["action"] = [{"arrow": a["id"], "matrix": [[scalars.get(a["id"], 1)]]}
+                       for a in model["groupoid"]["arrows"]]
+    model["truncation"] = 3
+    return model
+
+
+def test_large_rational_entries_have_a_pinned_answer():
+    carrier = carrier_from_model(large_entry_model())
+    analysis = analyze(carrier)
+    decision = analysis.decision
+    assert decision.verdict == "ISO"
+    assert decision.prim_ranks == {"x": 1, "y": 1}
+    assert decision.spectral_arrows == 4
+    assert decision.theta == {p: {"rank": 8, "dim": 8, "domainDim": 8} for p in ("x", "y")}
+    assert roundtrip(carrier).ok
+    gsp, action = analysis.gsp, analysis.prim_action
+    for arrow, entry in (("ayx", Fraction(10**30, 7)), ("axy", Fraction(7, 10**30))):
+        rebuilt = action.matrix(gsp.arrow_of(carrier.basis_element((arrow, (0,)))))
+        assert rebuilt == QMatrix([[entry]])
 
 
 def test_roundtrip_refuses_a_table_carrier_before_any_stage(monkeypatch):

@@ -21,7 +21,9 @@ from finhopf.modelio import (
     scalar_to_json,
     validate_model,
 )
-from finhopf.models import funs3_model, pairh3_model, random_model, z2line_model
+from finhopf.models import PRESETS, funs3_model, pairh3_model, random_model, z2line_model
+
+from test_benchmark_reference import load
 
 
 def test_scalar_serialization():
@@ -44,6 +46,15 @@ def test_save_and_load_roundtrip(tmp_path):
     assert load_model(path) == model
     carrier = load_carrier(path)
     assert carrier.dim == 140
+    # save -> load -> save writes the same bytes
+    models = [build() for build in PRESETS.values()]
+    models += [random_model(seed) for seed in range(40)]
+    models += [load("workloads").sl2_model(n) for n in range(1, 7)]
+    again = tmp_path / "again.json"
+    for model in models:
+        save_model(model, path)
+        save_model(load_model(path), again)
+        assert again.read_bytes() == path.read_bytes()
 
 
 def test_every_preset_loads_as_a_carrier():

@@ -2,9 +2,10 @@
 
 Each document is a preset or a ``random_model`` with one to three random
 edits: groupoid units, inverses and compose rows remapped or dropped, action
-entries changed, brackets added and the truncation lowered to 0-2 on
-convolution models; products, coproducts, counits and antipodes changed or
-dropped on tables.  Whatever the edits, a command must end with exit code 0,
+entries changed or negated, brackets added or a bracket coefficient negated,
+and the truncation lowered to 0-2 on convolution models; products,
+coproducts, counits and antipodes changed, dropped or one coefficient negated
+on tables.  Whatever the edits, a command must end with exit code 0,
 1 or 2 and let no exception escape.
 """
 
@@ -16,6 +17,7 @@ import pytest
 from finhopf.cli import main
 from finhopf.modelio import save_model
 from finhopf.models import funs3_model, pairh3_model, random_model, z2line_model
+from finhopf.rationals import rat
 
 SOURCES = {
     "z2line": z2line_model,
@@ -34,6 +36,15 @@ def _drop(rng, items):
     """Remove one random entry of a list or a dict, if it has one."""
     if items:
         items.pop(rng.randrange(len(items)) if isinstance(items, list) else rng.choice(sorted(items)))
+
+
+def _flip(rng, slots):
+    """Negate the scalar in one random nonzero ``(container, key)`` slot, if there is one."""
+    slots = [(container, key) for container, key in slots if rat(container[key])]
+    if slots:
+        container, key = rng.choice(slots)
+        value = -rat(container[key])
+        container[key] = value.numerator if value.denominator == 1 else str(value)
 
 
 def _arrow(model, rng):
@@ -81,6 +92,16 @@ def change_action_entry(model, rng):
         row[rng.randrange(len(row))] = rng.choice(SCALARS)
 
 
+def flip_action_entry(model, rng):
+    _flip(rng, [(row, j) for entry in model["action"] for row in entry["matrix"]
+                for j in range(len(row))])
+
+
+def flip_bracket(model, rng):
+    _flip(rng, [(coeffs, c) for fiber in model["bundle"] for _a, _b, coeffs in fiber["brackets"]
+                for c in coeffs])
+
+
 def add_bracket(model, rng):
     fiber = rng.choice(model["bundle"])
     if fiber["basis"]:
@@ -98,6 +119,10 @@ def change_product(model, rng):
         rng.choice(rows)[2] = {_label(model, rng): rng.choice(SCALARS[1:])}
 
 
+def flip_product(model, rng):
+    _flip(rng, [(coeffs, l) for _a, _b, coeffs in model["table"]["mul"] for l in coeffs])
+
+
 def drop_product(model, rng):
     _drop(rng, model["table"]["mul"])
 
@@ -109,12 +134,21 @@ def change_coproduct(model, rng):
         rng.choice(terms)[k] = _label(model, rng) if k < 2 else rng.choice(SCALARS[1:])
 
 
+def flip_coproduct(model, rng):
+    _flip(rng, [(term, 2) for terms in model["table"]["delta"].values() for term in terms])
+
+
 def drop_coproduct(model, rng):
     _drop(rng, model["table"]["delta"].get(_label(model, rng)))
 
 
 def change_counit(model, rng):
     model["table"]["counit"][_label(model, rng)] = rng.choice(SCALARS)
+
+
+def flip_counit(model, rng):
+    counit = model["table"]["counit"]
+    _flip(rng, [(counit, l) for l in counit])
 
 
 def drop_counit(model, rng):
@@ -125,15 +159,21 @@ def change_antipode(model, rng):
     model["table"]["antipode"][_label(model, rng)] = {_label(model, rng): rng.choice(SCALARS[1:])}
 
 
+def flip_antipode(model, rng):
+    _flip(rng, [(coeffs, l) for coeffs in model["table"]["antipode"].values() for l in coeffs])
+
+
 def drop_antipode(model, rng):
     _drop(rng, model["table"]["antipode"])
 
 
 EDITS = {
     "convolution": (remap_unit, drop_unit, remap_inverse, drop_inverse, remap_compose,
-                    drop_compose, change_action_entry, add_bracket, lower_truncation),
-    "table": (change_product, drop_product, change_coproduct, drop_coproduct,
-              change_counit, drop_counit, change_antipode, drop_antipode),
+                    drop_compose, change_action_entry, flip_action_entry, add_bracket,
+                    flip_bracket, lower_truncation),
+    "table": (change_product, flip_product, drop_product, change_coproduct, flip_coproduct,
+              drop_coproduct, change_counit, flip_counit, drop_counit, change_antipode,
+              flip_antipode, drop_antipode),
 }
 
 
@@ -161,3 +201,24 @@ def test_perturbed_models_end_every_command_with_an_exit_code(source, tmp_path, 
             capsys.readouterr()
             assert code in (0, 1, 2), (command, source, edits, code)
 
+
+
+FLIPS = {
+    "pairh3": (flip_action_entry, flip_bracket),
+    "funs3": (flip_product, flip_coproduct, flip_counit, flip_antipode),
+}
+
+
+@pytest.mark.parametrize("source", sorted(FLIPS))
+def test_each_sign_flip_changes_the_model_and_ends_every_command(source, tmp_path, capsys):
+    for flip in FLIPS[source]:
+        model = SOURCES[source]()
+        flip(model, random.Random(flip.__name__))
+        assert model != SOURCES[source](), flip.__name__
+        path = tmp_path / f"{source}-{flip.__name__}.json"
+        save_model(model, path)
+        for command in COMMANDS:
+            args = [command, str(path)] + (["--samples", "10"] if command in SAMPLED else [])
+            code = main(args)
+            capsys.readouterr()
+            assert code in (0, 1, 2), (command, flip.__name__, code)
