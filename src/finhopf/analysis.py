@@ -166,8 +166,8 @@ def solve_primitives(carrier: HopfAlgebroid) -> PrimBasis:
     the generators (unit arrow, x_i) at y, in label order, and no coproduct
     is read.  On a table carrier each label's column is its coproduct minus
     the two unit terms, written straight into the rows, and
-    ``nullspace_of_rows`` solves the system block by block.  The commutators
-    of the basis are taken with ``bracket``.
+    ``nullspace_of_rows`` solves the system in one elimination.  The
+    commutators of the basis are taken with ``bracket``.
     """
     solve = (_primitives_constructed if isinstance(carrier, ConvolutionAlgebroid)
              else _primitives_table)

@@ -225,12 +225,8 @@ def groupoid_isomorphic(a: FiniteGroupoid, b: FiniteGroupoid):
 def _search_arrow_map(a, b, pmap):
     order = sorted(a.arrows)
     b_by_ends = {}
-    for g in b.arrows:
+    for g in sorted(b.arrows):
         b_by_ends.setdefault((b.source[g], b.target[g]), []).append(g)
-
-    hint = {}
-    for (x, y), hom in b_by_ends.items():
-        hint[(x, y)] = sorted(hom)
 
     assignment = {}
     used = set()
@@ -267,7 +263,7 @@ def _search_arrow_map(a, b, pmap):
             return _full_check(a, b, pmap, assignment)
         g = order[i]
         ends = (pmap[a.source[g]], pmap[a.target[g]])
-        for image in hint.get(ends, ()):
+        for image in b_by_ends.get(ends, ()):
             if image in used:
                 continue
             if not consistent(g, image):

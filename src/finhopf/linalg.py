@@ -3,17 +3,15 @@
 Matrices are stored dense, but all elimination happens on sparse rows in
 one helper, ``_eliminate``: each row is reduced against the pivot rows
 found so far, and back substitution finishes the job.  The reduced row
-echelon form is unique, so results are canonical: ``solve`` and ``inverse``
-read it off ``QMatrix.rref``, and ``nullspace_of_rows`` (behind
-``QMatrix.nullspace``) returns the unique basis of the kernel that is itself
-in reduced echelon form with pivot entries 1.  That kernel is the one answer
-to rank and invertibility too: a rank is the number of columns minus the
-kernel dimension.  ``nullspace_of_rows`` also takes sparse systems directly,
-with entries that may be ``int``s or ``Fraction``s; it first splits the
-system into blocks of columns that share rows and solves each block on its
-own, and a block of one column needs no elimination at all.  A larger block
-is eliminated once, pivots taken from the right, which leaves each free
-column's kernel vector already canonical.
+echelon form is unique, so results are canonical.  ``solve`` reads it off
+``QMatrix.rref``.  ``nullspace_of_rows`` (behind ``QMatrix.nullspace``)
+returns the unique basis of the kernel that is itself in reduced echelon
+form with pivot entries 1, from one elimination with the pivots taken from
+the right.  That kernel is the one answer to rank, invertibility and the
+inverse too: a rank is the number of columns minus the kernel dimension,
+and ``inverse`` reads A^-1 off the kernel of [I | -A].
+``nullspace_of_rows`` also takes sparse systems directly, with entries that
+may be ``int``s or ``Fraction``s.
 """
 
 from __future__ import annotations
@@ -43,9 +41,10 @@ def _eliminate(rows):
     Rows are zero-free ``{col: Fraction}`` maps, reduced in place.  A pivot
     row is kept with entry 1 at its pivot and nothing to the left of it, so
     reducing an incoming row against the pivots in ascending order clears
-    every pivot column; what is left, normalized, is a new pivot row.  Back
-    substitution from the last pivot up then clears each pivot column above
-    its pivot.
+    every pivot column; what is left, normalized, is a new pivot row.  A row
+    left with one entry is the unit row of its column, with no division.
+    Back substitution from the last pivot up then clears each pivot column
+    above its pivot.
     """
     pivot_rows = {}
     for row in rows:
@@ -55,7 +54,10 @@ def _eliminate(rows):
                 break
             f = row[p]
             add_terms(row, ((c, -f * x) for c, x in pivot_rows[p].items()))
-        if row:
+        if len(row) == 1:
+            (lead,) = row
+            pivot_rows[lead] = {lead: _ONE}
+        elif row:
             lead = min(row)
             inv = _ONE / row[lead]
             pivot_rows[lead] = {c: x * inv for c, x in row.items()}
@@ -68,28 +70,6 @@ def _eliminate(rows):
     return pivots, [pivot_rows[p] for p in pivots]
 
 
-def _block_kernel(rows, columns):
-    """Canonical kernel rows, as sparse maps, of the ``rows`` over ``columns`` (ascending).
-
-    One elimination with the column keys negated makes each pivot the
-    rightmost column of its row.  So a free column f gives e_f minus, at each
-    pivot p right of f, row p's entry at f: a vector led by its 1 at f and
-    zero at every other free column, which is the canonical vector itself.
-    """
-    pivots, reduced = _eliminate([{-c: x for c, x in row.items()} for row in rows])
-    pivot_set = {-p for p in pivots}
-    kernel = []
-    for f in columns:
-        if f in pivot_set:
-            continue
-        v = {f: _ONE}
-        for p, row in zip(pivots, reduced):
-            if -f in row:
-                v[-p] = -row[-f]
-        kernel.append(v)
-    return kernel
-
-
 def nullspace_of_rows(rows, cols):
     """Canonical kernel basis of a system given as sparse rows.
 
@@ -99,40 +79,22 @@ def nullspace_of_rows(rows, cols):
     ``Fraction``s: the unique basis of the kernel that is itself in reduced
     echelon form with pivot entries 1.
 
-    Two columns share a block when some row holds both, so the kernel is the
-    direct sum of the block kernels, and merging their canonical bases by
-    leading column gives the canonical basis of the whole.  A one-column
-    block is the unit vector of its column when no row holds it, and adds
-    nothing otherwise; a larger block is eliminated once on its own rows,
-    pivots from the right (``_block_kernel``).
+    One elimination with the column keys negated makes each pivot the
+    rightmost column of its row, and every other entry of the row sits at a
+    free column.  So a free column f gives e_f minus, at each pivot p right
+    of f, row p's entry at f: a vector led by its 1 at f and zero at every
+    other free column, which is the canonical vector itself.
     """
-    parent = list(range(cols))
-
-    def find(c):
-        while parent[c] != c:
-            parent[c] = c = parent[parent[c]]
-        return c
-
-    rows = [row for row in rows if row]
-    for row in rows:
-        if len(row) > 1:
-            it = iter(row)
-            root = find(next(it))
-            for c in it:
-                parent[find(c)] = root
-    block_rows, blocks = {}, {}
-    for row in rows:
-        block_rows.setdefault(find(next(iter(row))), []).append(row)
-    for c in range(cols):
-        blocks.setdefault(find(c), []).append(c)
-    kernel = []
-    for root, columns in blocks.items():
-        if len(columns) > 1:
-            kernel.extend(_block_kernel(block_rows.get(root, []), columns))
-        elif root not in block_rows:
-            kernel.append({root: _ONE})
-    kernel.sort(key=min)
-    return [tuple(v.get(j, _ZERO) for j in range(cols)) for v in kernel]
+    pivots, reduced = _eliminate([{-c: x for c, x in row.items()} for row in rows])
+    pivot_set = {-p for p in pivots}
+    kernel = {f: [_ZERO] * cols for f in range(cols) if f not in pivot_set}
+    for f, v in kernel.items():
+        v[f] = _ONE
+    for p, row in zip(pivots, reduced):
+        for c, x in row.items():
+            if c != p:
+                kernel[-c][-p] = -x
+    return [tuple(v) for v in kernel.values()]
 
 
 class QMatrix:
@@ -284,18 +246,24 @@ class QMatrix:
         return tuple(x)
 
     def inverse(self):
-        """Exact inverse, or None when the matrix is singular."""
+        """Exact inverse, or None when the matrix is singular.
+
+        The kernel of the n rows x - A y = 0 over the 2n unknowns (x, y) is
+        {(A y, y)}.  Its canonical basis is (e_k, A^-1 e_k) for k < n exactly
+        when A is invertible; otherwise some basis vector k has its pivot
+        right of column k, so its entry k is 0.
+        """
         if self.rows != self.cols:
             return None
         n = self.rows
-        aug = QMatrix(
-            [list(r) + [(_ONE if i == j else _ZERO) for j in range(n)] for i, r in enumerate(self.data)],
-            cols=2 * n,
+        kernel = nullspace_of_rows(
+            ({i: _ONE, **{n + j: -a for j, a in enumerate(r) if a}}
+             for i, r in enumerate(self.data)),
+            2 * n,
         )
-        reduced, pivots = aug.rref()
-        if tuple(pivots[:n]) != tuple(range(n)) or len(pivots) != n:
+        if not all(v[k] for k, v in enumerate(kernel)):
             return None
-        return QMatrix([r[n:] for r in reduced.data], cols=n)
+        return QMatrix.from_columns([v[n:] for v in kernel], rows=n)
 
     def is_invertible(self) -> bool:
         """Square with an empty kernel; no inverse is built."""
@@ -314,10 +282,12 @@ class QMatrix:
         n = self.rows
         coeffs = [_ZERO] * n + [_ONE]
         am = QMatrix.zeros(n, n)
-        ident = QMatrix.identity(n)
         c = _ONE
         for k in range(1, n + 1):
-            am = self * (am + ident.scale(c))
+            am = self * QMatrix(
+                [[x + c if i == j else x for j, x in enumerate(r)] for i, r in enumerate(am.data)],
+                cols=n,
+            )
             trace = sum((am.data[i][i] for i in range(n)), _ZERO)
             c = -trace / k
             coeffs[n - k] = c

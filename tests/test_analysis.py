@@ -2,6 +2,7 @@
 
 import collections
 import functools
+import itertools
 import random
 import sys
 import time
@@ -17,7 +18,6 @@ from finhopf.algebroid import (
     ConvolutionAlgebroid,
     FiberTensor,
     HopfAlgebroid,
-    TableAlgebroid,
 )
 from finhopf.analysis import (
     _weakly_grouplike_partner,
@@ -34,9 +34,9 @@ from finhopf.analysis import (
     solve_primitives,
 )
 from finhopf.errors import AnalysisError, NotAGoodPair, SolverIncomplete
-from finhopf.groupoid import BaseFun, BaseSpace, groupoid_isomorphic
+from finhopf.groupoid import BaseFun, groupoid_isomorphic
 from finhopf.linalg import QMatrix
-from finhopf.modelio import carrier_from_model
+from finhopf.modelio import FORMAT_NAME, FORMAT_VERSION, carrier_from_model
 from finhopf.models import PRESETS, funs3_model, pairh3_model, random_model, z2line_model
 
 from test_algebroid import (
@@ -70,21 +70,29 @@ def pairh3_at(truncation):
     return carrier_from_model(model)
 
 
+def fun_cyclic_model(n):
+    """The function algebra of Z/n as a table model over one point."""
+    names = [f"d{i}" for i in range(n)]
+    return {
+        "format": FORMAT_NAME,
+        "version": FORMAT_VERSION,
+        "kind": "table",
+        "base": ["pt"],
+        "table": {
+            "basis": [{"id": nm, "target": "pt"} for nm in names],
+            "baseEmbedding": {"pt": {nm: 1 for nm in names}},
+            "mul": [[nm, nm, {nm: 1}] for nm in names],
+            "delta": {f"d{k}": [[f"d{i}", f"d{(k - i) % n}", 1] for i in range(n)]
+                      for k in range(n)},
+            "counit": {"d0": 1},
+            "antipode": {f"d{i}": {f"d{(-i) % n}": 1} for i in range(n)},
+        },
+    }
+
+
 def fun_cyclic_table(n):
     """The function algebra of Z/n as a table over one point."""
-    base = BaseSpace(("pt",))
-    names = [f"d{i}" for i in range(n)]
-    return TableAlgebroid(
-        base,
-        names,
-        {nm: "pt" for nm in names},
-        {"pt": {nm: 1 for nm in names}},
-        {(f"d{i}", f"d{i}"): {f"d{i}": 1} for i in range(n)},
-        {f"d{k}": {(f"d{i}", f"d{(k - i) % n}"): 1 for i in range(n)}
-         for k in range(n)},
-        {"d0": 1},
-        {f"d{i}": {f"d{(-i) % n}": 1} for i in range(n)},
-    )
+    return carrier_from_model(fun_cyclic_model(n))
 
 
 # ---------------------------------------------------------------------------
@@ -169,12 +177,11 @@ def eliminations_in_solve(monkeypatch, carrier):
 
 
 def test_convolution_primitive_systems_need_no_elimination(monkeypatch):
-    # A split (m1, m2) fixes the label (g, m1 + m2), so on a convolution
-    # carrier every row holds one column and every block is a single column.
+    # A convolution carrier's primitives are read off the construction, so
+    # no primitive system is built and nothing is eliminated.
     for carrier in (pairh3_at(6), carrier_from_model(load("workloads").sl2_model(6))):
         assert eliminations_in_solve(monkeypatch, carrier)[1] == 0
-    # The unit of Fun(S3) is the sum of all six indicators, so its unit rows
-    # join the six labels into one block, eliminated once.
+    # A table carrier's primitive system at a point is eliminated once.
     prim, count = eliminations_in_solve(monkeypatch, funs3())
     assert count == 1
     assert prim.ranks() == {"pt": 0}
@@ -1214,3 +1221,107 @@ def test_permuting_fiber_bases_keeps_the_decision(make_model):
     assert after.prim_ranks == before.prim_ranks
     assert after.spectral_arrows == before.spectral_arrows
     assert after.theta == before.theta
+
+
+def tagged(model, tag):
+    """The model with its points, arrow ids and table labels prefixed ``tag.``;
+    fiber generators keep their names, since each fiber has its own."""
+    name = f"{tag}.".__add__
+
+    def coeffs(terms):
+        return {name(l): c for l, c in terms.items()}
+
+    out = dict(model, base=[name(p) for p in model["base"]])
+    if model["kind"] == "table":
+        t = model["table"]
+        out["table"] = {
+            "basis": [{"id": name(e["id"]), "target": name(e["target"])} for e in t["basis"]],
+            "baseEmbedding": {name(p): coeffs(v) for p, v in t["baseEmbedding"].items()},
+            "mul": [[name(l), name(r), coeffs(v)] for l, r, v in t["mul"]],
+            "delta": {name(l): [[name(x), name(y), c] for x, y, c in terms]
+                      for l, terms in t["delta"].items()},
+            "counit": coeffs(t["counit"]),
+            "antipode": {name(l): coeffs(v) for l, v in t["antipode"].items()},
+        }
+        return out
+    groupoid = model["groupoid"]
+    out["groupoid"] = {
+        "arrows": [{"id": name(a["id"]), "src": name(a["src"]), "tgt": name(a["tgt"])}
+                   for a in groupoid["arrows"]],
+        "units": {name(p): name(g) for p, g in groupoid["units"].items()},
+        "inverse": {name(g): name(h) for g, h in groupoid["inverse"].items()},
+        "compose": [[name(g) for g in row] for row in groupoid["compose"]],
+    }
+    out["bundle"] = [dict(f, point=name(f["point"])) for f in model["bundle"]]
+    out["action"] = [dict(e, arrow=name(e["arrow"])) for e in model["action"]]
+    return out
+
+
+def joined(x, y):
+    """Two tagged documents as one: lists concatenated, objects merged key by
+    key, and every other value (format, kind, truncation) shared."""
+    if isinstance(x, list):
+        return x + y
+    if isinstance(x, dict):
+        return {k: joined(x[k], y[k]) if k in x and k in y else x.get(k, y.get(k))
+                for k in {**x, **y}}
+    assert x == y
+    return x
+
+
+def side_by_side(a, b):
+    """Two models of one kind over the disjoint union of their bases."""
+    return joined(tagged(a, "a"), tagged(b, "b"))
+
+
+def check_side_by_side(parts, union):
+    """The union's decision is its two parts' decisions, names prefixed: ISO
+    exactly when both parts are, and otherwise the freeness failure and the
+    witness of the first part that fails."""
+    def prefixed(attr):
+        return {f"{tag}.{p}": v
+                for tag, part in zip("ab", parts) for p, v in getattr(part, attr).items()}
+
+    assert (union.verdict == "ISO") == all(part.verdict == "ISO" for part in parts)
+    assert union.spectral_arrows == sum(part.spectral_arrows for part in parts)
+    assert union.prim_ranks == prefixed("prim_ranks")
+    assert union.theta == prefixed("theta")
+    failing = [(tag, part) for tag, part in zip("ab", parts) if part.verdict != "ISO"]
+    if failing:
+        tag, part = failing[0]
+        bad = next(p for p, v in part.theta.items()
+                   if not v["rank"] == v["dim"] == v["domainDim"])
+        line = "the algebroid is not free over its arrows at {!r} (hypothesis ii)"
+        assert line.format(bad) in part.hypothesis_failures
+        assert union.verdict == "NOT_ISO"
+        assert line.format(f"{tag}.{bad}") in union.hypothesis_failures
+        assert union.witness == f"{tag}.{part.witness}"
+
+
+def test_convolution_models_side_by_side_decide_as_their_parts():
+    from test_acceptance import GENERATED_SEEDS
+    makers = {"z2line": z2line_model, "pairh3": pairh3_model,
+              "sl2": functools.partial(load("workloads").sl2_model, 3)}
+    # A 0-dimensional fiber, and groupoids on three, three and two points.
+    makers |= {f"rnd:{s}": functools.partial(random_model, s) for s in (1, 5, 6, 7)}
+    assert {1, 5, 6, 7} <= set(GENERATED_SEEDS)
+    models = {key: dict(make(), truncation=3) for key, make in makers.items()}
+    parts = {key: roundtrip(carrier_from_model(m), samples=20) for key, m in models.items()}
+    assert all(part.ok for part in parts.values())
+    for a, b in itertools.combinations(models, 2):
+        report = roundtrip(carrier_from_model(side_by_side(models[a], models[b])), samples=20)
+        assert report.ok, (a, b)
+        check_side_by_side([parts[a].decision, parts[b].decision], report.decision)
+
+
+def test_table_models_side_by_side_decide_as_their_parts():
+    # Fun(Z/2) is ISO, Fun(Z/3) and Fun(S3) are NOT_ISO.  A union has at most
+    # 12 labels, so its axioms are checked on every label tuple.
+    models = {"funs3": funs3_model(), "Z/2": fun_cyclic_model(2), "Z/3": fun_cyclic_model(3)}
+    parts = {key: analyze(carrier_from_model(m), samples=20).decision
+             for key, m in models.items()}
+    assert [part.verdict for part in parts.values()] == ["NOT_ISO", "ISO", "NOT_ISO"]
+    for a, b in itertools.product(models, repeat=2):
+        union = analyze(carrier_from_model(side_by_side(models[a], models[b])), samples=20)
+        assert union.axiom_report.mode == "exhaustive-basis", (a, b)
+        check_side_by_side([parts[a], parts[b]], union.decision)

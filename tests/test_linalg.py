@@ -308,8 +308,9 @@ def test_sparse_core_matches_dense_oracle(m, data):
     assert m.inverse() == (dense_inverse(m.data, m.rows) if m.rows == m.cols else None)
 
 
-# The single-system kernel, the oracle for the blockwise ``nullspace_of_rows``:
-# one elimination of every row, then one of the kernel vectors.
+# The oracle for ``nullspace_of_rows``, which pivots from the right: one
+# elimination of every row with pivots from the left, then one of the kernel
+# vectors.
 def single_system_nullspace(rows, cols):
     pivots, reduced = linalg._eliminate(rows)
     pivot_set = set(pivots)
