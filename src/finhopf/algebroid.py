@@ -12,7 +12,8 @@ labels.  Two carrier kinds share this interface:
 
 Comultiplications land in the fiberwise tensor square: since the left action
 on both legs goes along targets, mixed-target terms vanish, and a tensor is
-stored per point as coefficients over same-target label pairs.
+one coefficient map over same-target label tuples (pairs for the square),
+not a map per point.
 
 Scalars: every coefficient an element or tensor stores is exact and
 nonzero.  The label-level structure constants (``mul_label``,

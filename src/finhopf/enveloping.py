@@ -10,10 +10,11 @@ that uses them and filled on first use.  The PBW table's entry for an ordered
 monomial m and a generator x_i is the normal form of m * x_i.  If the last
 letter x_j of m is at most x_i the entry is m with x_i appended; otherwise
 m = m' x_j and m x_i = (m' x_i) x_j + m' [x_j, x_i], where every term on the
-right is again an entry of lower degree or an append.  This is the rewriting
-of an index word at its leftmost descent, xy -> yx + [x, y], memoized per
-(monomial, generator), so the normal forms are the same for any bracket
-table, whether or not it is antisymmetric or satisfies Jacobi.  The product
+right is again an entry of lower degree or an append.  The entries along
+the letters of m after x_i are filled by a loop, not by recursion.  This is
+the rewriting of an index word at its leftmost descent, xy -> yx + [x, y],
+memoized per (monomial, generator), so the normal forms are the same for any
+bracket table, whether or not it is antisymmetric or satisfies Jacobi.  The product
 table's entry for a monomial pair (m1, m2) is the normal form of m1 * m2: the
 entry for (m1, m2') times x_j through the PBW table, where x_j is the last
 letter of m2 and m2 = m2' x_j.  So m1 is multiplied by the letters of m2 from
@@ -93,22 +94,36 @@ def monomials_up_to(dim: int, degree: int) -> list[Monomial]:
 def _entry(fiber: LieFiber, m: Monomial, i: int):
     """The table entry for (m, i): the normal form of m * x_i as ``(monomial, c)`` terms.
 
-    Every entry it reads is an append or has a key of lower degree than m,
-    so the recursion is at most deg m deep.
+    Write m = p s_1 ... s_t, where every letter of p is at most x_i and every
+    s_k is after it, and put q_k = p s_1 ... s_k.  The entry for (q_0, i) is an
+    append, and q_k x_i = (q_(k-1) x_i) x_(s_k) + q_(k-1) [x_(s_k), x_i].  A
+    missing entry is filled from the longest stored q_k, one letter at a time,
+    storing each longer q_k on the way.  The leading term of q_(k-1) x_i
+    times x_(s_k) is an append; every other entry read has a key of lower
+    degree than m, so nested calls are at most deg m deep.
     """
     table = fiber.pbw_table
     entry = table.get((m, i))
     if entry is None:
-        j = max((k for k, a in enumerate(m) if a), default=-1)  # the last letter of m
-        if j <= i:
-            entry = ((m[:i] + (m[i] + 1,) + m[i + 1:], 1),)
-        else:  # m x_i = (m' x_i) x_j + m' [x_j, x_i]
-            rest = m[:j] + (m[j] - 1,) + m[j + 1:]
+        trailing = [j for j in range(i + 1, len(m)) for _ in range(m[j])]  # s_1 ... s_t
+        q = list(m)
+        stored = len(trailing)
+        while stored:  # strip trailing letters until a stored (q_k, i) remains
+            stored -= 1
+            q[trailing[stored]] -= 1
+            entry = table.get((tuple(q), i))
+            if entry is not None:
+                break
+        else:  # q_0 x_i is an append
+            p = tuple(q)
+            entry = table[(p, i)] = ((p[:i] + (p[i] + 1,) + p[i + 1:], 1),)
+        for j in trailing[stored:]:
+            rest = tuple(q)
+            q[j] += 1
             bracket = [(k, exact(c)) for k, c in enumerate(fiber.bracket_coeffs(j, i)) if c]
-            out = _times(fiber, _entry(fiber, rest, i), ((j, 1),))
+            out = _times(fiber, entry, ((j, 1),))
             add_terms(out, _times(fiber, ((rest, 1),), bracket).items())
-            entry = tuple((u, exact(c)) for u, c in out.items())
-        table[(m, i)] = entry
+            entry = table[(tuple(q), i)] = tuple((u, exact(c)) for u, c in out.items())
     return entry
 
 

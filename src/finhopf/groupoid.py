@@ -9,7 +9,7 @@ axioms and reports every violation it finds by name.
 
 from __future__ import annotations
 
-import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -198,9 +198,16 @@ class GroupoidIsomorphism:
 def groupoid_isomorphic(a: FiniteGroupoid, b: FiniteGroupoid):
     """An exhaustive search for an isomorphism, or None.
 
-    When the two groupoids share their point set the base map is fixed to the
-    identity; otherwise every point bijection is tried.  Refuses inputs with
-    more than ``ISOMORPHISM_MAX_ARROWS`` arrows.
+    One backtracking search over a's arrows in sorted order, trying b's
+    arrows in sorted order.  The point map starts as the identity when the
+    two groupoids share their point set and empty otherwise, and grows with
+    the arrow map: placing an arrow maps each of its unmapped endpoints to
+    the matching endpoint of its image, which must have as many arrows into
+    it and which no other point may already map to, and a loop only to a
+    loop.  Each placed arrow must respect the
+    units, the inverses and every defined composite among the placed
+    arrows, and a complete map is accepted only by a check of the whole
+    tables.  Refuses inputs with more than ``ISOMORPHISM_MAX_ARROWS`` arrows.
     """
     if len(a.arrows) > ISOMORPHISM_MAX_ARROWS or len(b.arrows) > ISOMORPHISM_MAX_ARROWS:
         raise SizeGuardExceeded(
@@ -208,77 +215,66 @@ def groupoid_isomorphic(a: FiniteGroupoid, b: FiniteGroupoid):
         )
     if len(a.arrows) != len(b.arrows) or len(a.base) != len(b.base):
         return None
-    if set(a.base.points) == set(b.base.points):
-        point_maps = [{p: p for p in a.base.points}]
-    else:
-        point_maps = [
-            dict(zip(a.base.points, perm))
-            for perm in itertools.permutations(b.base.points)
-        ]
-    for pmap in point_maps:
-        amap = _search_arrow_map(a, b, pmap)
-        if amap is not None:
-            return GroupoidIsomorphism(pmap, amap)
-    return None
+    same_points = set(a.base.points) == set(b.base.points)
+    pmap = {p: p for p in a.base.points} if same_points else {}
+    amap = _search_arrow_map(a, b, pmap)
+    return None if amap is None else GroupoidIsomorphism(pmap, amap)
 
 
 def _search_arrow_map(a, b, pmap):
+    """The first arrow map found, extending ``pmap`` in place, or None."""
     order = sorted(a.arrows)
-    b_by_ends = {}
-    for g in sorted(b.arrows):
-        b_by_ends.setdefault((b.source[g], b.target[g]), []).append(g)
-
+    candidates = sorted(b.arrows)
     assignment = {}
     used = set()
+    a_into, b_into = Counter(a.target.values()), Counter(b.target.values())
+
+    def new_points(g, image):
+        """The endpoints of g that placing it at image maps, or None if its ends do not fit."""
+        (s, bs), (t, bt) = ends = ((a.source[g], b.source[image]), (a.target[g], b.target[image]))
+        if (s == t) != (bs == bt) or pmap.get(s, bs) != bs or pmap.get(t, bt) != bt:
+            return None  # loops map only to loops, and mapped ends to the image's ends
+        new = {p: q for p, q in ends if p not in pmap}
+        if any(q in pmap.values() or a_into[p] != b_into[q] for p, q in new.items()):
+            return None  # a new point goes to a free point with as many arrows into it
+        return new
 
     def consistent(g, image):
+        """With g placed at image: every law among the placed arrows that involves g."""
         if a.is_unit(g) != b.is_unit(image):
             return False
         inv = a.inverse[g]
         if inv in assignment and assignment[inv] != b.inverse[image]:
             return False
         for h, him in assignment.items():
-            gh = a.compose(g, h)
-            if gh is not None:
-                target = b.compose(image, him)
-                if target is None:
-                    return False
-                if gh in assignment and assignment[gh] != target:
-                    return False
-                if gh == g and target != image:
-                    return False
-            hg = a.compose(h, g)
-            if hg is not None:
-                target = b.compose(him, image)
-                if target is None:
-                    return False
-                if hg in assignment and assignment[hg] != target:
-                    return False
-                if hg == h and target != him:
-                    return False
+            for x, y, xim, yim in ((g, h, image, him), (h, g, him, image)):
+                xy = a.compose(x, y)
+                if xy is not None:
+                    target = b.compose(xim, yim)
+                    if target is None or assignment.get(xy, target) != target:
+                        return False
         return True
 
     def extend(i):
-        if i == len(order):
-            return _full_check(a, b, pmap, assignment)
+        if i == len(order):  # a point no arrow touches (never in a valid groupoid) stays unmapped
+            return len(pmap) == len(a.base) and _full_check(a, b, pmap, assignment)
         g = order[i]
-        ends = (pmap[a.source[g]], pmap[a.target[g]])
-        for image in b_by_ends.get(ends, ()):
-            if image in used:
-                continue
-            if not consistent(g, image):
+        for image in candidates:
+            if image in used or (new := new_points(g, image)) is None:
                 continue
             assignment[g] = image
-            used.add(image)
-            if extend(i + 1):
-                return True
+            if consistent(g, image):
+                pmap.update(new)
+                used.add(image)
+                if extend(i + 1):
+                    return True
+                for p in new:
+                    del pmap[p]
+                used.remove(image)
             del assignment[g]
-            used.remove(image)
         return False
 
-    if extend(0):
-        return dict(assignment)
-    return None
+    return dict(assignment) if extend(0) else None
 
 
 def _full_check(a, b, pmap, amap):

@@ -1170,8 +1170,13 @@ def renamed(model):
     return out, pmap
 
 
+NON_NILPOTENT = [functools.partial(build, n)
+                 for build in (sl2_z3_model, affine_line_z2_model) for n in (1, 3)]
+
+
 @pytest.mark.parametrize("make_model", [
     z2line_model, pairh3_at_3_model, *(functools.partial(random_model, s) for s in range(3)),
+    *NON_NILPOTENT,
 ])
 def test_renaming_points_and_arrows_keeps_the_decision(make_model):
     model = make_model()
@@ -1183,6 +1188,7 @@ def test_renaming_points_and_arrows_keeps_the_decision(make_model):
     assert after.prim_ranks == {pmap[p]: r for p, r in before.prim_ranks.items()}
     assert after.spectral_arrows == before.spectral_arrows
     assert after.theta == {pmap[p]: v for p, v in before.theta.items()}
+    assert roundtrip(carrier_from_model(other)).ok
 
 
 def permuted_basis(model):
@@ -1212,6 +1218,7 @@ def permuted_basis(model):
 
 @pytest.mark.parametrize("make_model", [
     z2line_model, pairh3_model, *(functools.partial(random_model, s) for s in range(6)),
+    *NON_NILPOTENT,
 ])
 def test_permuting_fiber_bases_keeps_the_decision(make_model):
     model = make_model()
@@ -1221,6 +1228,7 @@ def test_permuting_fiber_bases_keeps_the_decision(make_model):
     assert after.prim_ranks == before.prim_ranks
     assert after.spectral_arrows == before.spectral_arrows
     assert after.theta == before.theta
+    assert roundtrip(carrier_from_model(permuted_basis(model))).ok
 
 
 def tagged(model, tag):

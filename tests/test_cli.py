@@ -434,7 +434,7 @@ def test_cli_digests_tool_runs_every_model_command_in_both_formats():
             assert by_run[(name, command, fmt)] == (f"exit={code}", f"out={digest}")
     # the z2line and pairh3 presets are rungs of their ladders
     names = list(tool.model_set(models, lambda n: {"sl2": n}))
-    assert len(names) == 65 and names[-1] == "funs3"
+    assert len(names) == 66 and names[-1] == "funs3" and "pair8-N1" in names
 
 
 def test_root_search_bound_is_an_input_error(tmp_path, capsys):

@@ -570,6 +570,21 @@ def test_product_table_fills_a_deep_word_without_recursion():
     assert len(fiber.product_table) == 1500
 
 
+def test_a_deep_pbw_entry_is_filled_without_recursion():
+    """Each product moves x_i past 1200 later letters, more than Python's
+    default recursion limit: the entries are filled one letter at a time."""
+    line = LieFiber.from_sparse(("X", "Y"), [(0, 1, (0, 1))])  # [X, Y] = Y
+    expected = (((0, 1200), -1200), ((1, 1200), 1))
+    assert mono_mul(line, (0, 1200), (1, 0), 1201) == expected
+    line = LieFiber(line.basis, line.brackets)  # the same algebra with empty tables
+    power = UElement(line, "x", 1201, {(0, 1200): 1})
+    assert power * UElement.generator(line, "x", 1201, 0) == UElement(line, "x", 1201, dict(expected))
+    sl2 = LieFiber(SL2.basis, SL2.brackets)
+    assert mono_mul(sl2, (0, 0, 1200), (1, 0, 0), 1201) == (
+        ((0, 0, 1200), 2400), ((1, 0, 1200), 1))
+    assert mono_mul(sl2, (0, 600, 600), (1, 0, 0), 1201) == (((1, 600, 600), 1),)
+
+
 def test_an_append_is_returned_without_a_table_entry():
     """z2line at truncation 3000 is a legal model; a product of two powers of
     its one generator is an append, as is any product whose right factor

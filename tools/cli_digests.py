@@ -17,8 +17,9 @@ outputs diff empty::
     diff before.txt after.txt
 
 The models: the presets, ``pairh3`` and ``z2line`` at truncations 0 to 8,
-``sl2`` at 1 to 6 and ``random_model`` seeds 0 to 39; the ``z2line`` and
-``pairh3`` presets are rungs of their ladders and run there (65 models, 910
+``sl2`` at 1 to 6, ``random_model`` seeds 0 to 39 and the pair groupoid on
+8 points (64 arrows, the isomorphism search's limit); the ``z2line`` and
+``pairh3`` presets are rungs of their ladders and run there (66 models, 924
 runs).  Runs go in-process, from a temporary directory, with the model files
 named relatively, so a message that quotes a path is the same on any
 machine.  Standard library only.
@@ -39,8 +40,9 @@ COMMANDS = ("validate", "check-axioms", "primitives", "grouplikes", "spectral", 
 
 
 def model_set(models, sl2_model) -> dict:
-    """Model name -> document: the ladders, ``random_model`` 0-39, then each
-    preset that is not already a rung of its ladder."""
+    """Model name -> document: the ladders, ``random_model`` 0-39, the pair
+    groupoid on 8 points, then each preset that is not already a rung of its
+    ladder."""
     docs = {}
 
     def at(build, n):
@@ -56,11 +58,38 @@ def model_set(models, sl2_model) -> dict:
         docs[f"sl2-N{n}"] = sl2_model(n)
     for seed in range(40):
         docs[f"random-{seed}"] = models.random_model(seed)
+    docs["pair8-N1"] = pair_model(8)
     for name, build in models.PRESETS.items():
         doc = build()
         if doc not in docs.values():
             docs[name] = doc
     return docs
+
+
+def pair_model(n: int) -> dict:
+    """The pair groupoid on n points, with 1-dimensional abelian fibers, the
+    identity action and truncation 1.  At n = 8 it has 64 arrows, the most
+    the isomorphism search admits, so ``roundtrip`` runs that search at its
+    largest size."""
+    points = [f"p{i}" for i in range(n)]
+    arrows = [f"a{t}{s}" for t in range(n) for s in range(n)]
+    return {
+        "format": "hopf-algebroid-model",
+        "version": 1,
+        "kind": "convolution",
+        "base": points,
+        "groupoid": {
+            "arrows": [{"id": f"a{t}{s}", "src": points[s], "tgt": points[t]}
+                       for t in range(n) for s in range(n)],
+            "units": {p: f"a{i}{i}" for i, p in enumerate(points)},
+            "inverse": {f"a{t}{s}": f"a{s}{t}" for t in range(n) for s in range(n)},
+            "compose": [[f"a{z}{y}", f"a{y}{x}", f"a{z}{x}"]
+                        for z in range(n) for y in range(n) for x in range(n)],
+        },
+        "bundle": [{"point": p, "basis": ["X"], "brackets": []} for p in points],
+        "action": [{"arrow": a, "matrix": [[1]]} for a in arrows],
+        "truncation": 1,
+    }
 
 
 def _sha(text: str) -> str:
