@@ -89,10 +89,23 @@ class PrimBasis:
     def ranks(self) -> dict:
         return {p: self.rank_at(p) for p in self.carrier.base.points}
 
+    def rank_breaks(self) -> list:
+        """The orbits, as point tuples, on which the rank is not constant.
+
+        A convolution carrier is the product of its restrictions to the
+        components of its groupoid, since arrows of two components never
+        compose, so hypothesis (i) asks for a constant rank on each
+        component.  A table carrier is read over its whole base.
+        """
+        if self.carrier.kind == "convolution":
+            orbits = [tuple(c) for c in self.carrier.groupoid.components()]
+        else:
+            orbits = [self.carrier.base.points]
+        return [o for o in orbits if len({self.rank_at(p) for p in o}) > 1]
+
     @property
     def constant_rank(self) -> bool:
-        ranks = set(self.ranks().values())
-        return len(ranks) == 1
+        return not self.rank_breaks()
 
     def contains(self, element: AlgebroidElement) -> bool:
         """Exact membership of an element in the primitive span."""
@@ -787,10 +800,12 @@ def analyze(carrier: HopfAlgebroid, samples: int = 60, seed: int = 11) -> Analys
         report.prim_ranks = prim.ranks()
         report.constant_rank = prim.constant_rank
         report.s_invariant = prim.s_invariant
-        if not prim.constant_rank:
+        for orbit in prim.rank_breaks():
             report.hypothesis_failures.append(
-                "primitive module does not have constant rank (hypothesis i)"
+                f"primitive module does not have constant rank on the orbit of {orbit[0]!r} "
+                "(hypothesis i)"
             )
+        if not report.constant_rank:
             report.annotations.append(
                 "decomposition evaluated despite non-constant primitive rank"
             )

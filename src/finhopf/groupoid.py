@@ -9,7 +9,6 @@ axioms and reports every violation it finds by name.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -18,7 +17,7 @@ from .rationals import rat, rat_str
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-ISOMORPHISM_MAX_ARROWS = 64
+ISOTROPY_MAX_ORDER = 64
 
 
 @dataclass(frozen=True)
@@ -32,9 +31,7 @@ class BaseSpace:
             raise ValueError("base space must have at least one point")
         if len(set(self.points)) != len(self.points):
             raise ValueError("duplicate point identifiers")
-        object.__setattr__(
-            self, "_index", {p: i for i, p in enumerate(self.points)}
-        )
+        object.__setattr__(self, "_index", {p: i for i, p in enumerate(self.points)})
 
     def index(self, point: str) -> int:
         try:
@@ -62,12 +59,8 @@ class BaseFun:
         object.__setattr__(self, "values", tuple(rat(v) for v in self.values))
 
     @classmethod
-    def constant(cls, base: BaseSpace, c) -> "BaseFun":
-        return cls(base, tuple(rat(c) for _ in base.points))
-
-    @classmethod
     def one(cls, base: BaseSpace) -> "BaseFun":
-        return cls.constant(base, 1)
+        return cls(base, (_ONE,) * len(base))
 
     @classmethod
     def indicator(cls, base: BaseSpace, point: str) -> "BaseFun":
@@ -136,6 +129,20 @@ class FiniteGroupoid:
     def arrows_into(self, point) -> tuple[str, ...]:
         return tuple(g for g in sorted(self.arrows) if self.target[g] == point)
 
+    def components(self) -> list[dict]:
+        """The components in base order, each a map from its points to an arrow
+        there from its first point c (the unit for c); they partition the base."""
+        placed, out = set(), []
+        for c in self.base.points:
+            if c not in placed:
+                reach = {c: self.units[c]}
+                for g in self.arrows:
+                    if self.source[g] == c and self.target[g] not in placed:
+                        reach.setdefault(self.target[g], g)
+                placed.update(reach)
+                out.append(reach)
+        return out
+
     def validate(self) -> list[str]:
         """All groupoid-law violations, each naming the offending arrows."""
         report = []
@@ -184,9 +191,7 @@ class FiniteGroupoid:
         return report
 
     def __repr__(self):
-        return (
-            f"FiniteGroupoid({len(self.base)} points, {len(self.arrows)} arrows)"
-        )
+        return f"FiniteGroupoid({len(self.base)} points, {len(self.arrows)} arrows)"
 
 
 @dataclass(frozen=True)
@@ -196,95 +201,90 @@ class GroupoidIsomorphism:
 
 
 def groupoid_isomorphic(a: FiniteGroupoid, b: FiniteGroupoid):
-    """An exhaustive search for an isomorphism, or None.
+    """An isomorphism from a to b, or None, decided by structure.
 
-    One backtracking search over a's arrows in sorted order, trying b's
-    arrows in sorted order.  The point map starts as the identity when the
-    two groupoids share their point set and empty otherwise, and grows with
-    the arrow map: placing an arrow maps each of its unmapped endpoints to
-    the matching endpoint of its image, which must have as many arrows into
-    it and which no other point may already map to, and a loop only to a
-    loop.  Each placed arrow must respect the
-    units, the inverses and every defined composite among the placed
-    arrows, and a complete map is accepted only by a check of the whole
-    tables.  Refuses inputs with more than ``ISOMORPHISM_MAX_ARROWS`` arrows.
+    Brandt: a connected groupoid with first point c is the pair groupoid on
+    its points times its isotropy group at c, through arrows t_x: c -> x.
+    So each component of a pairs with the first unused one of b with as many
+    points (the same ones, each fixed, when a and b share their points) and
+    an isotropy group isomorphic by some phi; then, with b's arrows u_x,
+    g: x -> y goes to u_y phi(t_y^-1 g t_x) u_x^-1.  Since isomorphism is an
+    equivalence, this finds a map whenever one exists between groupoids that
+    pass ``validate``; a map is returned only if ``_full_check`` accepts it.
+    Isotropy groups above ``ISOTROPY_MAX_ORDER`` are refused, since the group
+    search is the one step that can take exponential time.
     """
-    if len(a.arrows) > ISOMORPHISM_MAX_ARROWS or len(b.arrows) > ISOMORPHISM_MAX_ARROWS:
-        raise SizeGuardExceeded(
-            f"isomorphism search limited to {ISOMORPHISM_MAX_ARROWS} arrows"
-        )
     if len(a.arrows) != len(b.arrows) or len(a.base) != len(b.base):
         return None
     same_points = set(a.base.points) == set(b.base.points)
-    pmap = {p: p for p in a.base.points} if same_points else {}
-    amap = _search_arrow_map(a, b, pmap)
-    return None if amap is None else GroupoidIsomorphism(pmap, amap)
+    unused, pmap, amap = b.components(), {}, {}
+    for t in a.components():
+        for u in unused:
+            if (set(u) == set(t)) if same_points else len(u) == len(t):
+                phi = _group_isomorphism(a, next(iter(t)), b, next(iter(u)))
+                if phi is not None:
+                    break
+        else:
+            return None
+        unused.remove(u)
+        pmap.update(zip(t, t if same_points else u))
+        for g in a.arrows:
+            x, y = a.source[g], a.target[g]
+            if x in t and y in t:
+                k = phi.get(a.compose(a.inverse[t[y]], a.compose(g, t[x])))
+                amap[g] = b.compose(b.compose(u[pmap[y]], k), b.inverse[u[pmap[x]]])
+    return GroupoidIsomorphism(pmap, amap) if _full_check(a, b, pmap, amap) else None
 
 
-def _search_arrow_map(a, b, pmap):
-    """The first arrow map found, extending ``pmap`` in place, or None."""
-    order = sorted(a.arrows)
-    candidates = sorted(b.arrows)
-    assignment = {}
-    used = set()
-    a_into, b_into = Counter(a.target.values()), Counter(b.target.values())
+def _group_isomorphism(a, ca, b, cb):
+    """An isomorphism from a's isotropy group at ca onto b's at cb, or None.
 
-    def new_points(g, image):
-        """The endpoints of g that placing it at image maps, or None if its ends do not fit."""
-        (s, bs), (t, bt) = ends = ((a.source[g], b.source[image]), (a.target[g], b.target[image]))
-        if (s == t) != (bs == bt) or pmap.get(s, bs) != bs or pmap.get(t, bt) != bt:
-            return None  # loops map only to loops, and mapped ends to the image's ends
-        new = {p: q for p, q in ends if p not in pmap}
-        if any(q in pmap.values() or a_into[p] != b_into[q] for p, q in new.items()):
-            return None  # a new point goes to a free point with as many arrows into it
-        return new
+    Each generator of a has the largest order outside the span of those
+    before it, so by Lagrange it at least doubles the span: the search
+    places at most log2 |G| of them, each in turn on an element of b of its
+    order, and grows the map over the span, dropping it at a conflict."""
+    ga = [x for x in a.arrows if a.source[x] == a.target[x] == ca]
+    gb = [x for x in b.arrows if b.source[x] == b.target[x] == cb]
+    if max(len(ga), len(gb)) > ISOTROPY_MAX_ORDER:
+        raise SizeGuardExceeded(f"isomorphism limited to isotropy order {ISOTROPY_MAX_ORDER}")
+    ua, ub = a.units[ca], b.units[cb]
+    if len(ga) != len(gb) or ua not in ga or ub not in gb:
+        return None
+    order_a = {x: len(_closure(a, a, ua, ua, [(x, x)]) or ()) for x in ga}
+    order_b = {x: len(_closure(b, b, ub, ub, [(x, x)]) or ()) for x in gb}
+    stack = [[]]  # the images of the generators placed so far
+    while stack:
+        images = stack.pop()
+        phi = _closure(a, b, ua, ub, images)
+        if phi is not None and len(phi) >= len(ga):
+            return phi
+        if phi is not None and len(images) < len(ga).bit_length() - 1:
+            s = max((x for x in ga if x not in phi), key=order_a.get)
+            stack += [images + [(s, y)] for y in reversed(gb) if order_b[y] == order_a[s]]
+    return None
 
-    def consistent(g, image):
-        """With g placed at image: every law among the placed arrows that involves g."""
-        if a.is_unit(g) != b.is_unit(image):
-            return False
-        inv = a.inverse[g]
-        if inv in assignment and assignment[inv] != b.inverse[image]:
-            return False
-        for h, him in assignment.items():
-            for x, y, xim, yim in ((g, h, image, him), (h, g, him, image)):
-                xy = a.compose(x, y)
-                if xy is not None:
-                    target = b.compose(xim, yim)
-                    if target is None or assignment.get(xy, target) != target:
-                        return False
-        return True
 
-    def extend(i):
-        if i == len(order):  # a point no arrow touches (never in a valid groupoid) stays unmapped
-            return len(pmap) == len(a.base) and _full_check(a, b, pmap, assignment)
-        g = order[i]
-        for image in candidates:
-            if image in used or (new := new_points(g, image)) is None:
-                continue
-            assignment[g] = image
-            if consistent(g, image):
-                pmap.update(new)
-                used.add(image)
-                if extend(i + 1):
-                    return True
-                for p in new:
-                    del pmap[p]
-                used.remove(image)
-            del assignment[g]
-        return False
-
-    return dict(assignment) if extend(0) else None
+def _closure(a, b, ua, ub, images):
+    """ua -> ub grown by phi(hs) = phi(h) phi(s) over (s, phi(s)) in images, or None."""
+    phi, queue = {ua: ub}, [ua]
+    for h in queue:
+        for s, image in images:
+            hs, target = a.compose(h, s), b.compose(phi[h], image)
+            if hs is None or target is None or phi.get(hs, target) != target:
+                return None
+            if hs not in phi:
+                phi[hs] = target
+                queue.append(hs)
+    return phi if len(set(phi.values())) == len(phi) else None
 
 
 def _full_check(a, b, pmap, amap):
+    if set(amap.values()) != set(b.arrows) or len(b.compose_table) != len(a.compose_table):
+        return False
     for x in a.base.points:
         if amap[a.units[x]] != b.units[pmap[x]]:
             return False
     for g in a.arrows:
         if amap[a.inverse[g]] != b.inverse[amap[g]]:
             return False
-    for (g, h), gh in a.compose_table.items():
-        if b.compose(amap[g], amap[h]) != amap[gh]:
-            return False
-    return len(b.compose_table) == len(a.compose_table)
+    return all(b.compose(amap[g], amap[h]) == amap[gh] for (g, h), gh in a.compose_table.items())

@@ -4,6 +4,7 @@ import collections
 import functools
 import itertools
 import random
+import re
 import sys
 import time
 from fractions import Fraction
@@ -1304,6 +1305,50 @@ def check_side_by_side(parts, union):
         assert union.verdict == "NOT_ISO"
         assert line.format(f"{tag}.{bad}") in union.hypothesis_failures
         assert union.witness == f"{tag}.{part.witness}"
+
+
+def uneven_orbit_model():
+    """The pair groupoid on x and y with abelian fibers of dimensions 2 and 1,
+    the arrows between them acting by a projection and an inclusion: the
+    loader accepts it, and the primitive ranks differ within one orbit."""
+    arrows = [f"a{t}{s}" for t in "xy" for s in "xy"]
+    matrices = {"axx": [[1, 0], [0, 1]], "ayy": [[1]], "ayx": [[1, 0]], "axy": [[1], [0]]}
+    return dict(
+        {key: z2line_model()[key] for key in ("format", "version")},
+        kind="convolution",
+        base=["x", "y"],
+        groupoid={
+            "arrows": [{"id": a, "src": a[2], "tgt": a[1]} for a in arrows],
+            "units": {"x": "axx", "y": "ayy"},
+            "inverse": {a: f"a{a[2]}{a[1]}" for a in arrows},
+            "compose": [[f"a{z}{y}", f"a{y}{x}", f"a{z}{x}"]
+                        for z, y, x in itertools.product("xy", repeat=3)],
+        },
+        bundle=[{"point": "x", "basis": ["P", "Q"], "brackets": []},
+                {"point": "y", "basis": ["P"], "brackets": []}],
+        action=[{"arrow": a, "matrix": m} for a, m in matrices.items()],
+        truncation=2,
+    )
+
+
+def test_hypothesis_failures_of_a_union_are_those_of_its_parts():
+    """Hypothesis (i) is read per orbit, so a union side by side fails it
+    exactly where its parts do, with the orbit names prefixed: models whose
+    ranks differ between orbits fail nowhere, and the uneven orbit fails in
+    every union that holds it."""
+    makers = {"z2line": z2line_model, "pairh3": pairh3_model,
+              "rnd:5": functools.partial(random_model, 5), "uneven": uneven_orbit_model}
+    models = {key: dict(make(), truncation=2) for key, make in makers.items()}
+    parts = {key: analyze(carrier_from_model(m), samples=20).decision
+             for key, m in models.items()}
+    assert [k for k, part in parts.items() if part.hypothesis_failures] == ["uneven"]
+    assert len({parts["z2line"].prim_ranks["x"], *parts["pairh3"].prim_ranks.values()}) == 2
+    for a, b in itertools.combinations(models, 2):
+        union = analyze(carrier_from_model(side_by_side(models[a], models[b])), samples=20)
+        expected = [re.sub("'([^']*)'", rf"'{tag}.\1'", line)
+                    for tag, key in zip("ab", (a, b)) for line in parts[key].hypothesis_failures]
+        assert union.decision.hypothesis_failures == expected, (a, b)
+        assert union.decision.constant_rank == (not expected)
 
 
 def test_convolution_models_side_by_side_decide_as_their_parts():

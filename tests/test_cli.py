@@ -14,7 +14,7 @@ from finhopf import models
 from finhopf.modelio import FORMAT_NAME, model_to_text, save_model
 from finhopf.models import funs3_model, pairh3_model, random_model, z2line_model
 
-from test_analysis import misplaced_unit_model, rescaled_group_algebra_model
+from test_analysis import misplaced_unit_model, rescaled_group_algebra_model, uneven_orbit_model
 
 
 def run(args, capsys):
@@ -192,18 +192,29 @@ def unit_arrows_model(dims):
 
 
 def test_non_constant_primitive_rank_is_reported_and_still_decided(tmp_path, capsys):
+    """Hypothesis (i) is read per orbit: ranks 1 and 0 on two one-point
+    orbits are constant on each, while ranks 2 and 1 on the two points of one
+    orbit are reported, naming the orbit, and the stages still run."""
     path = tmp_path / "ranks-1-0.json"
     save_model(unit_arrows_model([1, 0]), path)
     code, out, _ = run(["cgk", str(path), "--json"], capsys)
     data = json.loads(out)
     assert code == EXIT_OK and data["verdict"] == "ISO"
-    assert data["constantRank"] is False and data["primRank"] == {"x": 1, "y": 0}
-    assert data["hypothesisFailures"] == [
-        "primitive module does not have constant rank (hypothesis i)"]
-    assert data["annotations"] == ["decomposition evaluated despite non-constant primitive rank"]
+    assert data["constantRank"] is True and data["primRank"] == {"x": 1, "y": 0}
+    assert "hypothesisFailures" not in data and "annotations" not in data
     assert data["spectral"] == {"arrows": 2}
     code, out, _ = run(["roundtrip", str(path)], capsys)
     assert code == EXIT_OK and out.endswith("round trip: ok\n")
+
+    path = tmp_path / "ranks-2-1.json"
+    save_model(uneven_orbit_model(), path)
+    code, out, _ = run(["cgk", str(path), "--json"], capsys)
+    data = json.loads(out)
+    assert data["constantRank"] is False and data["primRank"] == {"x": 2, "y": 1}
+    assert data["hypothesisFailures"] == [
+        "primitive module does not have constant rank on the orbit of 'x' (hypothesis i)"]
+    assert data["annotations"] == ["decomposition evaluated despite non-constant primitive rank"]
+    assert data["spectral"] == {"arrows": 4} and data["stageError"]["stage"] == "prim-action"
 
 
 def test_a_zero_dimensional_fiber_is_decided_as_its_unit_arrow(tmp_path, capsys):
@@ -434,7 +445,16 @@ def test_cli_digests_tool_runs_every_model_command_in_both_formats():
             assert by_run[(name, command, fmt)] == (f"exit={code}", f"out={digest}")
     # the z2line and pairh3 presets are rungs of their ladders
     names = list(tool.model_set(models, lambda n: {"sl2": n}))
-    assert len(names) == 66 and names[-1] == "funs3" and "pair8-N1" in names
+    assert len(names) == 67 and names[-1] == "funs3" and {"pair8-N1", "pair9-N1"} <= set(names)
+
+
+def test_roundtrip_decides_the_pair_groupoid_on_nine_points(tmp_path, capsys):
+    """81 arrows in one component: the groupoid comparison is bounded by the
+    isotropy order, not by the arrow count."""
+    path = tmp_path / "pair9.json"
+    save_model(load_tool("cli_digests").pair_model(9), path)
+    code, out, _ = run(["roundtrip", str(path)], capsys)
+    assert code == EXIT_OK and out.endswith("round trip: ok\n")
 
 
 def test_root_search_bound_is_an_input_error(tmp_path, capsys):

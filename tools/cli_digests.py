@@ -17,12 +17,12 @@ outputs diff empty::
     diff before.txt after.txt
 
 The models: the presets, ``pairh3`` and ``z2line`` at truncations 0 to 8,
-``sl2`` at 1 to 6, ``random_model`` seeds 0 to 39 and the pair groupoid on
-8 points (64 arrows, the isomorphism search's limit); the ``z2line`` and
-``pairh3`` presets are rungs of their ladders and run there (66 models, 924
-runs).  Runs go in-process, from a temporary directory, with the model files
-named relatively, so a message that quotes a path is the same on any
-machine.  Standard library only.
+``sl2`` at 1 to 6, ``random_model`` seeds 0 to 39 and the pair groupoids on
+8 and 9 points (64 and 81 arrows); the ``z2line`` and ``pairh3`` presets are
+rungs of their ladders and run there (67 models, 938 runs).  Runs go
+in-process, from a temporary directory, with the model files named
+relatively, so a message that quotes a path is the same on any machine.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -41,8 +41,8 @@ COMMANDS = ("validate", "check-axioms", "primitives", "grouplikes", "spectral", 
 
 def model_set(models, sl2_model) -> dict:
     """Model name -> document: the ladders, ``random_model`` 0-39, the pair
-    groupoid on 8 points, then each preset that is not already a rung of its
-    ladder."""
+    groupoids on 8 and 9 points, then each preset that is not already a rung
+    of its ladder."""
     docs = {}
 
     def at(build, n):
@@ -59,6 +59,7 @@ def model_set(models, sl2_model) -> dict:
     for seed in range(40):
         docs[f"random-{seed}"] = models.random_model(seed)
     docs["pair8-N1"] = pair_model(8)
+    docs["pair9-N1"] = pair_model(9)
     for name, build in models.PRESETS.items():
         doc = build()
         if doc not in docs.values():
@@ -68,9 +69,9 @@ def model_set(models, sl2_model) -> dict:
 
 def pair_model(n: int) -> dict:
     """The pair groupoid on n points, with 1-dimensional abelian fibers, the
-    identity action and truncation 1.  At n = 8 it has 64 arrows, the most
-    the isomorphism search admits, so ``roundtrip`` runs that search at its
-    largest size."""
+    identity action and truncation 1: n * n arrows in one component with
+    trivial isotropy, so ``roundtrip`` compares groupoids of that many arrows
+    by their components alone."""
     points = [f"p{i}" for i in range(n)]
     arrows = [f"a{t}{s}" for t in range(n) for s in range(n)]
     return {
