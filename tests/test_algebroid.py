@@ -154,9 +154,11 @@ def test_corrupted_action_keeps_comultiplication_multiplicative():
     assert by_name["axiom_iii_comult_multiplicative"].ok
     assert not report.ok
     broken = {c.name for c in report.failures()}
-    assert broken <= {"associativity", "axiom_v_antipode_convolution",
+    # ``validate`` runs first and names the bracket the action breaks.
+    assert broken <= {"validate", "associativity", "axiom_v_antipode_convolution",
                       "axiom_iv_antihomomorphism"}
-    assert "associativity" in broken
+    assert "validate" in broken and "associativity" in broken
+    assert any("bracket" in c.witness for c in report.failures() if c.name == "validate")
     witness = by_name["associativity"].witness
     assert witness
 
@@ -319,9 +321,13 @@ def test_each_single_sample_coproduct_is_built_once(monkeypatch):
         patch.setattr(HopfAlgebroid, "delta", counting)
         report = check_axioms(carrier, samples=100)
     assert report.ok and len(carrier.base.points) == 1
-    # One per single sample for the five laws that read it, three per pair
-    # for the multiplicative coproduct, and one per point on the base.
-    assert len(calls) == 100 + 3 * 100 + 1
+    # The single samples are the first 100 draws.  Every label they use
+    # passes, so no single sample falls back: the five laws that read a
+    # coproduct build one per label each, then three per pair for the
+    # multiplicative coproduct, and one per point on the base.
+    rng = random.Random(1)
+    labels = {l for _ in range(100) for l in carrier.random_element(rng)._c}
+    assert len(calls) == 5 * len(labels) + 3 * 100 + 1
 
 
 def test_each_pair_sample_product_is_built_once(monkeypatch):
@@ -341,6 +347,100 @@ def test_each_pair_sample_product_is_built_once(monkeypatch):
     # Three per pair (its product, shared by three laws, then one more for the
     # counit law and one for the antihomomorphism), four per triple.
     assert len(calls) == 3 * 100 + 4 * 100
+
+
+def every_sample(name, items, predicate, carrier=None):
+    """``run_law`` without the labels: every item is evaluated in turn."""
+    checked = overflows = 0
+    for item in items:
+        try:
+            witness = predicate(item)
+        except TruncationOverflow:
+            overflows += 1
+            continue
+        checked += 1
+        if witness is not None:
+            return algebroid.AxiomCheck(name, False, checked, witness), overflows
+    return algebroid.AxiomCheck(name, True, checked), overflows
+
+
+def perturbed_caches(model, table, label, terms):
+    """The carrier of ``model`` with one label's memoized coproduct or
+    antipode (``table`` is ``"_delta_cache"`` or ``"_antipode_cache"``)
+    replaced by ``terms``."""
+    carrier = carrier_from_model(model)
+    getattr(carrier, table)[label] = terms
+    return carrier
+
+
+def oracle_carriers():
+    sl2 = load("workloads").sl2_model
+    unit = (0, 0, 0)
+    for name, build in (("z2line", z2line_model), ("pairh3", pairh3_model),
+                        ("funs3", funs3_model)):
+        yield ("preset", name), carrier_from_model(build())
+    yield from ((("sl2", n), carrier_from_model(sl2(n))) for n in range(1, 7))
+    yield from ((("random", s), carrier_from_model(random_model(s))) for s in range(40))
+    x = ("e", (1,))
+    yield ("z2line", "delta"), perturbed_caches(
+        z2line_model(), "_delta_cache", x, (((x, ("e", (0,))), 1), ((("e", (0,)), x), 2)))
+    yield ("z2line", "antipode"), perturbed_caches(
+        z2line_model(), "_antipode_cache", ("s", (1,)), ((("s", (1,)), 2),))
+    p = ("axy", (1, 0, 0))
+    yield ("pairh3", "delta"), perturbed_caches(
+        pairh3_model(), "_delta_cache", p, (((p, ("axy", unit)), 1),))
+    yield ("pairh3", "antipode"), perturbed_caches(
+        pairh3_model(), "_antipode_cache", p, ((("ayx", (0, 1, 0)), -1),))
+    funs3 = funs3_model()
+    funs3["table"]["delta"]["d120"][0][2] = -1
+    yield ("funs3", "delta"), carrier_from_model(funs3)
+    funs3 = funs3_model()
+    funs3["table"]["antipode"]["d120"] = {"d201": 2}
+    yield ("funs3", "antipode"), carrier_from_model(funs3)
+
+
+def test_labelwise_report_equals_evaluating_every_sample(monkeypatch):
+    """Proving the linear laws label by label changes no report: not a
+    count, not the first failing sample, not its witness."""
+    failing = set()
+    for key, carrier in oracle_carriers():
+        report = check_axioms(carrier, samples=40, seed=3).to_json()
+        with monkeypatch.context() as patch:
+            patch.setattr(algebroid, "run_law", every_sample)
+            expected = check_axioms(carrier, samples=40, seed=3).to_json()
+        assert report == expected, key
+        if not report["ok"]:
+            failing.add(key)
+    # Each perturbation is caught, so witnesses are compared too.
+    assert failing == {(name, table) for name in ("z2line", "pairh3", "funs3")
+                       for table in ("delta", "antipode")}
+
+
+def test_a_linear_law_passes_a_sample_whose_failing_labels_cancel():
+    """``counit_law_left`` fails on the labels x and y of a carrier whose
+    coproducts of x and y carry opposite stray terms, and holds on x + y: that
+    sample is evaluated, counts as checked and passes.  A later failing
+    sample is its own witness, and a sample of labels that pass is counted
+    without being evaluated."""
+    x, y, one = ("e", (1,)), ("e", (2,)), ("e", (0,))
+    carrier = carrier_from_model(z2line_model())
+    for label, c in ((x, 1), (y, -1)):
+        carrier._delta_cache[label] = carrier.delta_label(label) + (((one, one), c),)
+    evaluated = []
+
+    def counit_left(a):
+        evaluated.append(a.text())
+        return None if carrier.delta(a).counit_leg(0).to_element() == a else a.text()
+
+    X, Y, S = (carrier.basis_element(l) for l in (x, y, ("s", (1,))))
+    check, overflows = run_law("counit_law_left", [X + Y, S.scale(3), X + Y.scale(2)],
+                               counit_left, carrier)
+    assert (check.ok, check.checked, overflows) == (False, 3, 0)
+    assert check.witness == (X + Y.scale(2)).text() == "1*X@e + 2*X^2@e"
+    # x fails, so x + y is evaluated with y unread; the label of 3 S, but not
+    # 3 S itself; then x + 2y, whose label x is known to fail.
+    assert evaluated == [X.text(), (X + Y).text(), S.text(), check.witness]
+    assert counit_left(X) and counit_left(Y) and counit_left(X + Y) is None
 
 
 SAMPLED_LAWS = {

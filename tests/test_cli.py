@@ -215,6 +215,9 @@ def test_non_constant_primitive_rank_is_reported_and_still_decided(tmp_path, cap
         "primitive module does not have constant rank on the orbit of 'x' (hypothesis i)"]
     assert data["annotations"] == ["decomposition evaluated despite non-constant primitive rank"]
     assert data["spectral"] == {"arrows": 4} and data["stageError"]["stage"] == "prim-action"
+    # ``validate`` rejects the projection and the inclusion, which clears
+    # ``axiomsOk`` without stopping the axiom stage.
+    assert data["axiomsOk"] is False
 
 
 def test_a_zero_dimensional_fiber_is_decided_as_its_unit_arrow(tmp_path, capsys):

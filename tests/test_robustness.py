@@ -222,3 +222,6 @@ def test_each_sign_flip_changes_the_model_and_ends_every_command(source, tmp_pat
             code = main(args)
             capsys.readouterr()
             assert code in (0, 1, 2), (command, flip.__name__, code)
+            if (flip, command) == (flip_bracket, "check-axioms"):
+                # ``validate`` rejects the flipped bracket, at any sample count.
+                assert code == 1
