@@ -45,7 +45,6 @@ from .errors import (
     FinhopfError,
     ModelFormatError,
     NotAGoodPair,
-    RankMismatch,
     SizeGuardExceeded,
     SolverIncomplete,
     TruncationOverflow,
@@ -98,7 +97,6 @@ __all__ = [
     "NotAGoodPair",
     "PrimBasis",
     "QMatrix",
-    "RankMismatch",
     "RoundTripReport",
     "SizeGuardExceeded",
     "SolverIncomplete",

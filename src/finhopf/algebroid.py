@@ -888,7 +888,8 @@ def check_axioms(carrier: HopfAlgebroid, samples: int = 100, seed: int = 1) -> A
 
     The exact structural checks of ``carrier.validate()`` come first, each
     violation a failed check named ``validate`` with its message as the
-    witness.  Sampling is deterministic in ``seed`` and stays inside the
+    witness; the sampled laws still run, and ``analyze`` stops on any failed
+    check.  Sampling is deterministic in ``seed`` and stays inside the
     degree cap of ``random_element``, so no sample overflows; should one all
     the same, ``run_law`` counts it into ``resampled`` and skips it.  The six
     laws of one sample are linear in it, so ``run_law`` proves them label by

@@ -51,7 +51,6 @@ from .errors import (
     AnalysisError,
     FinhopfError,
     NotAGoodPair,
-    RankMismatch,
     SolverIncomplete,
 )
 from .groupoid import BaseFun, FiniteGroupoid, groupoid_isomorphic
@@ -481,8 +480,10 @@ def build_prim_action(carrier: HopfAlgebroid, gsp: SpectralGroupoid,
     ``build_spectral_groupoid`` proved that rep_g is a normalized grouplike
     (so ``make_good_pair`` accepts it), that 1_y * rep_g = rep_g (the unit law
     of its ``validate()``) and that S(rep_g) = rep_(g^-1) (the inverse it matched).
-    A non-square matrix raises ``RankMismatch``; ``BundleAction.validate``
-    reports a singular square one, so each kernel is taken once.
+    An image outside the primitive fiber, or a non-square or singular matrix
+    (the last reported by ``BundleAction.validate``, so each kernel is taken
+    once), raises ``AnalysisError`` at stage ``prim-action``; ``analyze``
+    calls this only on carriers that passed ``validate``.
     """
     bundle = prim_bundle(prim)
     groupoid, reps = gsp.groupoid, gsp.representatives
@@ -494,18 +495,22 @@ def build_prim_action(carrier: HopfAlgebroid, gsp: SpectralGroupoid,
         for basis_el in prim.per_point.get(x, []):
             image = carrier.mul(carrier.mul(rep, basis_el), rep_inverse)
             if any(t != y for t in image.target_points()):
-                raise RankMismatch(f"conjugation along {arrow!r} leaves the fiber at {y!r}")
+                raise AnalysisError(
+                    "prim-action", f"conjugation along {arrow!r} leaves the fiber at {y!r}"
+                )
             coords = prim.coords_in_basis(image, y)
             if coords is None:
-                raise RankMismatch(
-                    f"conjugation along {arrow!r} does not land in the primitive fiber"
+                raise AnalysisError(
+                    "prim-action",
+                    f"conjugation along {arrow!r} does not land in the primitive fiber",
                 )
             columns.append(coords)
         m = QMatrix.from_columns(columns, rows=prim.rank_at(y))
         if m.rows != m.cols:
-            raise RankMismatch(
+            raise AnalysisError(
+                "prim-action",
                 f"conjugation along {arrow!r} is not a bijection between fibers "
-                f"({m.cols} -> {m.rows})"
+                f"({m.cols} -> {m.rows})",
             )
         matrices[arrow] = m
     action = BundleAction(gsp.groupoid, bundle, matrices)
@@ -708,7 +713,6 @@ class DecisionReport:
     hypothesis_failures: list = field(default_factory=list)
     witness: str | None = None
     stage_error: tuple | None = None
-    annotations: list = field(default_factory=list)
     axioms_ok: bool | None = None
 
     def to_json(self):
@@ -730,8 +734,6 @@ class DecisionReport:
             out["hypothesisFailures"] = list(self.hypothesis_failures)
         if self.stage_error:
             out["stageError"] = {"stage": self.stage_error[0], "message": self.stage_error[1]}
-        if self.annotations:
-            out["annotations"] = list(self.annotations)
         if self.axioms_ok is not None:
             out["axiomsOk"] = self.axioms_ok
         return out
@@ -755,8 +757,6 @@ class DecisionReport:
             )
         for h in self.hypothesis_failures:
             lines.append(f"hypothesis failure: {h}")
-        for a in self.annotations:
-            lines.append(f"note: {a}")
         if self.witness:
             lines.append(f"witness: {self.witness}")
         lines.append(f"verdict: {self.verdict}")
@@ -778,6 +778,11 @@ def analyze(carrier: HopfAlgebroid, samples: int = 60, seed: int = 11) -> Analys
     """Decide the Cartier-Gabriel-Kostant decomposition for the carrier.
 
     Runs the full pipeline, collecting its artifacts and the decision report.
+    The axiom stage stops on every failed check of ``check_axioms``, each
+    ``validate`` violation included, naming each failed check once in report
+    order; so a carrier that ``validate`` rejects gets verdict ``ERROR`` at
+    stage ``axioms`` and no later artifact is built.  A convolution carrier
+    is G ⋉ U(g), a Hopf algebroid, exactly when ``validate`` accepts it.
     """
     analysis = Analysis(carrier)
     report = analysis.decision
@@ -785,10 +790,7 @@ def analyze(carrier: HopfAlgebroid, samples: int = 60, seed: int = 11) -> Analys
     try:
         analysis.axiom_report = check_axioms(carrier, samples=samples, seed=seed)
         report.axioms_ok = analysis.axiom_report.ok
-        # A ``validate`` violation clears ``axioms_ok`` but does not stop this
-        # stage: the later stages check the structure they rely on, the
-        # groupoid at ``spectral`` and the action at ``prim-action``.
-        failing = [c.name for c in analysis.axiom_report.failures() if c.name != "validate"]
+        failing = list(dict.fromkeys(c.name for c in analysis.axiom_report.failures()))
         if failing:
             raise AnalysisError("axioms", f"axiom checks failed: {', '.join(failing)}")
         if analysis.axiom_report.inconclusive():
@@ -807,10 +809,6 @@ def analyze(carrier: HopfAlgebroid, samples: int = 60, seed: int = 11) -> Analys
             report.hypothesis_failures.append(
                 f"primitive module does not have constant rank on the orbit of {orbit[0]!r} "
                 "(hypothesis i)"
-            )
-        if not report.constant_rank:
-            report.annotations.append(
-                "decomposition evaluated despite non-constant primitive rank"
             )
         if not prim.s_invariant:
             report.hypothesis_failures.append(

@@ -39,10 +39,6 @@ class NotAGoodPair(FinhopfError):
     """A pair of elements failed validation as a conjugation-operator pair."""
 
 
-class RankMismatch(FinhopfError):
-    """A reconstructed transport does not map fibers bijectively."""
-
-
 class CoherenceError(FinhopfError):
     """Structure tables are internally inconsistent (not merely axiom-violating)."""
 

@@ -9,6 +9,7 @@ unitality and functoriality, and reports each violation by name.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -103,22 +104,19 @@ class LieFiber:
                     report.append(
                         f"antisymmetry fails on ({self.basis[i]}, {self.basis[j]})"
                     )
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    acc = [_ZERO] * n
-                    for first, second, third in ((i, j, k), (j, k, i), (k, i, j)):
-                        inner = self.brackets[first][second]
-                        basis_third = tuple(
-                            Fraction(1) if t == third else _ZERO for t in range(n)
-                        )
-                        term = self.bracket_of_vectors(inner, basis_third)
-                        acc = [a + b for a, b in zip(acc, term)]
-                    if any(acc):
-                        report.append(
-                            "Jacobi fails on "
-                            f"({self.basis[i]}, {self.basis[j]}, {self.basis[k]})"
-                        )
+        # [[e_f, e_s], e_t] has coordinates sum_a c[f][s][a] c[a][t][m].
+        c = self.brackets
+        for i, j, k in itertools.product(range(n), repeat=3):
+            acc = [_ZERO] * n
+            for f, s, t in ((i, j, k), (j, k, i), (k, i, j)):
+                for a, x in enumerate(c[f][s]):
+                    if x:
+                        for m, y in enumerate(c[a][t]):
+                            acc[m] += x * y
+            if any(acc):
+                report.append(
+                    f"Jacobi fails on ({self.basis[i]}, {self.basis[j]}, {self.basis[k]})"
+                )
         return report
 
 

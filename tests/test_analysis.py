@@ -4,7 +4,6 @@ import collections
 import functools
 import itertools
 import random
-import re
 import sys
 import time
 from fractions import Fraction
@@ -16,6 +15,8 @@ from finhopf import enveloping as enveloping_module
 from finhopf import linalg
 from finhopf.algebroid import (
     AlgebroidElement,
+    AxiomCheck,
+    AxiomReport,
     ConvolutionAlgebroid,
     FiberTensor,
     HopfAlgebroid,
@@ -1332,23 +1333,50 @@ def uneven_orbit_model():
 
 
 def test_hypothesis_failures_of_a_union_are_those_of_its_parts():
-    """Hypothesis (i) is read per orbit, so a union side by side fails it
-    exactly where its parts do, with the orbit names prefixed: models whose
-    ranks differ between orbits fail nowhere, and the uneven orbit fails in
-    every union that holds it."""
+    """Hypothesis (i) is read per orbit, so a union side by side breaks the
+    constant rank exactly where its parts do, with the point names prefixed:
+    models whose ranks differ between orbits break it nowhere, and the uneven
+    orbit breaks it in every union that holds it.  ``solve_primitives`` reads
+    the ranks of the uneven orbit, which ``validate`` rejects and ``analyze``
+    stops at its axiom stage."""
     makers = {"z2line": z2line_model, "pairh3": pairh3_model,
               "rnd:5": functools.partial(random_model, 5), "uneven": uneven_orbit_model}
     models = {key: dict(make(), truncation=2) for key, make in makers.items()}
-    parts = {key: analyze(carrier_from_model(m), samples=20).decision
-             for key, m in models.items()}
-    assert [k for k, part in parts.items() if part.hypothesis_failures] == ["uneven"]
-    assert len({parts["z2line"].prim_ranks["x"], *parts["pairh3"].prim_ranks.values()}) == 2
+    parts = {key: solve_primitives(carrier_from_model(m)) for key, m in models.items()}
+    assert [k for k, part in parts.items() if part.rank_breaks()] == ["uneven"]
+    assert len({parts["z2line"].rank_at("x"), *parts["pairh3"].ranks().values()}) == 2
     for a, b in itertools.combinations(models, 2):
-        union = analyze(carrier_from_model(side_by_side(models[a], models[b])), samples=20)
-        expected = [re.sub("'([^']*)'", rf"'{tag}.\1'", line)
-                    for tag, key in zip("ab", (a, b)) for line in parts[key].hypothesis_failures]
-        assert union.decision.hypothesis_failures == expected, (a, b)
-        assert union.decision.constant_rank == (not expected)
+        union = solve_primitives(carrier_from_model(side_by_side(models[a], models[b])))
+        expected = [tuple(f"{tag}.{p}" for p in orbit)
+                    for tag, key in zip("ab", (a, b)) for orbit in parts[key].rank_breaks()]
+        assert union.rank_breaks() == expected, (a, b)
+        assert union.constant_rank == (not expected)
+    uneven = analyze(carrier_from_model(models["uneven"]), samples=20)
+    assert uneven.decision.stage_error == ("axioms", "axiom checks failed: validate")
+    assert uneven.prim is None and uneven.decision.hypothesis_failures == []
+
+
+def test_a_rank_break_that_passes_the_axiom_stage_is_reported(monkeypatch):
+    """A carrier whose axiom report passes reaches the hypothesis (i) line:
+    with ``check_axioms`` stubbed to pass, the uneven orbit is reported,
+    naming the orbit, before its non-square conjugation stops the
+    prim-action stage."""
+    passing = AxiomReport([AxiomCheck("stub", True, 1)])
+    monkeypatch.setattr(analysis_module, "check_axioms", lambda *args, **kwargs: passing)
+    report = analyze(carrier_from_model(uneven_orbit_model())).decision
+    line = "primitive module does not have constant rank on the orbit of 'x' (hypothesis i)"
+    assert report.axioms_ok is True and report.hypothesis_failures == [line]
+    assert report.prim_ranks == {"x": 2, "y": 1} and report.constant_rank is False
+    assert report.stage_error[0] == "prim-action" and report.verdict == "ERROR"
+    assert f"hypothesis failure: {line}" in report.text().splitlines()
+
+
+def test_a_non_square_conjugation_is_a_prim_action_error():
+    carrier = carrier_from_model(uneven_orbit_model())
+    with pytest.raises(AnalysisError) as exc:
+        build_prim_action(carrier, build_spectral_groupoid(carrier), solve_primitives(carrier))
+    assert exc.value.stage == "prim-action"
+    assert "is not a bijection between fibers" in exc.value.message
 
 
 def test_convolution_models_side_by_side_decide_as_their_parts():

@@ -11,7 +11,7 @@ import pytest
 
 from finhopf.cli import EXIT_INPUT_ERROR, EXIT_OK, EXIT_PROPERTY_FAILS, build_parser, main
 from finhopf import models
-from finhopf.modelio import FORMAT_NAME, model_to_text, save_model
+from finhopf.modelio import FORMAT_NAME, carrier_from_model, model_to_text, save_model
 from finhopf.models import funs3_model, pairh3_model, random_model, z2line_model
 
 from test_analysis import misplaced_unit_model, rescaled_group_algebra_model, uneven_orbit_model
@@ -193,31 +193,32 @@ def unit_arrows_model(dims):
 
 def test_non_constant_primitive_rank_is_reported_and_still_decided(tmp_path, capsys):
     """Hypothesis (i) is read per orbit: ranks 1 and 0 on two one-point
-    orbits are constant on each, while ranks 2 and 1 on the two points of one
-    orbit are reported, naming the orbit, and the stages still run."""
+    orbits are constant on each and decided, while ranks 2 and 1 on the two
+    points of one orbit are reported by ``primitives``; that model fails
+    ``validate``, so ``cgk`` stops at the axiom stage."""
     path = tmp_path / "ranks-1-0.json"
     save_model(unit_arrows_model([1, 0]), path)
     code, out, _ = run(["cgk", str(path), "--json"], capsys)
     data = json.loads(out)
     assert code == EXIT_OK and data["verdict"] == "ISO"
     assert data["constantRank"] is True and data["primRank"] == {"x": 1, "y": 0}
-    assert "hypothesisFailures" not in data and "annotations" not in data
+    assert "hypothesisFailures" not in data
     assert data["spectral"] == {"arrows": 2}
     code, out, _ = run(["roundtrip", str(path)], capsys)
     assert code == EXIT_OK and out.endswith("round trip: ok\n")
 
     path = tmp_path / "ranks-2-1.json"
     save_model(uneven_orbit_model(), path)
+    code, out, _ = run(["primitives", str(path), "--json"], capsys)
+    data = json.loads(out)
+    assert code == EXIT_OK
+    assert data["constantRank"] is False and data["ranks"] == {"x": 2, "y": 1}
     code, out, _ = run(["cgk", str(path), "--json"], capsys)
     data = json.loads(out)
-    assert data["constantRank"] is False and data["primRank"] == {"x": 2, "y": 1}
-    assert data["hypothesisFailures"] == [
-        "primitive module does not have constant rank on the orbit of 'x' (hypothesis i)"]
-    assert data["annotations"] == ["decomposition evaluated despite non-constant primitive rank"]
-    assert data["spectral"] == {"arrows": 4} and data["stageError"]["stage"] == "prim-action"
-    # ``validate`` rejects the projection and the inclusion, which clears
-    # ``axiomsOk`` without stopping the axiom stage.
-    assert data["axiomsOk"] is False
+    assert code == EXIT_INPUT_ERROR and data["verdict"] == "ERROR"
+    assert data["stageError"] == {"stage": "axioms", "message": "axiom checks failed: validate"}
+    assert data["axiomsOk"] is False and data["primRank"] == {}
+    assert "hypothesisFailures" not in data and "spectral" not in data
 
 
 def test_a_zero_dimensional_fiber_is_decided_as_its_unit_arrow(tmp_path, capsys):
@@ -448,7 +449,12 @@ def test_cli_digests_tool_runs_every_model_command_in_both_formats():
             assert by_run[(name, command, fmt)] == (f"exit={code}", f"out={digest}")
     # the z2line and pairh3 presets are rungs of their ladders
     names = list(tool.model_set(models, lambda n: {"sl2": n}))
-    assert len(names) == 67 and names[-1] == "funs3" and {"pair8-N1", "pair9-N1"} <= set(names)
+    assert len(names) == 70 and names[-1] == "funs3" and {"pair8-N1", "pair9-N1"} <= set(names)
+    invalid = tool.invalid_models(models)
+    assert set(invalid) <= set(names)
+    assert invalid["uneven-orbit"] == uneven_orbit_model()
+    assert invalid["pairh3-misplaced-unit"] == misplaced_unit_model()
+    assert all(carrier_from_model(doc).validate() for doc in invalid.values())
 
 
 def test_roundtrip_decides_the_pair_groupoid_on_nine_points(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Lie fibers, bundles, and groupoid actions: validators catch each law."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -60,6 +61,47 @@ def test_jacobi_violation_detected():
         [(0, 1, (0, 0, 1)), (1, 2, (1, 0, 0)), (2, 0, (1, 0, 0))],
     )
     assert any("Jacobi" in v for v in f.validate())
+
+
+def reference_validate(fiber):
+    """The violation list as ``LieFiber.validate`` built it by bracketing each
+    inner bracket with a unit vector."""
+    report, n = [], fiber.dim
+    for i in range(n):
+        for j in range(n):
+            if fiber.brackets[i][j] != tuple(-c for c in fiber.brackets[j][i]):
+                report.append(f"antisymmetry fails on ({fiber.basis[i]}, {fiber.basis[j]})")
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                acc = [Fraction(0)] * n
+                for first, second, third in ((i, j, k), (j, k, i), (k, i, j)):
+                    unit = tuple(Fraction(int(t == third)) for t in range(n))
+                    term = fiber.bracket_of_vectors(fiber.brackets[first][second], unit)
+                    acc = [a + b for a, b in zip(acc, term)]
+                if any(acc):
+                    report.append("Jacobi fails on "
+                                  f"({fiber.basis[i]}, {fiber.basis[j]}, {fiber.basis[k]})")
+    return report
+
+
+def test_jacobi_violations_match_bracketing_with_unit_vectors():
+    """Seeded random tables, antisymmetric by completion or with both
+    entries of a pair drawn: the violation list, messages and order, is the
+    one bracketing with unit vectors gives."""
+    rng = random.Random(28)
+    scalars = (0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-5, 3))
+    reports = []
+    for _ in range(120):
+        n = rng.randint(0, 4)
+        pairs = [(i, j) for i in range(n) for j in range(n) if i < j or rng.random() < 0.1]
+        entries = [(i, j, tuple(rng.choice(scalars) for _ in range(n)))
+                   for i, j in pairs if rng.random() < 0.6]
+        fiber = LieFiber.from_sparse([f"e{k}" for k in range(n)], entries)
+        reports.append(fiber.validate())
+        assert reports[-1] == reference_validate(fiber), entries
+    jacobi = [any(v.startswith("Jacobi") for v in r) for r in reports]
+    assert any(jacobi) and not all(jacobi)
 
 
 def test_bundle_validation():

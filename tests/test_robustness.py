@@ -6,7 +6,8 @@ entries changed or negated, brackets added or a bracket coefficient negated,
 and the truncation lowered to 0-2 on convolution models; products,
 coproducts, counits and antipodes changed, dropped or one coefficient negated
 on tables.  Whatever the edits, a command must end with exit code 0,
-1 or 2 and let no exception escape.
+1 or 2 and let no exception escape; and a convolution document that
+``validate`` rejects is decided ``ERROR`` at the axiom stage.
 """
 
 import random
@@ -14,8 +15,10 @@ from functools import partial
 
 import pytest
 
-from finhopf.cli import main
-from finhopf.modelio import save_model
+from finhopf.analysis import analyze
+from finhopf.cli import EXIT_INPUT_ERROR, EXIT_PROPERTY_FAILS, main
+from finhopf.errors import FinhopfError
+from finhopf.modelio import carrier_from_model, save_model
 from finhopf.models import funs3_model, pairh3_model, random_model, z2line_model
 from finhopf.rationals import rat
 
@@ -30,6 +33,8 @@ COMMANDS = ("validate", "check-axioms", "primitives", "grouplikes", "spectral", 
 SAMPLED = {"check-axioms", "cgk", "roundtrip"}
 SCALARS = (0, 1, -1, 2, "1/2", "-5/3", f"{10**30}/7")
 DOCUMENTS_PER_SOURCE = 3
+# Edited documents per convolution source in the axiom-stage test.
+AXIOM_STAGE_DOCUMENTS = 20
 
 
 def _drop(rng, items):
@@ -225,3 +230,43 @@ def test_each_sign_flip_changes_the_model_and_ends_every_command(source, tmp_pat
             if (flip, command) == (flip_bracket, "check-axioms"):
                 # ``validate`` rejects the flipped bracket, at any sample count.
                 assert code == 1
+
+
+def test_analyze_stops_at_the_axiom_stage_exactly_when_validate_fails(tmp_path, capsys):
+    """A convolution model is G ⋉ U(g), a Hopf algebroid, exactly when
+    ``validate`` accepts it.  So on every edited convolution document the
+    loader accepts, ``analyze`` stops at stage ``axioms`` exactly when
+    ``validate`` reports a violation, and then builds nothing later, ``cgk``
+    exits 2 and ``roundtrip`` 1.  The documents include z2line with
+    [X, X] = X, on which every sampled law passes and only ``validate``
+    fails."""
+    bracket = z2line_model()
+    bracket["bundle"][0]["brackets"].append(["X", "X", {"X": 1}])
+    documents = [("z2line", "X-X", bracket, ["[X, X] = X"])]
+    for source in sorted(SOURCES):
+        if SOURCES[source]()["kind"] == "convolution":
+            for k in range(AXIOM_STAGE_DOCUMENTS):
+                rng = random.Random(f"{source}-{k}")
+                documents.append((source, k, *perturbed(SOURCES[source](), rng)))
+    rejected = []
+    for source, k, model, edits in documents:
+        try:
+            carrier = carrier_from_model(model)
+        except FinhopfError:
+            continue
+        violations = carrier.validate()
+        analysis = analyze(carrier, samples=10)
+        stage = (analysis.decision.stage_error or (None,))[0]
+        assert (stage == "axioms") == bool(violations), (source, k, edits, violations)
+        if not violations:
+            continue
+        rejected.append((source, k))
+        assert analysis.decision.verdict == "ERROR" and analysis.decision.axioms_ok is False
+        artifacts = (analysis.prim, analysis.gsp, analysis.prim_action, analysis.theta)
+        assert artifacts == (None,) * 4, (source, k, edits)
+        path = tmp_path / f"{source}-{k}.json"
+        save_model(model, path)
+        for command, expected in (("cgk", EXIT_INPUT_ERROR), ("roundtrip", EXIT_PROPERTY_FAILS)):
+            assert main([command, str(path), "--samples", "10"]) == expected, (command, source, k)
+            capsys.readouterr()
+    assert ("z2line", "X-X") in rejected and len(rejected) > len(documents) // 3

@@ -17,9 +17,10 @@ outputs diff empty::
     diff before.txt after.txt
 
 The models: the presets, ``pairh3`` and ``z2line`` at truncations 0 to 8,
-``sl2`` at 1 to 6, ``random_model`` seeds 0 to 39 and the pair groupoids on
-8 and 9 points (64 and 81 arrows); the ``z2line`` and ``pairh3`` presets are
-rungs of their ladders and run there (67 models, 938 runs).  Runs go
+``sl2`` at 1 to 6, ``random_model`` seeds 0 to 39, the pair groupoids on
+8 and 9 points (64 and 81 arrows) and three models that ``validate``
+rejects; the ``z2line`` and ``pairh3`` presets are rungs of their ladders
+and run there (70 models, 980 runs).  Runs go
 in-process, from a temporary directory, with the model files named
 relatively, so a message that quotes a path is the same on any machine.
 Standard library only.
@@ -41,8 +42,8 @@ COMMANDS = ("validate", "check-axioms", "primitives", "grouplikes", "spectral", 
 
 def model_set(models, sl2_model) -> dict:
     """Model name -> document: the ladders, ``random_model`` 0-39, the pair
-    groupoids on 8 and 9 points, then each preset that is not already a rung
-    of its ladder."""
+    groupoids on 8 and 9 points, the invalid models, then each preset that is
+    not already a rung of its ladder."""
     docs = {}
 
     def at(build, n):
@@ -60,6 +61,7 @@ def model_set(models, sl2_model) -> dict:
         docs[f"random-{seed}"] = models.random_model(seed)
     docs["pair8-N1"] = pair_model(8)
     docs["pair9-N1"] = pair_model(9)
+    docs |= invalid_models(models)
     for name, build in models.PRESETS.items():
         doc = build()
         if doc not in docs.values():
@@ -91,6 +93,39 @@ def pair_model(n: int) -> dict:
         "action": [{"arrow": a, "matrix": [[1]]} for a in arrows],
         "truncation": 1,
     }
+
+
+def invalid_models(models) -> dict:
+    """Three models the loader accepts and ``validate`` rejects: ``z2line``
+    with [X, X] = X (antisymmetry and Jacobi), the pair groupoid on x and y
+    with fibers of dimensions 2 and 1 joined by a projection and an
+    inclusion (functoriality), and ``pairh3`` with the unit at x mapped to
+    the unit at y (the unit laws)."""
+    bracket = models.z2line_model()
+    bracket["bundle"][0]["brackets"].append(["X", "X", {"X": 1}])
+    arrows = [f"a{t}{s}" for t in "xy" for s in "xy"]
+    matrices = {"axx": [[1, 0], [0, 1]], "ayy": [[1]], "ayx": [[1, 0]], "axy": [[1], [0]]}
+    uneven = {
+        "format": "hopf-algebroid-model",
+        "version": 1,
+        "kind": "convolution",
+        "base": ["x", "y"],
+        "groupoid": {
+            "arrows": [{"id": a, "src": a[2], "tgt": a[1]} for a in arrows],
+            "units": {"x": "axx", "y": "ayy"},
+            "inverse": {a: f"a{a[2]}{a[1]}" for a in arrows},
+            "compose": [[f"a{z}{y}", f"a{y}{x}", f"a{z}{x}"]
+                        for z in "xy" for y in "xy" for x in "xy"],
+        },
+        "bundle": [{"point": "x", "basis": ["P", "Q"], "brackets": []},
+                   {"point": "y", "basis": ["P"], "brackets": []}],
+        "action": [{"arrow": a, "matrix": m} for a, m in matrices.items()],
+        "truncation": 2,
+    }
+    misplaced = models.pairh3_model()
+    misplaced["groupoid"]["units"]["x"] = "ayy"
+    return {"z2line-bracket-XX": bracket, "uneven-orbit": uneven,
+            "pairh3-misplaced-unit": misplaced}
 
 
 def _sha(text: str) -> str:
