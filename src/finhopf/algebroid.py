@@ -23,9 +23,10 @@ nonzero.  The label-level structure constants (``mul_label``,
 structure constants are) and the rest as ``Fraction``; a base function is
 passed through ``exact`` before it is embedded.  A sum or product of these is
 kept as arithmetic returns it, so integral models compute in ``int``s
-throughout.  The public constructors normalise what they are given; the
-carrier operations hand their fresh, zero-free maps to ``AlgebroidElement._of``
-and ``FiberTensor._fiberwise``, which store them as they are.
+throughout.  Elements and tensors share one core, a zero-free coefficient map
+of some arity over one carrier.  The public constructors normalise what they
+are given; the carrier operations hand their fresh, zero-free maps to the
+core's ``_of``, which stores them as they are.
 Every coefficient an element, tensor or coordinate tuple exposes
 (``coeffs``, ``data``, ``coords_at``) is a ``Fraction``.  The module only
 adds, subtracts and multiplies coefficients, which is exact on mixed
@@ -83,18 +84,81 @@ _SAMPLE_COEFFS = (-3, -2, -1, 1, 2, 3)
 CONVOLUTION_MAX_LABELS = 100_000
 
 
-def _fraction_view(coeffs):
-    """A read-only ``{key: Fraction}`` copy of an internal coefficient map."""
-    return MappingProxyType({k: rat(c) for k, c in coeffs.items()})
+class _CoefficientMap:
+    """A zero-free map from keys to exact coefficients over one carrier.
+
+    An element has arity 1 and is keyed by labels; a tensor keeps its arity
+    and is keyed by label tuples.  ``+`` and ``-`` take a map of the same
+    type, carrier and arity, and raise ``DimensionMismatch`` on any other.
+    """
+
+    __slots__ = ("carrier", "arity", "_c", "_view")
+
+    @classmethod
+    def _of(cls, carrier, arity, coeffs):
+        """A map a carrier operation has just built, stored as is, without the
+        normalisation or key checks of the public constructors: its
+        coefficients are already exact and nonzero (see "Scalars"), and a
+        tensor's keys are fiberwise by construction (``pair_terms`` keeps
+        same-target pairs, a convolution coproduct stays on one arrow, table
+        import rejects tables whose coproduct is not fiberwise or whose
+        product leaves the grading)."""
+        new = cls.__new__(cls)
+        new.carrier = carrier
+        new.arity = arity
+        new._c = coeffs
+        new._view = None
+        return new
+
+    @property
+    def _fractions(self):
+        """The nonzero coefficients as ``{key: Fraction}``, read-only."""
+        if self._view is None:
+            self._view = MappingProxyType({k: rat(c) for k, c in self._c.items()})
+        return self._view
+
+    def _same_shape(self, other):
+        if (type(other) is not type(self) or other.carrier is not self.carrier
+                or other.arity != self.arity):
+            raise DimensionMismatch("operands differ in type, carrier or arity")
+
+    def __add__(self, other):
+        self._same_shape(other)
+        return self._of(self.carrier, self.arity, add_terms(dict(self._c), other._c.items()))
+
+    def __sub__(self, other):
+        self._same_shape(other)
+        negated = ((k, -c) for k, c in other._c.items())
+        return self._of(self.carrier, self.arity, add_terms(dict(self._c), negated))
+
+    def scale(self, c):
+        c = exact(c)
+        return self._of(self.carrier, self.arity,
+                        {k: c * x for k, x in self._c.items()} if c else {})
+
+    def __eq__(self, other):
+        return (
+            type(other) is type(self)
+            and self.carrier is other.carrier
+            and self.arity == other.arity
+            and self._c == other._c
+        )
+
+    def __hash__(self):
+        raise TypeError(f"{type(self).__name__} objects are not hashable")
+
+    def is_zero(self) -> bool:
+        return not self._c
 
 
-class AlgebroidElement:
+class AlgebroidElement(_CoefficientMap):
     """A finitely supported coefficient map over a carrier's basis labels."""
 
-    __slots__ = ("carrier", "_c", "_view")
+    __slots__ = ()
 
     def __init__(self, carrier, coeffs):
         self.carrier = carrier
+        self.arity = 1
         clean = {}
         for label, c in coeffs.items():
             c = exact(c)
@@ -103,38 +167,11 @@ class AlgebroidElement:
         self._c = clean
         self._view = None
 
-    @classmethod
-    def _of(cls, carrier, coeffs) -> "AlgebroidElement":
-        """An element over a map a carrier operation has just built, stored as
-        is: its coefficients are already exact and nonzero (see "Scalars")."""
-        element = cls.__new__(cls)
-        element.carrier = carrier
-        element._c = coeffs
-        element._view = None
-        return element
-
-    @property
-    def coeffs(self):
-        """The nonzero coefficients as ``{label: Fraction}``, read-only."""
-        if self._view is None:
-            self._view = _fraction_view(self._c)
-        return self._view
-
-    def __add__(self, other: "AlgebroidElement") -> "AlgebroidElement":
-        self._same_carrier(other)
-        return AlgebroidElement._of(self.carrier, add_terms(dict(self._c), other._c.items()))
-
-    def __sub__(self, other):
-        return self + (-other)
+    # The nonzero coefficients as ``{label: Fraction}``, read-only.
+    coeffs = _CoefficientMap._fractions
 
     def __neg__(self):
-        return AlgebroidElement._of(self.carrier, {l: -c for l, c in self._c.items()})
-
-    def scale(self, c) -> "AlgebroidElement":
-        c = exact(c)
-        if not c:
-            return AlgebroidElement(self.carrier, {})
-        return AlgebroidElement._of(self.carrier, {l: c * x for l, x in self._c.items()})
+        return AlgebroidElement._of(self.carrier, 1, {l: -c for l, c in self._c.items()})
 
     def __rmul__(self, c):
         return self.scale(c)
@@ -144,26 +181,13 @@ class AlgebroidElement:
             return self.carrier.mul(self, other)
         return self.scale(other)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, AlgebroidElement)
-            and self.carrier is other.carrier
-            and self._c == other._c
-        )
-
-    def __hash__(self):
-        raise TypeError("algebroid elements are not hashable")
-
-    def is_zero(self) -> bool:
-        return not self._c
-
     def target_points(self) -> set:
         return {self.carrier.label_target(l) for l in self._c}
 
     def at_point(self, point) -> "AlgebroidElement":
         """The component supported on labels with the given target."""
         return AlgebroidElement._of(
-            self.carrier,
+            self.carrier, 1,
             {l: c for l, c in self._c.items() if self.carrier.label_target(l) == point},
         )
 
@@ -181,10 +205,6 @@ class AlgebroidElement:
 
     __repr__ = text
 
-    def _same_carrier(self, other):
-        if self.carrier is not other.carrier:
-            raise DimensionMismatch("elements belong to different carriers")
-
 
 def pair_terms(carrier, left, right):
     """The same-target terms of ``left (x) right``, over ``(label, c)`` terms."""
@@ -196,17 +216,17 @@ def pair_terms(carrier, left, right):
                 yield (l1, l2), c1 * c2
 
 
-class FiberTensor:
+class FiberTensor(_CoefficientMap):
     """A fiberwise tensor power: coefficients over same-target label tuples."""
 
-    __slots__ = ("carrier", "arity", "_d", "_view")
+    __slots__ = ()
 
     def __init__(self, carrier, arity, data):
         self.carrier = carrier
         self.arity = arity
-        self._d = add_terms({}, ((key, exact(c)) for key, c in data.items()))
+        self._c = add_terms({}, ((key, exact(c)) for key, c in data.items()))
         self._view = None
-        for key in self._d:
+        for key in self._c:
             if len(key) != arity:
                 raise DimensionMismatch(f"key {key} has wrong arity")
             targets = {carrier.label_target(l) for l in key}
@@ -215,27 +235,8 @@ class FiberTensor:
                     f"tensor key {key} mixes target points {sorted(targets)}"
                 )
 
-    @classmethod
-    def _fiberwise(cls, carrier, arity, data) -> "FiberTensor":
-        """A tensor built by a carrier operation, stored as is, without the key
-        checks or normalisation: its coefficients are already exact and nonzero
-        (see "Scalars"), and its keys are fiberwise by construction
-        (``pair_terms`` keeps same-target pairs, a convolution coproduct stays
-        on one arrow, table import rejects tables whose coproduct is not
-        fiberwise or whose product leaves the grading)."""
-        tensor = cls.__new__(cls)
-        tensor.carrier = carrier
-        tensor.arity = arity
-        tensor._d = data
-        tensor._view = None
-        return tensor
-
-    @property
-    def data(self):
-        """The nonzero coefficients as ``{label tuple: Fraction}``, read-only."""
-        if self._view is None:
-            self._view = _fraction_view(self._d)
-        return self._view
+    # The nonzero coefficients as ``{label tuple: Fraction}``, read-only.
+    data = _CoefficientMap._fractions
 
     @classmethod
     def of_pair(cls, a: AlgebroidElement, b: AlgebroidElement) -> "FiberTensor":
@@ -245,31 +246,7 @@ class FiberTensor:
         label pairs are kept.
         """
         terms = pair_terms(a.carrier, a._c.items(), b._c.items())
-        return cls._fiberwise(a.carrier, 2, add_terms({}, terms))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FiberTensor)
-            and self.carrier is other.carrier
-            and self.arity == other.arity
-            and self._d == other._d
-        )
-
-    def __add__(self, other):
-        if self.carrier is not other.carrier or self.arity != other.arity:
-            raise DimensionMismatch("tensor shapes differ")
-        return self._fiberwise(self.carrier, self.arity, add_terms(dict(self._d), other._d.items()))
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c):
-        c = exact(c)
-        data = {k: c * x for k, x in self._d.items()} if c else {}
-        return self._fiberwise(self.carrier, self.arity, data)
-
-    def is_zero(self):
-        return not self._d
+        return cls._of(a.carrier, 2, add_terms({}, terms))
 
     def _splice(self, leg, expansion_of_label, width=1):
         """Replace one leg by an expansion label -> [(labels..., coeff)]."""
@@ -277,7 +254,7 @@ class FiberTensor:
             head, tail = key[:leg], key[leg + 1:]
             return ((head + repl + tail, w) for repl, w in expansion_of_label(key[leg]))
 
-        return self._fiberwise(self.carrier, self.arity - 1 + width, linear(self._d.items(), image))
+        return self._of(self.carrier, self.arity - 1 + width, linear(self._c.items(), image))
 
     def delta_leg(self, leg) -> "FiberTensor":
         return self._splice(leg, self.carrier.delta_label, width=2)
@@ -311,7 +288,7 @@ class FiberTensor:
             left = product(a[0], b[0])
             return pair_terms(carrier, left, product(a[1], b[1])) if left else ()
 
-        return self._fiberwise(carrier, 2, bilinear(self._d.items(), other._d.items(), legwise))
+        return self._of(carrier, 2, bilinear(self._c.items(), other._c.items(), legwise))
 
     def collapse(self) -> AlgebroidElement:
         """The antipode convolution: the sum of ``c * S(l1) * l2`` over the terms.
@@ -326,12 +303,12 @@ class FiberTensor:
         def image(key):
             return carrier._product(carrier.antipode_label(key[0]), ((key[1], _ONE),)).items()
 
-        return AlgebroidElement._of(carrier, linear(self._d.items(), image))
+        return AlgebroidElement._of(carrier, 1, linear(self._c.items(), image))
 
     def to_element(self) -> AlgebroidElement:
         if self.arity != 1:
             raise DimensionMismatch("only arity-1 tensors collapse to elements")
-        return AlgebroidElement._of(self.carrier, {key[0]: c for key, c in self._d.items()})
+        return AlgebroidElement._of(self.carrier, 1, {key[0]: c for key, c in self._c.items()})
 
 
 class HopfAlgebroid(ABC):
@@ -394,7 +371,7 @@ class HopfAlgebroid(ABC):
         """The product of two elements of this carrier."""
         if a.carrier is not self or b.carrier is not self:
             raise DimensionMismatch("element belongs to another carrier")
-        return AlgebroidElement._of(self, self._product(a._c.items(), b._c.items()))
+        return AlgebroidElement._of(self, 1, self._product(a._c.items(), b._c.items()))
 
     def bracket(self, a: AlgebroidElement, b: AlgebroidElement) -> AlgebroidElement:
         """The commutator a * b - b * a."""
@@ -407,7 +384,7 @@ class HopfAlgebroid(ABC):
         return AlgebroidElement(self, {label: _ONE})
 
     def delta(self, a: AlgebroidElement) -> FiberTensor:
-        return FiberTensor._fiberwise(self, 2, linear(a._c.items(), self.delta_label))
+        return FiberTensor._of(self, 2, linear(a._c.items(), self.delta_label))
 
     def counit(self, a: AlgebroidElement) -> BaseFun:
         return BaseFun(self.base, self._counit_values(a))
@@ -418,7 +395,7 @@ class HopfAlgebroid(ABC):
         return tuple(exact(values.get(p, _ZERO)) for p in self.base.points)
 
     def antipode(self, a: AlgebroidElement) -> AlgebroidElement:
-        return AlgebroidElement._of(self, linear(a._c.items(), self.antipode_label))
+        return AlgebroidElement._of(self, 1, linear(a._c.items(), self.antipode_label))
 
     def embed(self, f: BaseFun) -> AlgebroidElement:
         if f.base != self.base:
@@ -433,7 +410,7 @@ class HopfAlgebroid(ABC):
             units = {p: tuple(self.unit_at(p)._c.items()) for p in self.base.points}
             self._unit_terms = units
         terms = ((p, v) for p, v in zip(self.base.points, values) if v)
-        return AlgebroidElement._of(self, linear(terms, units.__getitem__))
+        return AlgebroidElement._of(self, 1, linear(terms, units.__getitem__))
 
     @abstractmethod
     def unit_at(self, point) -> AlgebroidElement: ...
@@ -575,7 +552,7 @@ class ConvolutionAlgebroid(HopfAlgebroid):
             if sum(m) > self.truncation:
                 raise TruncationOverflow(sum(m), self.truncation,
                                          "commutator of stored monomials; no silent truncation")
-        return AlgebroidElement._of(self, out)
+        return AlgebroidElement._of(self, 1, out)
 
     def _transport(self, arrow, m):
         """``mono_transport`` of m along the arrow, computed once per (arrow, monomial)."""
@@ -628,7 +605,7 @@ class ConvolutionAlgebroid(HopfAlgebroid):
             for _ in range(rng.randint(1, 2)):
                 m = rng.choice(monos[g])  # drawn before its coefficient, so seeded samples hold
                 coeffs[(g, m)] = rng.choice(_SAMPLE_COEFFS)
-        return AlgebroidElement._of(self, coeffs)
+        return AlgebroidElement._of(self, 1, coeffs)
 
     def validate(self):
         report = []
@@ -764,7 +741,7 @@ class TableAlgebroid(HopfAlgebroid):
     def random_element(self, rng, degree_cap=None):
         k = rng.randint(1, min(2, len(self._labels)))
         chosen = rng.sample(self._labels, k=k)
-        return AlgebroidElement._of(self, {n: rng.choice(_SAMPLE_COEFFS) for n in chosen})
+        return AlgebroidElement._of(self, 1, {n: rng.choice(_SAMPLE_COEFFS) for n in chosen})
 
     def validate(self):
         return []  # structural coherence is enforced at import time
@@ -862,7 +839,7 @@ def run_law(name, items, predicate, carrier=None):
         ok = holds.get(label)
         if ok is None:
             try:
-                ok = predicate(AlgebroidElement._of(carrier, {label: _ONE})) is None
+                ok = predicate(AlgebroidElement._of(carrier, 1, {label: _ONE})) is None
             except TruncationOverflow:
                 ok = False
             holds[label] = ok

@@ -571,7 +571,7 @@ class ThetaMap:
 
     def apply(self, u: AlgebroidElement) -> AlgebroidElement:
         terms = linear(u._c.items(), lambda l: self.images[l]._c.items())
-        return AlgebroidElement._of(self.codomain, terms)
+        return AlgebroidElement._of(self.codomain, 1, terms)
 
     def dims_at(self, point):
         return (
@@ -637,36 +637,37 @@ def build_theta(carrier: HopfAlgebroid, gsp: SpectralGroupoid, prim: PrimBasis,
 
 
 def _verify_theta_hom(theta: ThetaMap, truncation):
-    """Exact homomorphy spot checks for the comparison map.
+    """Exact homomorphy spot checks for the comparison map, by ``run_law``.
 
-    Each predicate draws its own samples from one seeded stream, of degree at
-    most half the truncation: no law multiplies more than two, so none overflows.
+    The samples are drawn first, from one seeded stream, of degree at most half
+    the truncation: no law multiplies more than two, so none overflows.  Each
+    law of one sample is linear in it, and ``run_law`` checks it by labels.
     """
     rng = random.Random(THETA_HOM_SEED)
     domain, codomain = theta.domain, theta.codomain
-    cap = truncation // 2
+    cap, n = truncation // 2, THETA_HOM_SAMPLES
 
     def draw():
         return domain.random_element(rng, degree_cap=cap)
 
-    def mult(_):
-        u, v = draw(), draw()
+    pairs = [(draw(), draw()) for _ in range(n)]
+    singles = [[draw() for _ in range(n)] for _law in range(3)]
+
+    def mult(uv):
+        u, v = uv
         lhs = theta.apply(domain.mul(u, v))
         rhs = codomain.mul(theta.apply(u), theta.apply(v))
         return None if lhs == rhs else f"{u.text()}; {v.text()}"
 
-    def counit(_):
-        u = draw()
+    def counit(u):
         return None if codomain.counit(theta.apply(u)) == domain.counit(u) else u.text()
 
-    def comult(_):
-        u = draw()
+    def comult(u):
         lhs = codomain.delta(theta.apply(u))
         mapped = _map_tensor(domain.delta(u), theta)
         return None if lhs == mapped else u.text()
 
-    def antipode(_):
-        u = draw()
+    def antipode(u):
         lhs = theta.apply(domain.antipode(u))
         rhs = codomain.antipode(theta.apply(u))
         return None if lhs == rhs else u.text()
@@ -679,13 +680,13 @@ def _verify_theta_hom(theta: ThetaMap, truncation):
         return None
 
     laws = [
-        ("theta_multiplicative", THETA_HOM_SAMPLES, mult),
-        ("theta_counit", THETA_HOM_SAMPLES, counit),
-        ("theta_comultiplicative", THETA_HOM_SAMPLES, comult),
-        ("theta_antipode", THETA_HOM_SAMPLES, antipode),
-        ("theta_on_base", 1, on_base),
+        ("theta_multiplicative", pairs, mult, None),
+        ("theta_counit", singles[0], counit, domain),
+        ("theta_comultiplicative", singles[1], comult, domain),
+        ("theta_antipode", singles[2], antipode, domain),
+        ("theta_on_base", [None], on_base, None),
     ]
-    return [run_law(name, range(n), predicate)[0] for name, n, predicate in laws]
+    return [run_law(*law)[0] for law in laws]
 
 
 def _map_tensor(tensor: FiberTensor, theta: ThetaMap) -> FiberTensor:
@@ -695,7 +696,7 @@ def _map_tensor(tensor: FiberTensor, theta: ThetaMap) -> FiberTensor:
     def image(key):
         return pair_terms(codomain, images[key[0]]._c.items(), images[key[1]]._c.items())
 
-    return FiberTensor._fiberwise(codomain, 2, linear(tensor._d.items(), image))
+    return FiberTensor._of(codomain, 2, linear(tensor._c.items(), image))
 
 
 # ---------------------------------------------------------------------------

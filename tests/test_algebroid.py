@@ -1,6 +1,7 @@
 """Carrier-level behaviour: convolution goldens, axiom suite, table import."""
 
 import ast
+import operator
 import random
 from fractions import Fraction
 from functools import cache, partial
@@ -227,6 +228,25 @@ def test_products_across_carriers_raise():
                 a.mul(left, right)
         with pytest.raises(DimensionMismatch):
             a.delta(x_a).mul_pairwise(b.delta(y_b))
+
+
+def test_sums_of_mixed_operands_raise():
+    """``+`` and ``-`` take only a map of the same type, carrier and arity."""
+    one, other = z2line(), z2line()
+    x = one.basis_element(one.labels[1])
+    pair = one.delta(x)
+    mixed = [
+        (x, pair), (pair, x),                                    # element and tensor
+        (pair, pair.delta_leg(0)), (pair.delta_leg(1), pair),    # arities 2 and 3
+        (x, other.basis_element(other.labels[1])),               # two carriers
+        (pair, other.delta(other.basis_element(other.labels[1]))),
+        (x, 1), (pair, 1),                                       # not a map
+    ]
+    for left, right in mixed:
+        for op in (operator.add, operator.sub):
+            with pytest.raises(DimensionMismatch):
+                op(left, right)
+    assert (x + x - x) == x and (pair - pair).is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -1027,7 +1047,7 @@ def test_integral_models_compute_in_ints():
             for x in (carrier.mul(a, b), carrier.antipode(a), da.collapse(),
                       carrier.embed(carrier.counit(b))):
                 stored += x._c.values()
-            stored += da._d.values()
+            stored += da._c.values()
         assert stored and all(type(c) is int for c in stored)
 
 
@@ -1057,7 +1077,7 @@ def test_carrier_built_results_match_the_public_constructors():
                 assert all(type(c) in (int, Fraction) and c for c in x._c.values())
                 assert x == AlgebroidElement(carrier, x.coeffs)
             for t in tensors:
-                assert all(type(c) in (int, Fraction) and c for c in t._d.values())
+                assert all(type(c) in (int, Fraction) and c for c in t._c.values())
                 assert t == FiberTensor(carrier, t.arity, t.data)
             assert da.scale(0).is_zero()
             fractions |= any(type(c) is Fraction for x in elements[7:] for c in x._c.values())

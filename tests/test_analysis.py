@@ -1,6 +1,7 @@
 """Structure analysis: primitives, grouplikes, spectral groupoid, theta."""
 
 import collections
+import dataclasses
 import functools
 import itertools
 import random
@@ -20,6 +21,7 @@ from finhopf.algebroid import (
     ConvolutionAlgebroid,
     FiberTensor,
     HopfAlgebroid,
+    check_axioms,
 )
 from finhopf.analysis import (
     _weakly_grouplike_partner,
@@ -161,6 +163,45 @@ def test_primitives_on_pair_groupoid_heisenberg():
 
 def test_function_algebra_has_no_primitives():
     assert solve_primitives(funs3()).ranks() == {"pt": 0}
+
+
+def dual_numbers_model():
+    """Q[x]/(x^2) over one point with x primitive: the loader accepts it, and
+    the axioms reject it, since delta(x^2) = 2 x (x) x is not delta(0)."""
+    return {
+        "format": FORMAT_NAME,
+        "version": FORMAT_VERSION,
+        "kind": "table",
+        "base": ["pt"],
+        "table": {
+            "basis": [{"id": "e", "target": "pt"}, {"id": "x", "target": "pt"}],
+            "baseEmbedding": {"pt": {"e": 1}},
+            "mul": [["e", "e", {"e": 1}], ["e", "x", {"x": 1}], ["x", "e", {"x": 1}]],
+            "delta": {"e": [["e", "e", 1]], "x": [["e", "x", 1], ["x", "e", 1]]},
+            "counit": {"e": 1},
+            "antipode": {"e": {"e": 1}, "x": {"x": -1}},
+        },
+    }
+
+
+def test_a_table_primitive_matches_the_dense_system():
+    carrier = carrier_from_model(dual_numbers_model())
+    failures = check_axioms(carrier).failures()
+    assert [c.name for c in failures] == ["axiom_iii_comult_multiplicative"]
+    # The dense oracle: one column per label, delta(l) - l (x) 1 - 1 (x) l
+    # over every label pair.
+    one = carrier.unit_at("pt")
+    keys = list(itertools.product(carrier.labels, repeat=2))
+    columns = []
+    for l in carrier.labels:
+        b = carrier.basis_element(l)
+        residue = carrier.delta(b) - FiberTensor.of_pair(b, one) - FiberTensor.of_pair(one, b)
+        columns.append([residue.data.get(key, 0) for key in keys])
+    assert QMatrix.from_columns(columns).nullspace() == [(0, 1)]
+    prim = solve_primitives(carrier)
+    assert prim.per_point == {"pt": [carrier.basis_element("x")]}
+    # [x, x] is taken by the table's ``bracket``.
+    assert prim.brackets == {"pt": [[(0,)]]} and prim.bracket_closed
 
 
 def eliminations_in_solve(monkeypatch, carrier):
@@ -788,6 +829,33 @@ def theta_of(carrier):
     return build_theta(carrier, gsp, prim, build_prim_action(carrier, gsp, prim))
 
 
+def test_a_theta_that_is_not_multiplicative_is_a_theta_error(monkeypatch):
+    """Doubling the image of a label of the first drawn pair fails
+    ``theta_multiplicative`` on that pair, and stops ``analyze`` at theta."""
+    carrier = z2line()
+    theta = theta_of(carrier)
+    rng = random.Random(analysis_module.THETA_HOM_SEED)
+    u, v = (theta.domain.random_element(rng, degree_cap=carrier.truncation // 2)
+            for _ in range(2))
+    label = next(iter(u.coeffs))
+
+    def perturbed(*args):
+        theta = build_theta(*args)
+        theta.images[label] = theta.images[label].scale(2)
+        theta.hom_checks = analysis_module._verify_theta_hom(theta, carrier.truncation)
+        return theta
+
+    monkeypatch.setattr(analysis_module, "build_theta", perturbed)
+    analysis = analyze(carrier, samples=20, seed=3)
+    first = analysis.theta.hom_checks[0]
+    witness = f"{u.text()}; {v.text()}"
+    assert (first.name, first.ok, first.checked, first.witness) == (
+        "theta_multiplicative", False, 1, witness)
+    assert analysis.decision.verdict == "ERROR"
+    assert analysis.decision.stage_error == (
+        "theta", f"homomorphy check theta_multiplicative failed: {witness}")
+
+
 @pytest.mark.parametrize("make_carrier", [z2line, funs3])
 def test_theta_builds_no_dense_matrix(make_carrier, monkeypatch):
     carrier = make_carrier()
@@ -1101,6 +1169,22 @@ def test_theta_hom_check_counts_golden():
     ]
 
 
+def test_a_primitive_module_the_antipode_moves_is_not_iso(monkeypatch):
+    """Hypothesis (i) fails on a primitive module that is not antipode-invariant:
+    the verdict is ``NOT_ISO`` and no spectral groupoid is built."""
+    real = solve_primitives
+    monkeypatch.setattr(analysis_module, "solve_primitives",
+                        lambda carrier: dataclasses.replace(real(carrier), s_invariant=False))
+    analysis = analyze(z2line(), samples=20, seed=3)
+    report = analysis.decision
+    line = "primitive module is not antipode-invariant (hypothesis i)"
+    assert report.verdict == "NOT_ISO" and report.hypothesis_failures == [line]
+    assert report.s_invariant is False and report.stage_error is None
+    assert analysis.gsp is None and report.spectral_arrows is None
+    assert "spectral" not in report.to_json()
+    assert f"hypothesis failure: {line}" in report.text().splitlines()
+
+
 def test_zero_sample_axiom_laws_make_analyze_an_error():
     analysis = analyze(carrier_from_model(random_model(3)), samples=0)
     decision = analysis.decision
@@ -1377,6 +1461,22 @@ def test_a_non_square_conjugation_is_a_prim_action_error():
         build_prim_action(carrier, build_spectral_groupoid(carrier), solve_primitives(carrier))
     assert exc.value.stage == "prim-action"
     assert "is not a bijection between fibers" in exc.value.message
+
+
+def test_a_prim_action_that_breaks_the_bracket_is_a_prim_action_error():
+    """pairh3 with the arrow into y scaling P but not Z (its inverse kept):
+    the rebuilt action fails ``BundleAction.validate`` on the bracket."""
+    model = pairh3_model()
+    matrices = {"ayx": [[2, 0, 0], [0, 1, 0], [0, 0, 1]],
+                "axy": [["1/2", 0, 0], [0, 1, 0], [0, 0, 1]]}
+    for entry in model["action"]:
+        entry["matrix"] = matrices.get(entry["arrow"], entry["matrix"])
+    carrier = carrier_from_model(model)
+    prim = solve_primitives(carrier)
+    with pytest.raises(AnalysisError) as exc:
+        build_prim_action(carrier, build_spectral_groupoid(carrier), prim)
+    assert exc.value.stage == "prim-action"
+    assert "does not preserve the bracket (X1, X2)" in exc.value.message
 
 
 def test_convolution_models_side_by_side_decide_as_their_parts():

@@ -14,7 +14,12 @@ from finhopf import models
 from finhopf.modelio import FORMAT_NAME, carrier_from_model, model_to_text, save_model
 from finhopf.models import funs3_model, pairh3_model, random_model, z2line_model
 
-from test_analysis import misplaced_unit_model, rescaled_group_algebra_model, uneven_orbit_model
+from test_analysis import (
+    dual_numbers_model,
+    misplaced_unit_model,
+    rescaled_group_algebra_model,
+    uneven_orbit_model,
+)
 
 
 def run(args, capsys):
@@ -101,6 +106,17 @@ def test_primitives(model_files, capsys):
     assert code == EXIT_OK
     data = json.loads(out)
     assert data["ranks"] == {"x": 3, "y": 3}
+
+
+def test_primitives_of_a_table_with_a_primitive(tmp_path, capsys):
+    path = tmp_path / "dual-numbers.json"
+    save_model(dual_numbers_model(), path)
+    code, out, _ = run(["primitives", str(path), "--json"], capsys)
+    assert code == EXIT_OK
+    data = json.loads(out)
+    assert data["ranks"] == {"pt": 1} and data["basis"] == {"pt": ["1*x"]}
+    code, _, _ = run(["check-axioms", str(path)], capsys)
+    assert code == EXIT_PROPERTY_FAILS
 
 
 def test_grouplikes(model_files, capsys):
