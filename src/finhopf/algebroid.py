@@ -84,6 +84,43 @@ _SAMPLE_COEFFS = (-3, -2, -1, 1, 2, 3)
 CONVOLUTION_MAX_LABELS = 100_000
 
 
+# Sampled elements read their generator through ``getrandbits`` alone.  The two
+# helpers below are the standard library's own index walks, so a draw takes
+# the same bits as ``randint``, ``sample`` and ``choice`` would (Python 3.10 to
+# 3.13) and gives the same element.
+
+def _below(bits, n):
+    """A uniform int in [0, n) for n > 0, as ``Random._randbelow`` draws it."""
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return r
+
+
+def _sample(bits, seq, k):
+    """``Random.sample(seq, k)`` for 0 <= k <= min(5, len(seq)): a pool walk up
+    to 21 items, above that redraws of an index already taken."""
+    n = len(seq)
+    if n <= 21:
+        pool = list(seq)
+        result = []
+        for i in range(k):
+            j = _below(bits, n - i)
+            result.append(pool[j])
+            pool[j] = pool[n - i - 1]
+        return result
+    taken = set()
+    result = []
+    for _ in range(k):
+        j = _below(bits, n)
+        while j in taken:
+            j = _below(bits, n)
+        taken.add(j)
+        result.append(seq[j])
+    return result
+
+
 class _CoefficientMap:
     """A zero-free map from keys to exact coefficients over one carrier.
 
@@ -340,7 +377,14 @@ class HopfAlgebroid(ABC):
     def antipode_label(self, label) -> tuple: ...
 
     @abstractmethod
-    def random_element(self, rng, degree_cap=None) -> AlgebroidElement: ...
+    def random_element(self, rng, degree_cap=None) -> AlgebroidElement:
+        """A seeded sample: one or two labels, each with a nonzero coefficient
+        in -3..3 (a convolution carrier: one or two arrows, each with one or two
+        monomials of degree at most ``degree_cap``, by default a third of the
+        truncation).  ``rng`` is a ``random.Random`` of which only
+        ``getrandbits`` is read; the draws equal those of the former
+        ``randint``, ``sample`` and ``choice`` sequence, bit for bit, and leave
+        ``rng`` in the same state."""
 
     @abstractmethod
     def validate(self) -> list: ...
@@ -591,6 +635,8 @@ class ConvolutionAlgebroid(HopfAlgebroid):
 
     def random_element(self, rng, degree_cap=None):
         cap = self.truncation // 3 if degree_cap is None else degree_cap
+        if cap < 0:
+            raise ValueError(f"degree cap must be nonnegative, got {cap}")
         cap = min(cap, self.truncation)
         sampler = self._samplers.get(cap)
         if sampler is None:  # the sorted arrows, and each arrow's monomials of degree <= cap
@@ -599,12 +645,27 @@ class ConvolutionAlgebroid(HopfAlgebroid):
                      for g in arrows}
             sampler = self._samplers[cap] = (arrows, monos)
         arrows, monos = sampler
-        chosen = rng.sample(arrows, k=min(len(arrows), rng.randint(1, 2)))
+        # 1 + _below(bits, 2) arrows, then per arrow 1 + _below(bits, 2) terms,
+        # each a monomial before its coefficient, with ``_below`` inlined: two
+        # bits for a count, three for one of the six coefficients.
+        bits = rng.getrandbits
+        while (r := bits(2)) >= 2:
+            pass
+        chosen = _sample(bits, arrows, min(len(arrows), 1 + r))
         coeffs = {}
         for g in chosen:
-            for _ in range(rng.randint(1, 2)):
-                m = rng.choice(monos[g])  # drawn before its coefficient, so seeded samples hold
-                coeffs[(g, m)] = rng.choice(_SAMPLE_COEFFS)
+            gm = monos[g]
+            n = len(gm)
+            k = n.bit_length()
+            while (r := bits(2)) >= 2:
+                pass
+            for _ in range(1 + r):
+                j = bits(k)
+                while j >= n:
+                    j = bits(k)
+                while (c := bits(3)) >= 6:
+                    pass
+                coeffs[(g, gm[j])] = _SAMPLE_COEFFS[c]
         return AlgebroidElement._of(self, 1, coeffs)
 
     def validate(self):
@@ -739,9 +800,11 @@ class TableAlgebroid(HopfAlgebroid):
         return AlgebroidElement(self, dict(self._r_embed[point]))
 
     def random_element(self, rng, degree_cap=None):
-        k = rng.randint(1, min(2, len(self._labels)))
-        chosen = rng.sample(self._labels, k=k)
-        return AlgebroidElement._of(self, 1, {n: rng.choice(_SAMPLE_COEFFS) for n in chosen})
+        if not self._labels:
+            raise ValueError("a table carrier with no labels has no elements to draw")
+        bits = rng.getrandbits
+        chosen = _sample(bits, self._labels, 1 + _below(bits, min(2, len(self._labels))))
+        return AlgebroidElement._of(self, 1, {n: _SAMPLE_COEFFS[_below(bits, 6)] for n in chosen})
 
     def validate(self):
         return []  # structural coherence is enforced at import time
@@ -868,7 +931,9 @@ def check_axioms(carrier: HopfAlgebroid, samples: int = 100, seed: int = 1) -> A
     witness; the sampled laws still run, and ``analyze`` stops on any failed
     check.  Sampling is deterministic in ``seed`` and stays inside the
     degree cap of ``random_element``, so no sample overflows; should one all
-    the same, ``run_law`` counts it into ``resampled`` and skips it.  The six
+    the same, ``run_law`` counts it into ``resampled`` and skips it.  The
+    draws read ``random.Random(seed)`` through ``getrandbits`` alone and equal
+    the former ``randint``/``sample``/``choice`` draws.  The six
     laws of one sample are linear in it, so ``run_law`` proves them label by
     label and evaluates only the samples whose labels do not all pass.
     """

@@ -534,6 +534,110 @@ def test_zero_samples_are_inconclusive_not_a_pass():
         assert report.text().endswith("INCONCLUSIVE overall")
 
 
+# ---------------------------------------------------------------------------
+# sampled draws
+# ---------------------------------------------------------------------------
+
+SAMPLE_COEFFS = (-3, -2, -1, 1, 2, 3)
+
+
+def stdlib_convolution_draw(carrier, rng, degree_cap=None):
+    """The coefficients ``ConvolutionAlgebroid.random_element`` draws, written
+    with the ``randint``, ``sample`` and ``choice`` calls of ``random.Random``:
+    the reference its ``getrandbits`` walk must equal."""
+    cap = carrier.truncation // 3 if degree_cap is None else degree_cap
+    cap = min(cap, carrier.truncation)
+    arrows = sorted(carrier.groupoid.arrows)
+    chosen = rng.sample(arrows, k=min(len(arrows), rng.randint(1, 2)))
+    coeffs = {}
+    for g in chosen:
+        monos = cached_monomials(carrier.bundle.fiber(carrier.groupoid.target[g]).dim, cap)
+        for _ in range(rng.randint(1, 2)):
+            m = rng.choice(monos)
+            coeffs[(g, m)] = rng.choice(SAMPLE_COEFFS)
+    return coeffs
+
+
+def stdlib_table_draw(carrier, rng, degree_cap=None):
+    """The coefficients ``TableAlgebroid.random_element`` draws, written with
+    ``random.Random`` calls."""
+    k = rng.randint(1, min(2, len(carrier.labels)))
+    chosen = rng.sample(carrier.labels, k=k)
+    return {n: rng.choice(SAMPLE_COEFFS) for n in chosen}
+
+
+def indicator_table(n):
+    """A table carrier of n labels: the indicators of n points, each its own unit."""
+    points = tuple(f"p{i}" for i in range(n))
+    names = [f"u{i}" for i in range(n)]
+    return TableAlgebroid(BaseSpace(points), names, dict(zip(names, points)),
+                          {p: {u: 1} for p, u in zip(points, names)},
+                          {(u, u): {u: 1} for u in names}, {u: {(u, u): 1} for u in names},
+                          dict.fromkeys(names, 1), {u: {u: 1} for u in names})
+
+
+def draw_cases(pair_model):
+    """(carrier, degree cap, draws) for the draw oracle.  ``random_model`` 0-63
+    at the caps of ``check_axioms`` and theta and one above the truncation;
+    the pair groupoids on 5 and 9 points (25 and 81 arrows), which sample by
+    redrawing a taken index; tables whose label counts cover ``randint(1, 1)``,
+    both ends of the pool walk and the redraws above it."""
+    for seed in range(64):
+        carrier = carrier_from_model(random_model(seed))
+        for cap in (None, 0, 1, 2, carrier.truncation + 1):
+            yield carrier, cap, 6
+    for n in (5, 9):
+        yield carrier_from_model(pair_model(n)), None, 400
+    for n in (1, 2, 13, 21, 22, 40):
+        yield indicator_table(n), None, 400
+
+
+def draw_mismatches(pair_model):
+    """Each case where ``random_element`` and the ``random.Random`` reference,
+    on generators seeded alike, differ in a draw's coefficients or key order,
+    or leave the generators in different states."""
+    mismatches = []
+    for i, (carrier, cap, draws) in enumerate(draw_cases(pair_model)):
+        reference = stdlib_table_draw if carrier.kind == "table" else stdlib_convolution_draw
+        rng, reference_rng = random.Random(i), random.Random(i)
+        for d in range(draws):
+            got = list(carrier.random_element(rng, degree_cap=cap)._c.items())
+            if got != list(reference(carrier, reference_rng, cap).items()):
+                mismatches.append((i, cap, d))
+                break
+        if rng.getstate() != reference_rng.getstate():
+            mismatches.append((i, cap, "state"))
+    return mismatches
+
+
+def test_draws_equal_the_random_calls_they_replace():
+    from test_cli import load_tool
+
+    assert draw_mismatches(load_tool("cli_digests").pair_model) == []
+
+
+def test_negative_degree_cap_raises_before_drawing():
+    rng = random.Random(1)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match="degree cap must be nonnegative, got -1"):
+        z2line().random_element(rng, degree_cap=-1)
+    assert rng.getstate() == state
+
+
+def test_table_without_labels_raises_before_drawing():
+    carrier = carrier_from_model({
+        "format": "hopf-algebroid-model", "version": 1, "kind": "table", "base": ["pt"],
+        "table": {"basis": [], "baseEmbedding": {"pt": {}}, "mul": [], "delta": {},
+                  "counit": {}, "antipode": {}},
+    })
+    assert carrier.dim == 0
+    rng = random.Random(1)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match="no labels"):
+        carrier.random_element(rng)
+    assert rng.getstate() == state
+
+
 def factorization_walk(carrier, a, b):
     """The convolution product as a walk over every factorization of every arrow.
 
@@ -579,8 +683,8 @@ cached_monomials = cache(monomials_up_to)
 
 
 def wide_element(carrier, rng, cap, max_arrows=3, max_terms=3):
-    """A convolution element drawn like ``random_element``, with the same ``rng``
-    calls, over up to ``max_arrows`` arrows of up to ``max_terms`` terms each."""
+    """A convolution element drawn like ``random_element``, with the same
+    draws, over up to ``max_arrows`` arrows of up to ``max_terms`` terms each."""
     arrows = sorted(carrier.groupoid.arrows)
     chosen = rng.sample(arrows, k=min(len(arrows), rng.randint(1, max_arrows)))
     coeffs = {}
