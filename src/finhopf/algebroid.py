@@ -36,15 +36,15 @@ operands; it never divides.
 evaluates the full axiom suite: counit, comultiplication and antipode
 restricted to the base, balanced coproduct values, multiplicativity of counit
 and coproduct, the antipode anti-homomorphism and convolution identities,
-coassociativity, both counit laws, involutivity, and associativity.  Table
-carriers of dimension at most 12 are checked on full bases, which by
-multilinearity of every identity is a complete proof; larger or convolution
-carriers are checked on seeded random samples, of degree at most a third of
-the truncation: no law multiplies more than three, so none overflows.  The
-six laws of one sample are linear in it, so each is checked once on each
-label a sample uses, and a sample is evaluated itself only when one of its
-labels fails or overflows.  ``checked`` still counts samples, each proved
-directly or by linearity from its labels.
+coassociativity, both counit laws, involutivity, and associativity.  A
+carrier with truncation 0 and at most 12 labels is checked on full bases,
+which by multilinearity of every identity is a complete proof; any other is
+checked on seeded random samples, of degree at most a third of the
+truncation: no law multiplies more than three, so none overflows.  The six
+laws of one sample are linear in it, so each is checked once on each label
+a sample uses, and a sample is evaluated itself only when one of its labels
+fails.  ``checked`` still counts samples, each proved directly or by
+linearity from its labels.
 """
 
 from __future__ import annotations
@@ -349,10 +349,15 @@ class FiberTensor(_CoefficientMap):
 
 
 class HopfAlgebroid(ABC):
-    """The common carrier interface for both algebroid kinds."""
+    """The common carrier interface for both algebroid kinds.
+
+    ``truncation`` bounds ``label_degree``: no label is above it, and a
+    product above it raises ``TruncationOverflow``.  A table's is 0.
+    """
 
     base: BaseSpace
     kind: str
+    truncation: int = 0
 
     @property
     @abstractmethod
@@ -365,7 +370,16 @@ class HopfAlgebroid(ABC):
     def format_label(self, label) -> str: ...
 
     @abstractmethod
-    def mul_label(self, l1, l2) -> tuple: ...
+    def label_degree(self, label) -> int:
+        """0 on a table, the monomial degree on a convolution carrier; also
+        defined on the keys that ``mul_label`` returns above the truncation."""
+
+    @abstractmethod
+    def mul_label(self, l1, l2, bound=None) -> tuple:
+        """The product of two labels as ``(label, c)`` terms, raising
+        ``TruncationOverflow`` on a term above ``bound`` (None: the
+        truncation; a table ignores it).  Under a larger bound a key may be
+        no label: a term that ``bracket`` must cancel."""
 
     @abstractmethod
     def delta_label(self, label): ...
@@ -418,8 +432,27 @@ class HopfAlgebroid(ABC):
         return AlgebroidElement._of(self, 1, self._product(a._c.items(), b._c.items()))
 
     def bracket(self, a: AlgebroidElement, b: AlgebroidElement) -> AlgebroidElement:
-        """The commutator a * b - b * a."""
-        return self.mul(a, b) - self.mul(b, a)
+        """The commutator a * b - b * a, bounded only after it cancels.
+
+        Each label product is formed under the bound deg l1 + deg l2, so
+        none overflows; a surviving term above the truncation raises
+        ``TruncationOverflow``.  On a table this is ``mul(a, b) - mul(b, a)``.
+        """
+        if a.carrier is not self or b.carrier is not self:
+            raise DimensionMismatch("element belongs to another carrier")
+        degree, mul_label = self.label_degree, self.mul_label
+
+        def product(l1, l2):
+            return mul_label(l1, l2, degree(l1) + degree(l2))
+
+        out = bilinear(a._c.items(), b._c.items(), product)
+        ba = bilinear(b._c.items(), a._c.items(), product)
+        add_terms(out, ((l, -c) for l, c in ba.items()))
+        for l in out:
+            if degree(l) > self.truncation:
+                raise TruncationOverflow(degree(l), self.truncation,
+                                         "commutator of stored monomials; no silent truncation")
+        return AlgebroidElement._of(self, 1, out)
 
     def zero(self) -> AlgebroidElement:
         return AlgebroidElement(self, {})
@@ -540,63 +573,35 @@ class ConvolutionAlgebroid(HopfAlgebroid):
         fiber = self.bundle.fiber(self.groupoid.target[g])
         return f"{mono_text(m, fiber.basis)}@{g}"
 
-    def mul_label(self, l1, l2):
-        """The product of two basis labels, as a tuple of ``(label, c)`` terms.
+    def label_degree(self, label):
+        return sum(label[1])
 
-        For l1 = (h, m1) and l2 = (k, m2) with g = h after k, the terms are
+    def mul_label(self, l1, l2, bound=None):
+        """For l1 = (h, m1) and l2 = (k, m2) with g = h after k, the terms are
         those of ``mono_mul`` by m1 folded over the transport of m2 along h,
         at g.  The transported terms come in ``mono_key`` order, so an
         overflow names the lowest-degree transported term that overflows.
-        Label products are memoized per carrier, and transports per (arrow,
-        monomial); each monomial product is read from the fiber's product
-        table, so one that recurs under another arrow or another transported
-        term is not multiplied again.  A pair whose arrows do not compose
-        gives ``()`` without touching the memo.  The memo holds products
-        only: a pair whose product overflows the truncation is not stored,
-        and ``mono_mul`` raises that overflow again on every call.
+        Products under the truncation (``bound`` None) are memoized per
+        carrier, and transports per (arrow, monomial); each monomial product
+        is read from the fiber's product table, so one that recurs under
+        another arrow or another transported term is not multiplied again.
+        A pair whose arrows do not compose gives ``()`` without touching the
+        memo.  The memo holds products under the truncation only: a product
+        under a given bound is not stored, nor is a pair whose product
+        overflows, and ``mono_mul`` raises that overflow again on every call.
         """
         g = self.groupoid.compose_table.get((l1[0], l2[0]))
         if g is None:
             return ()
-        entry = self._products.get((l1, l2))
-        if entry is None:
-            entry = self._products[(l1, l2)] = self._label_product(g, l1, l2, self.truncation)
-        return entry
-
-    def _label_product(self, g, l1, l2, bound):
-        """The terms at the composite g of the product of two labels, under a degree bound."""
+        if bound is None:
+            entry = self._products.get((l1, l2))
+            if entry is None:
+                entry = self._products[(l1, l2)] = self.mul_label(l1, l2, self.truncation)
+            return entry
         (h, m1), (_k, m2) = l1, l2
         fiber = self.bundle.fiber(self.groupoid.target[h])
         product = linear(self._transport(h, m2), lambda m: mono_mul(fiber, m1, m, bound))
         return tuple(((g, m), exact(c)) for m, c in product.items())
-
-    def bracket(self, a, b):
-        """The commutator a * b - b * a, bounded only after it cancels.
-
-        Each label product is formed under the bound deg m1 + deg m2, which a
-        transport never exceeds, so none overflows; these products bypass
-        the memo, which holds products under the truncation only.  A
-        commutator term above the truncation raises ``TruncationOverflow``,
-        so at truncation 1 the commutator of two degree-1 labels is exact.
-        """
-        if a.carrier is not self or b.carrier is not self:
-            raise DimensionMismatch("element belongs to another carrier")
-        compose = self.groupoid.compose_table
-
-        def product(l1, l2):
-            g = compose.get((l1[0], l2[0]))
-            if g is None:
-                return ()
-            return self._label_product(g, l1, l2, sum(l1[1]) + sum(l2[1]))
-
-        out = bilinear(a._c.items(), b._c.items(), product)
-        ba = bilinear(b._c.items(), a._c.items(), product)
-        add_terms(out, ((l, -c) for l, c in ba.items()))
-        for _g, m in out:
-            if sum(m) > self.truncation:
-                raise TruncationOverflow(sum(m), self.truncation,
-                                         "commutator of stored monomials; no silent truncation")
-        return AlgebroidElement._of(self, 1, out)
 
     def _transport(self, arrow, m):
         """``mono_transport`` of m along the arrow, computed once per (arrow, monomial)."""
@@ -784,7 +789,10 @@ class TableAlgebroid(HopfAlgebroid):
     # The benchmark tracer patches ``mul`` in each carrier class's own namespace.
     mul = HopfAlgebroid.mul
 
-    def mul_label(self, l1, l2):
+    def label_degree(self, label):
+        return 0
+
+    def mul_label(self, l1, l2, bound=None):
         return self._mul.get((l1, l2), ())
 
     def delta_label(self, label):
@@ -814,7 +822,7 @@ class TableAlgebroid(HopfAlgebroid):
 # axiom suite
 # ---------------------------------------------------------------------------
 
-EXHAUSTIVE_TABLE_DIM = 12
+EXHAUSTIVE_MAX_LABELS = 12
 
 
 @dataclass
@@ -871,10 +879,7 @@ class AxiomReport:
                 line += f"\n     witness: {c.witness}"
             lines.append(line)
         overall = "FAIL" if self.failures() else "INCONCLUSIVE" if self.inconclusive() else "PASS"
-        lines.append(
-            f"{overall} overall"
-            + (f" ({self.resampled} overflowing samples skipped)" if self.resampled else "")
-        )
+        lines.append(f"{overall} overall")
         return "\n".join(lines)
 
 
@@ -882,45 +887,35 @@ def run_law(name, items, predicate, carrier=None):
     """Check one law on each item in turn, stopping at the first failure.
 
     ``predicate`` returns None where the law holds and a witness where it
-    fails.  An item whose evaluation overflows the truncation is counted and
-    skipped, never replaced; a law whose every item overflows is
-    inconclusive.  Returns the ``AxiomCheck`` and the number of overflows.
+    fails.  Every item is drawn inside its law's degree cap, so an overflow
+    is an error: ``TruncationOverflow`` leaves ``run_law``.
 
     Given ``carrier``, the law is linear in its one item, an element of that
     carrier.  Each label in an item's support is then checked once, as its
     basis element, and remembered for this call; an item whose every label
     holds is counted checked without being evaluated, since it is a
-    combination of them.  An item with a label that fails or overflows is
-    evaluated itself, so a cancellation still passes, a failing item is its
-    own witness, and ``checked`` and the overflows are those of evaluating
-    every item.
+    combination of them.  An item with a label that fails is evaluated
+    itself, so a cancellation still passes, a failing item is its own
+    witness, and ``checked`` is that of evaluating every item.
     """
-    checked = overflows = 0
+    checked = 0
     holds = {}  # label -> whether the law holds on its basis element
 
     def label_holds(label):
         ok = holds.get(label)
         if ok is None:
-            try:
-                ok = predicate(AlgebroidElement._of(carrier, 1, {label: _ONE})) is None
-            except TruncationOverflow:
-                ok = False
-            holds[label] = ok
+            ok = holds[label] = predicate(AlgebroidElement._of(carrier, 1, {label: _ONE})) is None
         return ok
 
     for item in items:
         if carrier is not None and all(label_holds(l) for l in item._c):
             checked += 1
             continue
-        try:
-            witness = predicate(item)
-        except TruncationOverflow:
-            overflows += 1
-            continue
+        witness = predicate(item)
         checked += 1
         if witness is not None:
-            return AxiomCheck(name, False, checked, witness), overflows
-    return AxiomCheck(name, True, checked), overflows
+            return AxiomCheck(name, False, checked, witness)
+    return AxiomCheck(name, True, checked)
 
 
 def check_axioms(carrier: HopfAlgebroid, samples: int = 100, seed: int = 1) -> AxiomReport:
@@ -929,19 +924,21 @@ def check_axioms(carrier: HopfAlgebroid, samples: int = 100, seed: int = 1) -> A
     The exact structural checks of ``carrier.validate()`` come first, each
     violation a failed check named ``validate`` with its message as the
     witness; the sampled laws still run, and ``analyze`` stops on any failed
-    check.  Sampling is deterministic in ``seed`` and stays inside the
-    degree cap of ``random_element``, so no sample overflows; should one all
-    the same, ``run_law`` counts it into ``resampled`` and skips it.  The
-    draws read ``random.Random(seed)`` through ``getrandbits`` alone and equal
-    the former ``randint``/``sample``/``choice`` draws.  The six
-    laws of one sample are linear in it, so ``run_law`` proves them label by
-    label and evaluates only the samples whose labels do not all pass.
+    check.  A carrier with truncation 0 and at most ``EXHAUSTIVE_MAX_LABELS``
+    labels is checked on every basis tuple.  Any other is sampled,
+    deterministically in ``seed`` and inside the degree cap of
+    ``random_element``, so a ``TruncationOverflow`` is an error and leaves
+    ``check_axioms``; ``resampled`` stays 0.  The draws read
+    ``random.Random(seed)`` through ``getrandbits`` alone and equal the former
+    ``randint``/``sample``/``choice`` draws.  The six laws of one sample are
+    linear in it, so ``run_law`` proves them label by label and evaluates
+    only the samples whose labels do not all pass.
     """
     rng = random.Random(seed)
     report = AxiomReport()
     report.checks.extend(AxiomCheck("validate", False, 1, v) for v in carrier.validate())
 
-    exhaustive = carrier.kind == "table" and carrier.dim <= EXHAUSTIVE_TABLE_DIM
+    exhaustive = carrier.truncation == 0 and carrier.dim <= EXHAUSTIVE_MAX_LABELS
     if exhaustive:
         report.mode = "exhaustive-basis"
         basis = [carrier.basis_element(l) for l in carrier.labels]
@@ -1053,8 +1050,5 @@ def check_axioms(carrier: HopfAlgebroid, samples: int = 100, seed: int = 1) -> A
         ("antipode_involutive", singles, involutive, carrier),
         ("associativity", triples, assoc, None),
     ]
-    for name, items, predicate, linear_in in laws:
-        check, overflows = run_law(name, items, predicate, linear_in)
-        report.checks.append(check)
-        report.resampled += overflows
+    report.checks.extend(run_law(*law) for law in laws)
     return report

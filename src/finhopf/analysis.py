@@ -592,16 +592,15 @@ def build_theta(carrier: HopfAlgebroid, gsp: SpectralGroupoid, prim: PrimBasis,
                 action: BundleAction) -> ThetaMap:
     """Assemble the map (PBW monomial over arrow) -> product of representatives.
 
-    The reconstructed side has the carrier's own truncation.  A table carrier
-    has none and uses 0, and no bound would change the result: a nonzero
+    The reconstructed side has the carrier's own ``truncation``, 0 on a
+    table, where no bound would change the result: a nonzero
     primitive x has linearly independent powers (delta(x^n) is the binomial
     sum of x^k (x) x^(n-k)), so a finite-dimensional Hopf algebroid over Q
     has no primitives and the reconstructed fibers of a table are
     0-dimensional.  No image overflows: a label of degree k <= truncation
     maps to a product of k degree-1 primitives, or to a table.
     """
-    truncation = getattr(carrier, "truncation", 0)
-    domain = ConvolutionAlgebroid(gsp.groupoid, action.bundle, action, truncation)
+    domain = ConvolutionAlgebroid(gsp.groupoid, action.bundle, action, carrier.truncation)
 
     product_cache = {}
 
@@ -632,7 +631,7 @@ def build_theta(carrier: HopfAlgebroid, gsp: SpectralGroupoid, prim: PrimBasis,
         if kernel:
             first = next(i for i, c in enumerate(kernel[0]) if c)
             theta.witnesses[p] = carrier.format_label(labels[first])
-    theta.hom_checks = _verify_theta_hom(theta, truncation)
+    theta.hom_checks = _verify_theta_hom(theta, carrier.truncation)
     return theta
 
 
@@ -686,7 +685,7 @@ def _verify_theta_hom(theta: ThetaMap, truncation):
         ("theta_antipode", singles[2], antipode, domain),
         ("theta_on_base", [None], on_base, None),
     ]
-    return [run_law(*law)[0] for law in laws]
+    return [run_law(*law) for law in laws]
 
 
 def _map_tensor(tensor: FiberTensor, theta: ThetaMap) -> FiberTensor:

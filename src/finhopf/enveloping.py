@@ -82,11 +82,12 @@ def monomials_up_to(dim: int, degree: int) -> list[Monomial]:
 
     The sorted words of each degree come out of
     ``combinations_with_replacement`` in lexicographic order, which is the
-    ``mono_key`` order.
+    ``mono_key`` order.  A 0-dimensional fiber has the one monomial ``()``,
+    whatever the degree.
     """
     return [
         tuple(word.count(i) for i in range(dim))
-        for d in range(degree + 1)
+        for d in range(degree + 1 if dim else 1)
         for word in combinations_with_replacement(range(dim), d)
     ]
 

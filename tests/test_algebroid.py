@@ -371,17 +371,13 @@ def test_each_pair_sample_product_is_built_once(monkeypatch):
 
 def every_sample(name, items, predicate, carrier=None):
     """``run_law`` without the labels: every item is evaluated in turn."""
-    checked = overflows = 0
+    checked = 0
     for item in items:
-        try:
-            witness = predicate(item)
-        except TruncationOverflow:
-            overflows += 1
-            continue
+        witness = predicate(item)
         checked += 1
         if witness is not None:
-            return algebroid.AxiomCheck(name, False, checked, witness), overflows
-    return algebroid.AxiomCheck(name, True, checked), overflows
+            return algebroid.AxiomCheck(name, False, checked, witness)
+    return algebroid.AxiomCheck(name, True, checked)
 
 
 def perturbed_caches(model, table, label, terms):
@@ -453,9 +449,9 @@ def test_a_linear_law_passes_a_sample_whose_failing_labels_cancel():
         return None if carrier.delta(a).counit_leg(0).to_element() == a else a.text()
 
     X, Y, S = (carrier.basis_element(l) for l in (x, y, ("s", (1,))))
-    check, overflows = run_law("counit_law_left", [X + Y, S.scale(3), X + Y.scale(2)],
-                               counit_left, carrier)
-    assert (check.ok, check.checked, overflows) == (False, 3, 0)
+    check = run_law("counit_law_left", [X + Y, S.scale(3), X + Y.scale(2)],
+                    counit_left, carrier)
+    assert (check.ok, check.checked) == (False, 3)
     assert check.witness == (X + Y.scale(2)).text() == "1*X@e + 2*X^2@e"
     # x fails, so x + y is evaluated with y unread; the label of 3 S, but not
     # 3 S itself; then x + 2y, whose label x is known to fail.
@@ -480,15 +476,16 @@ def test_default_draws_never_overflow():
     """The degree caps keep every sampled evaluation inside the truncation.
 
     ``check_axioms`` draws degree <= N // 3 and multiplies at most three
-    draws; theta draws degree <= N // 2 and multiplies at most two.  So no
-    sample is skipped and every sampled law checks all of its samples.
+    draws; theta draws degree <= N // 2 and multiplies at most two.  So
+    every sampled law checks all of its samples.  At N=0 these presets are
+    checked on full bases instead (see the next test).
     """
     models = [at_truncation(make(), n) for make in (pairh3_model, z2line_model)
-              for n in range(7)]
+              for n in range(1, 7)]
     models += [random_model(s) for s in range(16)]
     for model in models:
         report = check_axioms(carrier_from_model(model), samples=20)
-        assert report.resampled == 0
+        assert report.mode == "sampled" and report.resampled == 0
         sampled = {c.name: c.checked for c in report.checks if c.name in SAMPLED_LAWS}
         assert sampled == dict.fromkeys(SAMPLED_LAWS, 20)
     for n in (2, 3, 4):
@@ -496,28 +493,81 @@ def test_default_draws_never_overflow():
         assert [c.checked for c in theta.hom_checks] == [12, 12, 12, 12, 1]
 
 
-def test_run_law_counts_and_skips_overflowing_items():
+PAIR_LAWS = {"axiom_iii_counit_multiplicative", "axiom_iii_comult_multiplicative",
+             "axiom_iv_antihomomorphism"}
+
+
+def flat_z2line_model(truncation):
+    """``z2line`` with a 0-dimensional fiber: two labels at any truncation."""
+    model = at_truncation(z2line_model(), truncation)
+    model["bundle"][0]["basis"] = []
+    model["action"] = [{"arrow": g, "matrix": []} for g in ("e", "s")]
+    return model
+
+
+def test_truncation_zero_is_checked_on_every_basis_tuple():
+    """The exhaustive mode follows the bound, not the carrier class: at N=0
+    no product of labels overflows, so a convolution carrier of at most 12
+    labels is proved on every label, pair and triple.  Labels of degree 0
+    alone do not make it exhaustive: a 0-dimensional fiber at N=4 is sampled."""
+    for make in (z2line_model, pairh3_model):
+        carrier = carrier_from_model(at_truncation(make(), 0))
+        report = check_axioms(carrier, samples=20)
+        assert report.mode == "exhaustive-basis" and report.ok, make
+        d = carrier.dim
+        expected = {name: d ** (3 if name == "associativity" else 2 if name in PAIR_LAWS else 1)
+                    for name in SAMPLED_LAWS}
+        assert {c.name: c.checked for c in report.checks if c.name in SAMPLED_LAWS} == expected
+    flat = carrier_from_model(flat_z2line_model(4))
+    assert all(flat.label_degree(l) == 0 for l in flat.labels)
+    assert check_axioms(flat, samples=20).mode == "sampled"
+
+
+def test_a_zero_dimensional_fiber_does_not_grow_with_the_truncation():
+    """A 0-dimensional fiber has one monomial at every degree bound, so a
+    truncation of 10**12 is as cheap as 0."""
+    assert monomials_up_to(0, 10**12) == [()]
+    carrier = carrier_from_model(flat_z2line_model(10**12))
+    assert carrier.labels == (("e", ()), ("s", ()))
+    assert analyze(carrier).decision.verdict == "ISO"
+
+
+def draw_up_to_the_truncation(monkeypatch):
+    """Make convolution draws ignore their degree cap, so products overflow."""
+    real = ConvolutionAlgebroid.random_element
+    monkeypatch.setattr(ConvolutionAlgebroid, "random_element",
+                        lambda self, rng, degree_cap=None: real(self, rng, self.truncation))
+
+
+def test_an_overflow_in_a_law_is_an_error(monkeypatch):
+    """No sample is skipped: a ``TruncationOverflow`` leaves ``run_law``,
+    whether an item or one of its labels raises it, and ``check_axioms``;
+    ``analyze`` reports it as ``ERROR`` at stage ``axioms``."""
     calls = []
 
-    def odd_items_overflow(item):
+    def second_item_overflows(item):
         calls.append(item)
-        if item % 2:
+        if item == 1:
             raise TruncationOverflow(3, 2)
-        return None
 
-    check, overflows = run_law("law", range(5), odd_items_overflow)
-    assert calls == [0, 1, 2, 3, 4]
-    assert (check.checked, overflows, check.status) == (3, 2, "pass")
+    with pytest.raises(TruncationOverflow):
+        run_law("law", range(5), second_item_overflows)
+    assert calls == [0, 1]
 
-    calls.clear()
+    carrier = z2line()
 
-    def always_overflows(item):
-        calls.append(item)
-        raise TruncationOverflow(3, 2)
+    def overflows(a):
+        raise TruncationOverflow(5, 4)
 
-    check, overflows = run_law("law", range(5), always_overflows)
-    assert calls == [0, 1, 2, 3, 4]
-    assert (check.checked, overflows, check.status) == (0, 5, "inconclusive")
+    with pytest.raises(TruncationOverflow):
+        run_law("law", [carrier.basis_element(("e", (1,)))], overflows, carrier)
+
+    draw_up_to_the_truncation(monkeypatch)
+    with pytest.raises(TruncationOverflow):
+        check_axioms(carrier)
+    decision = analyze(carrier).decision
+    assert decision.verdict == "ERROR" and decision.stage_error[0] == "axioms"
+    assert "exceeds truncation bound 4" in decision.stage_error[1]
 
 
 def test_zero_samples_are_inconclusive_not_a_pass():

@@ -22,6 +22,7 @@ from finhopf.algebroid import (
     FiberTensor,
     HopfAlgebroid,
     check_axioms,
+    pair_terms,
 )
 from finhopf.analysis import (
     _weakly_grouplike_partner,
@@ -42,6 +43,7 @@ from finhopf.groupoid import BaseFun, groupoid_isomorphic
 from finhopf.linalg import QMatrix
 from finhopf.modelio import FORMAT_NAME, FORMAT_VERSION, carrier_from_model
 from finhopf.models import PRESETS, funs3_model, pairh3_model, random_model, z2line_model
+from finhopf.rationals import bilinear, linear
 
 from test_algebroid import (
     h3_z2_carrier,
@@ -1506,3 +1508,95 @@ def test_table_models_side_by_side_decide_as_their_parts():
         union = analyze(carrier_from_model(side_by_side(models[a], models[b])), samples=20)
         assert union.axiom_report.mode == "exhaustive-basis", (a, b)
         check_side_by_side([parts[a], parts[b]], union.decision)
+
+
+class Disguised(HopfAlgebroid):
+    """A ``ConvolutionAlgebroid`` seen through a seeded change of basis P.
+
+    P sends each label to itself plus up to two earlier labels with the same
+    target and no higher degree, with coefficients in {-2, -1, 1, 2}: it is
+    unitriangular in label order, so invertible, and a key that is not a
+    label (a product term above the truncation) is its own image.  Every
+    structure map is the wrapped one conjugated by P.  Its kind is not
+    ``convolution``, so ``analyze`` takes the general paths: the primitive
+    nullspace, the grouplike eigenvectors, theta's kernel and the generic
+    ``bracket``.
+    """
+
+    kind = "disguised"
+
+    def __init__(self, inner, seed):
+        self.inner, self.base, self.truncation = inner, inner.base, inner.truncation
+        rng = random.Random(seed)
+        self._to, self._from = {}, {}  # label -> the terms of P(label), of P^-1(label)
+        for i, l in enumerate(inner.labels):
+            lower = [k for k in inner.labels[:i] if inner.label_target(k) == inner.label_target(l)
+                     and inner.label_degree(k) <= inner.label_degree(l)]
+            mixed = [(k, rng.choice((-2, -1, 1, 2)))
+                     for k in rng.sample(lower, min(2, len(lower)))]
+            self._to[l] = ((l, 1), *mixed)
+            # P^-1(l) = l - the sum of c P^-1(k) over the mixed-in labels k.
+            self._from[l] = ((l, 1), *linear(((k, -c) for k, c in mixed), self._from.get).items())
+
+    def _disguise(self, terms):
+        return linear(terms, lambda k: self._to.get(k, ((k, 1),)))
+
+    @property
+    def labels(self):
+        return self.inner.labels
+
+    def label_target(self, label):
+        return self.inner.label_target(label)
+
+    def format_label(self, label):
+        return self.inner.format_label(label)
+
+    def label_degree(self, label):
+        return self.inner.label_degree(label)
+
+    def mul_label(self, l1, l2, bound=None):
+        def product(a, b):
+            return self.inner.mul_label(a, b, bound)
+
+        plain = bilinear(self._from[l1], self._from[l2], product)
+        return tuple(self._disguise(plain.items()).items())
+
+    def delta_label(self, label):
+        plain = linear(self._from[label], self.inner.delta_label)
+        return tuple(linear(plain.items(), lambda pair: pair_terms(
+            self, self._to[pair[0]], self._to[pair[1]])).items())
+
+    def counit_label(self, label):
+        return sum(c * self.inner.counit_label(k) for k, c in self._from[label])
+
+    def antipode_label(self, label):
+        plain = linear(self._from[label], self.inner.antipode_label)
+        return tuple(self._disguise(plain.items()).items())
+
+    def unit_at(self, point):
+        return AlgebroidElement(self, self._disguise(self.inner.unit_at(point).coeffs.items()))
+
+    def random_element(self, rng, degree_cap=None):
+        drawn = self.inner.random_element(rng, degree_cap)
+        return AlgebroidElement(self, self._disguise(drawn.coeffs.items()))
+
+    def validate(self):
+        return self.inner.validate()
+
+
+@pytest.mark.parametrize("make,truncation", [(z2line_model, 1), (z2line_model, 2),
+                                             (pairh3_model, 1)])
+def test_a_disguised_convolution_carrier_is_decided_as_itself(make, truncation):
+    """The general paths decide a convolution carrier in disguise as the
+    constructed ones decide it undisguised: the same verdict, primitive ranks,
+    spectral arrows, and theta rank and dimension at each point.  At
+    ``pairh3`` N=1 the commutators of the degree-1 primitives are bounded only
+    after they cancel."""
+    inner = carrier_from_model(dict(make(), truncation=truncation))
+    expected = analyze(inner).decision.to_json()
+    assert expected["verdict"] == "ISO"
+    for seed in (1, 2):
+        carrier = Disguised(inner, seed)
+        # P mixes labels of different arrows into the same point.
+        assert any(l[0] != k[0] for (l, _one), *mixed in carrier._to.values() for k, _c in mixed)
+        assert analyze(carrier).decision.to_json() == expected, seed

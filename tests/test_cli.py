@@ -14,6 +14,7 @@ from finhopf import models
 from finhopf.modelio import FORMAT_NAME, carrier_from_model, model_to_text, save_model
 from finhopf.models import funs3_model, pairh3_model, random_model, z2line_model
 
+from test_algebroid import draw_up_to_the_truncation
 from test_analysis import (
     dual_numbers_model,
     misplaced_unit_model,
@@ -91,6 +92,15 @@ def test_zero_samples_are_inconclusive(model_files, capsys):
     code, out, _ = run(["check-axioms", model_files["pairh3"], "--samples", "0"], capsys)
     assert code == EXIT_PROPERTY_FAILS
     assert out.rstrip().endswith("INCONCLUSIVE overall")
+
+
+def test_an_overflow_in_a_law_is_an_input_error(model_files, monkeypatch, capsys):
+    draw_up_to_the_truncation(monkeypatch)
+    code, out, err = run(["check-axioms", model_files["z2line"]], capsys)
+    assert code == EXIT_INPUT_ERROR and out == ""
+    assert err.startswith("error: degree ") and "exceeds truncation bound 4" in err
+    code, out, _ = run(["cgk", model_files["z2line"]], capsys)
+    assert code == EXIT_INPUT_ERROR and out.startswith("stage axioms failed: degree ")
 
 
 def test_check_axioms_json(model_files, capsys):
