@@ -40,7 +40,10 @@ coassociativity, both counit laws, involutivity, and associativity.  A
 carrier with truncation 0 and at most 12 labels is checked on full bases,
 which by multilinearity of every identity is a complete proof; any other is
 checked on seeded random samples, of degree at most a third of the
-truncation: no law multiplies more than three, so none overflows.  The six
+truncation: no law multiplies more than three, so none overflows.  One
+sampler serves every carrier: ``HopfAlgebroid.random_element`` draws 1 to 4
+labels uniformly from those under the degree cap, each with a coefficient
+in -3..3 other than 0, from ``getrandbits`` alone.  The six
 laws of one sample are linear in it, so each is checked once on each label
 a sample uses, and a sample is evaluated itself only when one of its labels
 fails.  ``checked`` still counts samples, each proved directly or by
@@ -78,47 +81,13 @@ _ZERO = 0
 _ONE = 1
 # The coefficients of sampled elements: nonzero ``int``s, stored as they are.
 _SAMPLE_COEFFS = (-3, -2, -1, 1, 2, 3)
+# The label draws of one sample, indexed by three bits: 1, 2, 3 or 4 with
+# weights 2, 3, 2 and 1, as one or two arrows of one or two monomials each.
+_SAMPLE_SIZES = (1, 1, 2, 2, 2, 3, 3, 4)
 
 # pairh3 at truncation 50 has 93,704 labels and builds in about 0.4 s
 # (Python 3.11 on a 2-core Xeon); far larger models would hang the loader.
 CONVOLUTION_MAX_LABELS = 100_000
-
-
-# Sampled elements read their generator through ``getrandbits`` alone.  The two
-# helpers below are the standard library's own index walks, so a draw takes
-# the same bits as ``randint``, ``sample`` and ``choice`` would (Python 3.10 to
-# 3.13) and gives the same element.
-
-def _below(bits, n):
-    """A uniform int in [0, n) for n > 0, as ``Random._randbelow`` draws it."""
-    k = n.bit_length()
-    r = bits(k)
-    while r >= n:
-        r = bits(k)
-    return r
-
-
-def _sample(bits, seq, k):
-    """``Random.sample(seq, k)`` for 0 <= k <= min(5, len(seq)): a pool walk up
-    to 21 items, above that redraws of an index already taken."""
-    n = len(seq)
-    if n <= 21:
-        pool = list(seq)
-        result = []
-        for i in range(k):
-            j = _below(bits, n - i)
-            result.append(pool[j])
-            pool[j] = pool[n - i - 1]
-        return result
-    taken = set()
-    result = []
-    for _ in range(k):
-        j = _below(bits, n)
-        while j in taken:
-            j = _below(bits, n)
-        taken.add(j)
-        result.append(seq[j])
-    return result
 
 
 class _CoefficientMap:
@@ -391,16 +360,6 @@ class HopfAlgebroid(ABC):
     def antipode_label(self, label) -> tuple: ...
 
     @abstractmethod
-    def random_element(self, rng, degree_cap=None) -> AlgebroidElement:
-        """A seeded sample: one or two labels, each with a nonzero coefficient
-        in -3..3 (a convolution carrier: one or two arrows, each with one or two
-        monomials of degree at most ``degree_cap``, by default a third of the
-        truncation).  ``rng`` is a ``random.Random`` of which only
-        ``getrandbits`` is read; the draws equal those of the former
-        ``randint``, ``sample`` and ``choice`` sequence, bit for bit, and leave
-        ``rng`` in the same state."""
-
-    @abstractmethod
     def validate(self) -> list: ...
 
     # -- shared machinery ----------------------------------------------------
@@ -418,6 +377,38 @@ class HopfAlgebroid(ABC):
             cache = {p: tuple(ls) for p, ls in cache.items()}
             self._labels_at = cache
         return cache.get(point, ())
+
+    def random_element(self, rng, degree_cap=None) -> AlgebroidElement:
+        """A seeded sample: 1 to 4 label draws (weights 2, 3, 2 and 1 in 8),
+        each uniform over the labels of degree at most ``degree_cap`` (by
+        default a third of the truncation) and given a coefficient in
+        -3..3 other than 0; a label drawn again keeps its last coefficient.
+        ``rng`` is a ``random.Random`` of which only ``getrandbits`` is read.
+        A negative cap, or no label to draw, raises ``ValueError`` before
+        any bit is read."""
+        cap = self.truncation // 3 if degree_cap is None else degree_cap
+        if cap < 0:
+            raise ValueError(f"degree cap must be nonnegative, got {cap}")
+        cap = min(cap, self.truncation)
+        pools = getattr(self, "_pools", None)
+        if pools is None:
+            pools = self._pools = {}
+        pool = pools.get(cap)
+        if pool is None:  # the labels of degree <= cap, in label order
+            degree = self.label_degree
+            pool = pools[cap] = tuple(l for l in self.labels if degree(l) <= cap)
+        if not pool:
+            raise ValueError(f"no labels of degree at most {cap} to draw")
+        bits, n = rng.getrandbits, len(pool)
+        k = (n - 1).bit_length()
+        coeffs = {}
+        for _ in range(_SAMPLE_SIZES[bits(3)]):
+            while (j := bits(k)) >= n:
+                pass
+            while (c := bits(3)) >= 6:
+                pass
+            coeffs[pool[j]] = _SAMPLE_COEFFS[c]
+        return AlgebroidElement._of(self, 1, coeffs)
 
     def _product(self, left, right) -> dict:
         """The product of two ``(label, c)`` term sequences: ``rationals.bilinear``
@@ -556,7 +547,6 @@ class ConvolutionAlgebroid(HopfAlgebroid):
         self._antipode_cache = {}
         self._products = {}
         self._transports = {}
-        self._samplers = {}
 
     # The benchmark tracer patches ``mul`` in each carrier class's own namespace.
     mul = HopfAlgebroid.mul
@@ -637,41 +627,6 @@ class ConvolutionAlgebroid(HopfAlgebroid):
         g = self.groupoid.units[point]
         fiber = self.bundle.fiber(point)
         return self.basis_element((g, unit_mono(fiber.dim)))
-
-    def random_element(self, rng, degree_cap=None):
-        cap = self.truncation // 3 if degree_cap is None else degree_cap
-        if cap < 0:
-            raise ValueError(f"degree cap must be nonnegative, got {cap}")
-        cap = min(cap, self.truncation)
-        sampler = self._samplers.get(cap)
-        if sampler is None:  # the sorted arrows, and each arrow's monomials of degree <= cap
-            arrows = sorted(self.groupoid.arrows)
-            monos = {g: monomials_up_to(self.bundle.fiber(self.groupoid.target[g]).dim, cap)
-                     for g in arrows}
-            sampler = self._samplers[cap] = (arrows, monos)
-        arrows, monos = sampler
-        # 1 + _below(bits, 2) arrows, then per arrow 1 + _below(bits, 2) terms,
-        # each a monomial before its coefficient, with ``_below`` inlined: two
-        # bits for a count, three for one of the six coefficients.
-        bits = rng.getrandbits
-        while (r := bits(2)) >= 2:
-            pass
-        chosen = _sample(bits, arrows, min(len(arrows), 1 + r))
-        coeffs = {}
-        for g in chosen:
-            gm = monos[g]
-            n = len(gm)
-            k = n.bit_length()
-            while (r := bits(2)) >= 2:
-                pass
-            for _ in range(1 + r):
-                j = bits(k)
-                while j >= n:
-                    j = bits(k)
-                while (c := bits(3)) >= 6:
-                    pass
-                coeffs[(g, gm[j])] = _SAMPLE_COEFFS[c]
-        return AlgebroidElement._of(self, 1, coeffs)
 
     def validate(self):
         report = []
@@ -807,13 +762,6 @@ class TableAlgebroid(HopfAlgebroid):
     def unit_at(self, point):
         return AlgebroidElement(self, dict(self._r_embed[point]))
 
-    def random_element(self, rng, degree_cap=None):
-        if not self._labels:
-            raise ValueError("a table carrier with no labels has no elements to draw")
-        bits = rng.getrandbits
-        chosen = _sample(bits, self._labels, 1 + _below(bits, min(2, len(self._labels))))
-        return AlgebroidElement._of(self, 1, {n: _SAMPLE_COEFFS[_below(bits, 6)] for n in chosen})
-
     def validate(self):
         return []  # structural coherence is enforced at import time
 
@@ -929,8 +877,9 @@ def check_axioms(carrier: HopfAlgebroid, samples: int = 100, seed: int = 1) -> A
     deterministically in ``seed`` and inside the degree cap of
     ``random_element``, so a ``TruncationOverflow`` is an error and leaves
     ``check_axioms``; ``resampled`` stays 0.  The draws read
-    ``random.Random(seed)`` through ``getrandbits`` alone and equal the former
-    ``randint``/``sample``/``choice`` draws.  The six laws of one sample are
+    ``random.Random(seed)`` through ``getrandbits`` alone.  On a valid model
+    every law passes every sample, so the report is the same at every seed.
+    The six laws of one sample are
     linear in it, so ``run_law`` proves them label by label and evaluates
     only the samples whose labels do not all pass.
     """

@@ -1517,7 +1517,8 @@ class Disguised(HopfAlgebroid):
     target and no higher degree, with coefficients in {-2, -1, 1, 2}: it is
     unitriangular in label order, so invertible, and a key that is not a
     label (a product term above the truncation) is its own image.  Every
-    structure map is the wrapped one conjugated by P.  Its kind is not
+    structure map is the wrapped one conjugated by P, and samples are drawn
+    by the shared ``random_element`` over its labels.  Its kind is not
     ``convolution``, so ``analyze`` takes the general paths: the primitive
     nullspace, the grouplike eigenvectors, theta's kernel and the generic
     ``bracket``.
@@ -1576,10 +1577,6 @@ class Disguised(HopfAlgebroid):
     def unit_at(self, point):
         return AlgebroidElement(self, self._disguise(self.inner.unit_at(point).coeffs.items()))
 
-    def random_element(self, rng, degree_cap=None):
-        drawn = self.inner.random_element(rng, degree_cap)
-        return AlgebroidElement(self, self._disguise(drawn.coeffs.items()))
-
     def validate(self):
         return self.inner.validate()
 
@@ -1600,3 +1597,40 @@ def test_a_disguised_convolution_carrier_is_decided_as_itself(make, truncation):
         # P mixes labels of different arrows into the same point.
         assert any(l[0] != k[0] for (l, _one), *mixed in carrier._to.values() for k, _c in mixed)
         assert analyze(carrier).decision.to_json() == expected, seed
+
+
+# random_model seeds at truncation 1 with at most 12 labels at every point
+# (so the general grouplike search runs), and distinct documents; all but
+# 1 and 20 have a nonzero primitive rank.
+DISGUISED_RANDOM_SEEDS = (1, 4, 5, 9, 11, 13, 20, 31)
+
+
+def test_disguised_random_models_are_decided_as_themselves():
+    """The general paths decide ``random_model`` carriers in disguise exactly
+    as the constructed paths decide them undisguised, over one to three
+    points, one or more orbits, and primitive ranks 0 to 3."""
+    ranks = []
+    for seed in DISGUISED_RANDOM_SEEDS:
+        inner = carrier_from_model(dict(random_model(seed), truncation=1))
+        assert all(len(inner.labels_at(p)) <= 12 for p in inner.base.points), seed
+        expected = analyze(inner).decision.to_json()
+        assert expected["verdict"] == "ISO", seed
+        ranks.append(max(expected["primRank"].values()))
+        carrier = Disguised(inner, seed)
+        assert any(mixed for _l, *mixed in carrier._to.values()), seed  # P is not the identity
+        assert analyze(carrier).decision.to_json() == expected, seed
+    assert ranks == [0, 2, 2, 2, 3, 1, 0, 3]
+
+
+def test_valid_models_answer_alike_at_every_seed():
+    """On a valid model every law passes every sample, so the axiom report
+    and the decision do not depend on which samples the seed draws: this
+    keeps the digests of sampled runs fixed under any change of draw."""
+    models = [z2line_model(), pairh3_model(), funs3_model()]
+    models += [random_model(seed) for seed in range(8)]
+    for model in models:
+        carrier = carrier_from_model(model)
+        reports = [check_axioms(carrier, seed=s).to_json() for s in range(1, 5)]
+        decisions = [analyze(carrier, seed=s).decision.to_json() for s in range(1, 5)]
+        assert reports[0]["ok"] and reports == reports[:1] * 4, model
+        assert decisions == decisions[:1] * 4, model
