@@ -43,15 +43,19 @@ checked on seeded random samples, of degree at most a third of the
 truncation: no law multiplies more than three, so none overflows.  One
 sampler serves every carrier: ``HopfAlgebroid.random_element`` draws 1 to 4
 labels uniformly from those under the degree cap, each with a coefficient
-in -3..3 other than 0, from ``getrandbits`` alone.  The six
-laws of one sample are linear in it, so each is checked once on each label
-a sample uses, and a sample is evaluated itself only when one of its labels
-fails.  ``checked`` still counts samples, each proved directly or by
-linearity from its labels.
+in -3..3 other than 0, from ``getrandbits`` alone.  Every sampled law is
+linear in each element of its sample, a single, a pair or a triple, and one
+harness, ``run_law``, checks them all.  When a list of samples has no more
+distinct label tuples (supp a x supp b ...) than samples, each law checks
+every tuple once, as basis elements, and evaluates a sample itself only
+when one of its tuples fails; otherwise, and on full bases, each sample is
+evaluated directly.  ``checked`` still counts samples, each proved directly
+or by multilinearity from its label tuples.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from abc import ABC, abstractmethod
@@ -831,39 +835,83 @@ class AxiomReport:
         return "\n".join(lines)
 
 
-def run_law(name, items, predicate, carrier=None):
+def _label_keys(item):
+    """The label tuples of a sample: the labels of an element, or
+    supp a x supp b (x supp c) of a tuple of elements."""
+    if isinstance(item, AlgebroidElement):
+        return item._c
+    return itertools.product(*(x._c for x in item))
+
+
+def _basis_item(item, key):
+    """The sample of basis elements at the label tuple ``key`` of ``item``."""
+    if isinstance(item, AlgebroidElement):
+        return AlgebroidElement._of(item.carrier, 1, {key: _ONE})
+    return tuple(AlgebroidElement._of(x.carrier, 1, {l: _ONE}) for x, l in zip(item, key))
+
+
+def label_tuples(items):
+    """The distinct label tuples of samples of a multilinear law, or None.
+
+    An item is an element or a tuple of elements.  Walking the items in
+    order, each label tuple of their supports is kept once, in order of first
+    appearance, as ``key -> (index of that item, basis item)``.  The walk
+    stops with None as soon as the tuples outnumber the items: checking each
+    would then take more evaluations than checking each item.
+    """
+    first = {}
+    limit = len(items)
+    for i, item in enumerate(items):
+        for key in _label_keys(item):
+            if key not in first:
+                if len(first) == limit:
+                    return None
+                first[key] = i
+    return {key: (i, _basis_item(items[i], key)) for key, i in first.items()}
+
+
+def run_law(name, items, predicate, tuples=None):
     """Check one law on each item in turn, stopping at the first failure.
 
     ``predicate`` returns None where the law holds and a witness where it
     fails.  Every item is drawn inside its law's degree cap, so an overflow
     is an error: ``TruncationOverflow`` leaves ``run_law``.
 
-    Given ``carrier``, the law is linear in its one item, an element of that
-    carrier.  Each label in an item's support is then checked once, as its
-    basis element, and remembered for this call; an item whose every label
-    holds is counted checked without being evaluated, since it is a
-    combination of them.  An item with a label that fails is evaluated
-    itself, so a cancellation still passes, a failing item is its own
-    witness, and ``checked`` is that of evaluating every item.
+    Given ``tuples``, the ``label_tuples`` of ``items``, the law is linear in
+    each element of an item.  Each label tuple is then checked once, as its
+    basis item, in order of first appearance; when all hold, every item is
+    counted checked without being evaluated, since it is a combination of
+    them.  From the item where a tuple first fails, the items are walked in
+    turn: one whose tuples all hold is counted, and one with a failing tuple
+    is evaluated itself.  So a cancellation still passes, a failing item is
+    its own witness, and the tuples checked, the items evaluated and
+    ``checked`` are those of checking each item's tuples before it, in turn.
+    Without ``tuples``, every item is evaluated.
     """
-    checked = 0
-    holds = {}  # label -> whether the law holds on its basis element
+    start = 0
+    if tuples is not None:
+        holds = {}
+        for key, (first, basis) in tuples.items():
+            if predicate(basis) is not None:
+                holds[key], start = False, first
+                break
+            holds[key] = True
+        else:
+            return AxiomCheck(name, True, len(items))
 
-    def label_holds(label):
-        ok = holds.get(label)
-        if ok is None:
-            ok = holds[label] = predicate(AlgebroidElement._of(carrier, 1, {label: _ONE})) is None
-        return ok
+        def tuple_holds(key):
+            ok = holds.get(key)
+            if ok is None:
+                ok = holds[key] = predicate(tuples[key][1]) is None
+            return ok
 
-    for item in items:
-        if carrier is not None and all(label_holds(l) for l in item._c):
-            checked += 1
+    for checked, item in enumerate(items[start:], start + 1):
+        if tuples is not None and all(tuple_holds(key) for key in _label_keys(item)):
             continue
         witness = predicate(item)
-        checked += 1
         if witness is not None:
             return AxiomCheck(name, False, checked, witness)
-    return AxiomCheck(name, True, checked)
+    return AxiomCheck(name, True, len(items))
 
 
 def check_axioms(carrier: HopfAlgebroid, samples: int = 100, seed: int = 1) -> AxiomReport:
@@ -873,16 +921,21 @@ def check_axioms(carrier: HopfAlgebroid, samples: int = 100, seed: int = 1) -> A
     violation a failed check named ``validate`` with its message as the
     witness; the sampled laws still run, and ``analyze`` stops on any failed
     check.  A carrier with truncation 0 and at most ``EXHAUSTIVE_MAX_LABELS``
-    labels is checked on every basis tuple.  Any other is sampled,
-    deterministically in ``seed`` and inside the degree cap of
-    ``random_element``, so a ``TruncationOverflow`` is an error and leaves
+    labels is checked on every basis tuple, each evaluated directly.  Any
+    other is sampled, deterministically in ``seed`` and inside the degree cap
+    of ``random_element``, so a ``TruncationOverflow`` is an error and leaves
     ``check_axioms``; ``resampled`` stays 0.  The draws read
     ``random.Random(seed)`` through ``getrandbits`` alone.  On a valid model
     every law passes every sample, so the report is the same at every seed.
-    The six laws of one sample are
-    linear in it, so ``run_law`` proves them label by label and evaluates
-    only the samples whose labels do not all pass.
+    Every sampled law is linear in each of its samples.  So each list of
+    singles, pairs or triples whose distinct label tuples are no more than
+    its samples is checked by ``run_law`` on those tuples, and a sample is
+    evaluated only when one of its tuples fails; a list with more tuples is
+    evaluated sample by sample.  A negative ``samples`` raises
+    ``ValueError`` before any draw.
     """
+    if samples < 0:
+        raise ValueError(f"sample count must be nonnegative, got {samples}")
     rng = random.Random(seed)
     report = AxiomReport()
     report.checks.extend(AxiomCheck("validate", False, 1, v) for v in carrier.validate())
@@ -901,11 +954,22 @@ def check_axioms(carrier: HopfAlgebroid, samples: int = 100, seed: int = 1) -> A
         singles = [draw() for _ in range(samples)]
         pairs = [(draw(), draw()) for _ in range(samples)]
         triples = [(draw(), draw(), draw()) for _ in range(samples)]
+    # Decided once per list, for every law that reads it.  A full basis is
+    # its own list of label tuples, so it is evaluated directly.
+    single_tuples, pair_tuples, triple_tuples = (
+        None if exhaustive else label_tuples(items) for items in (singles, pairs, triples))
 
-    # Three laws read each pair sample's product, so it is built once here;
-    # two samples of degree <= N // 3 multiply to degree <= 2N/3, so none
-    # overflows outside ``run_law``.
-    with_product = [(a, b, carrier.mul(a, b)) for a, b in pairs]
+    # Three laws read each pair's product, so it is built on first use and
+    # shared.  A pair, sampled or of basis elements, lives as long as its list
+    # and is keyed by its identity.  Two samples of degree <= N // 3 multiply
+    # to degree <= 2N/3, so none overflows.
+    products = {}
+
+    def product(ab):
+        ab_product = products.get(id(ab))
+        if ab_product is None:
+            ab_product = products[id(ab)] = carrier.mul(*ab)
+        return ab_product
 
     indicators = [BaseFun.indicator(carrier.base, p) for p in carrier.base.points]
     embedded = [carrier.embed(f) for f in indicators]
@@ -934,15 +998,15 @@ def check_axioms(carrier: HopfAlgebroid, samples: int = 100, seed: int = 1) -> A
     # and embed exact counit values, which ``carrier.counit`` exposes as Fractions.
     counit, embed = carrier._counit_values, carrier._embed_values
 
-    def counit_mult(abp):
-        a, b, ab = abp
-        lhs = counit(ab)
+    def counit_mult(pair):
+        a, b = pair
+        lhs = counit(product(pair))
         rhs = counit(carrier.mul(a, embed(counit(b))))
         return None if lhs == rhs else fmt(a, b)
 
-    def comult_mult(abp):
-        a, b, ab = abp
-        lhs = carrier.delta(ab)
+    def comult_mult(pair):
+        a, b = pair
+        lhs = carrier.delta(product(pair))
         rhs = carrier.delta(a).mul_pairwise(carrier.delta(b))
         return None if lhs == rhs else fmt(a, b)
 
@@ -950,9 +1014,9 @@ def check_axioms(carrier: HopfAlgebroid, samples: int = 100, seed: int = 1) -> A
     def antipode_on_base(e):
         return None if carrier.antipode(e) == e else e.text()
 
-    def antihom(abp):
-        a, b, ab = abp
-        lhs = carrier.antipode(ab)
+    def antihom(pair):
+        a, b = pair
+        lhs = carrier.antipode(product(pair))
         rhs = carrier.mul(carrier.antipode(b), carrier.antipode(a))
         return None if lhs == rhs else fmt(a, b)
 
@@ -983,21 +1047,20 @@ def check_axioms(carrier: HopfAlgebroid, samples: int = 100, seed: int = 1) -> A
         rhs = carrier.mul(a, carrier.mul(b, c))
         return None if lhs == rhs else fmt(a, b, c)
 
-    # The laws of one sample are linear in it: ``run_law`` checks them by labels.
     laws = [
-        ("axiom_i_counit_on_base", on_base, counit_on_base, None),
-        ("axiom_i_comult_on_base", on_base, comult_on_base, None),
-        ("axiom_ii_balanced_coproduct", singles, balanced, carrier),
-        ("axiom_iii_counit_multiplicative", with_product, counit_mult, None),
-        ("axiom_iii_comult_multiplicative", with_product, comult_mult, None),
-        ("axiom_iv_antipode_on_base", embedded, antipode_on_base, None),
-        ("axiom_iv_antihomomorphism", with_product, antihom, None),
-        ("axiom_v_antipode_convolution", singles, convolution_identity, carrier),
-        ("coassociativity", singles, coassoc, carrier),
-        ("counit_law_left", singles, counit_left, carrier),
-        ("counit_law_right", singles, counit_right, carrier),
-        ("antipode_involutive", singles, involutive, carrier),
-        ("associativity", triples, assoc, None),
+        ("axiom_i_counit_on_base", on_base, counit_on_base),
+        ("axiom_i_comult_on_base", on_base, comult_on_base),
+        ("axiom_ii_balanced_coproduct", singles, balanced, single_tuples),
+        ("axiom_iii_counit_multiplicative", pairs, counit_mult, pair_tuples),
+        ("axiom_iii_comult_multiplicative", pairs, comult_mult, pair_tuples),
+        ("axiom_iv_antipode_on_base", embedded, antipode_on_base),
+        ("axiom_iv_antihomomorphism", pairs, antihom, pair_tuples),
+        ("axiom_v_antipode_convolution", singles, convolution_identity, single_tuples),
+        ("coassociativity", singles, coassoc, single_tuples),
+        ("counit_law_left", singles, counit_left, single_tuples),
+        ("counit_law_right", singles, counit_right, single_tuples),
+        ("antipode_involutive", singles, involutive, single_tuples),
+        ("associativity", triples, assoc, triple_tuples),
     ]
     report.checks.extend(run_law(*law) for law in laws)
     return report

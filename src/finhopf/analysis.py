@@ -44,6 +44,7 @@ from .algebroid import (
     FiberTensor,
     HopfAlgebroid,
     check_axioms,
+    label_tuples,
     pair_terms,
     run_law,
 )
@@ -640,7 +641,10 @@ def _verify_theta_hom(theta: ThetaMap, truncation):
 
     The samples are drawn first, from one seeded stream, of degree at most half
     the truncation: no law multiplies more than two, so none overflows.  Each
-    law of one sample is linear in it, and ``run_law`` checks it by labels.
+    law but the one on the base is linear in each element of its samples, so
+    ``run_law`` checks it on their distinct label tuples, single labels or
+    label pairs, when there are no more of them than samples, and evaluates
+    the samples themselves otherwise.
     """
     rng = random.Random(THETA_HOM_SEED)
     domain, codomain = theta.domain, theta.codomain
@@ -679,11 +683,11 @@ def _verify_theta_hom(theta: ThetaMap, truncation):
         return None
 
     laws = [
-        ("theta_multiplicative", pairs, mult, None),
-        ("theta_counit", singles[0], counit, domain),
-        ("theta_comultiplicative", singles[1], comult, domain),
-        ("theta_antipode", singles[2], antipode, domain),
-        ("theta_on_base", [None], on_base, None),
+        ("theta_multiplicative", pairs, mult, label_tuples(pairs)),
+        ("theta_counit", singles[0], counit, label_tuples(singles[0])),
+        ("theta_comultiplicative", singles[1], comult, label_tuples(singles[1])),
+        ("theta_antipode", singles[2], antipode, label_tuples(singles[2])),
+        ("theta_on_base", [None], on_base),
     ]
     return [run_law(*law) for law in laws]
 

@@ -170,6 +170,17 @@ def _cmd_schema(args):
     return EXIT_OK
 
 
+def _sample_count(text):
+    """A ``--samples`` value: a nonnegative integer, else a usage error."""
+    try:
+        count = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if count < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {count}")
+    return count
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="finhopf",
@@ -188,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("validate", _cmd_validate, "check the structural laws of a model")
 
     p = add("check-axioms", _cmd_check_axioms, "run the Hopf axiom suite")
-    p.add_argument("--samples", type=int, default=100)
+    p.add_argument("--samples", type=_sample_count, default=100)
     p.add_argument("--seed", type=int, default=1)
 
     add("primitives", _cmd_primitives, "solve for the primitive module")
@@ -199,12 +210,12 @@ def build_parser() -> argparse.ArgumentParser:
     add("spectral", _cmd_spectral, "reconstruct the spectral groupoid")
 
     p = add("cgk", _cmd_cgk, "decide the Cartier-Gabriel-Kostant decomposition")
-    p.add_argument("--samples", type=int, default=60)
+    p.add_argument("--samples", type=_sample_count, default=60)
     p.add_argument("--seed", type=int, default=11)
 
     p = add("roundtrip", _cmd_roundtrip,
             "rebuild groupoid and action from a constructed model and compare")
-    p.add_argument("--samples", type=int, default=60)
+    p.add_argument("--samples", type=_sample_count, default=60)
     p.add_argument("--seed", type=int, default=11)
 
     p = sub.add_parser("gen", help="emit a built-in model")

@@ -1,6 +1,8 @@
 """Carrier-level behaviour: convolution goldens, axiom suite, table import."""
 
 import ast
+import itertools
+import math
 import operator
 import random
 from fractions import Fraction
@@ -19,6 +21,7 @@ from finhopf.algebroid import (
     HopfAlgebroid,
     TableAlgebroid,
     check_axioms,
+    label_tuples,
     run_law,
 )
 from finhopf.analysis import analyze
@@ -328,8 +331,23 @@ def test_non_involutive_antipode_caught_by_suite():
                for c in report.failures())
 
 
-def test_each_single_sample_coproduct_is_built_once(monkeypatch):
+def sl2_n4_label_tuples():
+    """The distinct labels of the 100 single samples of ``check_axioms`` on
+    bench ``sl2`` N=4 at seed 1, and the distinct label pairs of its 100 pair
+    samples: each list has no more of them than samples, so both are
+    checked by labels."""
     carrier = carrier_from_model(load("workloads").sl2_model(4))
+    rng = random.Random(1)
+    draws = [carrier.random_element(rng) for _ in range(300)]
+    labels = {l for a in draws[:100] for l in a._c}
+    pairs = {(l1, l2) for a, b in zip(draws[100::2], draws[101::2])
+             for l1 in a._c for l2 in b._c}
+    assert (len(labels), len(pairs)) == (8, 64)
+    return carrier, labels, pairs
+
+
+def test_each_single_sample_coproduct_is_built_once(monkeypatch):
+    carrier, labels, pairs = sl2_n4_label_tuples()
     calls = []
     real = HopfAlgebroid.delta
 
@@ -341,17 +359,15 @@ def test_each_single_sample_coproduct_is_built_once(monkeypatch):
         patch.setattr(HopfAlgebroid, "delta", counting)
         report = check_axioms(carrier, samples=100)
     assert report.ok and len(carrier.base.points) == 1
-    # The single samples are the first 100 draws.  Every label they use
-    # passes, so no single sample falls back: the five laws that read a
-    # coproduct build one per label each, then three per pair for the
-    # multiplicative coproduct, and one per point on the base.
-    rng = random.Random(1)
-    labels = {l for _ in range(100) for l in carrier.random_element(rng)._c}
-    assert len(calls) == 5 * len(labels) + 3 * 100 + 1
+    # Every label and label pair that the samples use passes, so no sample
+    # is evaluated: the five laws that read a coproduct build one per label
+    # each, the multiplicative coproduct three per label pair, and one per
+    # point on the base.
+    assert len(calls) == 5 * len(labels) + 3 * len(pairs) + 1
 
 
 def test_each_pair_sample_product_is_built_once(monkeypatch):
-    carrier = carrier_from_model(load("workloads").sl2_model(4))
+    carrier, _, pairs = sl2_n4_label_tuples()
     calls = []
     real = HopfAlgebroid.mul
 
@@ -364,13 +380,15 @@ def test_each_pair_sample_product_is_built_once(monkeypatch):
         patch.setattr(type(carrier), "mul", counting)
         report = check_axioms(carrier, samples=100, seed=1)
     assert report.ok
-    # Three per pair (its product, shared by three laws, then one more for the
-    # counit law and one for the antihomomorphism), four per triple.
-    assert len(calls) == 3 * 100 + 4 * 100
+    # Three per label pair (its product, shared by three laws, then one more
+    # for the counit law and one for the antihomomorphism).  The triples use
+    # more label triples than there are samples, so each of them is
+    # evaluated: four products per triple.
+    assert len(calls) == 3 * len(pairs) + 4 * 100
 
 
-def every_sample(name, items, predicate, carrier=None):
-    """``run_law`` without the labels: every item is evaluated in turn."""
+def every_sample(name, items, predicate, tuples=None):
+    """``run_law`` without the label tuples: every item is evaluated in turn."""
     checked = 0
     for item in items:
         witness = predicate(item)
@@ -380,12 +398,13 @@ def every_sample(name, items, predicate, carrier=None):
     return algebroid.AxiomCheck(name, True, checked)
 
 
-def perturbed_caches(model, table, label, terms):
-    """The carrier of ``model`` with one label's memoized coproduct or
-    antipode (``table`` is ``"_delta_cache"`` or ``"_antipode_cache"``)
-    replaced by ``terms``."""
+def perturbed_caches(model, table, key, terms):
+    """The carrier of ``model`` with one entry of a memoized table replaced
+    by ``terms``: a label's coproduct or antipode (``table`` is
+    ``"_delta_cache"`` or ``"_antipode_cache"``), or a label pair's product
+    (``"_products"``, or a table carrier's ``"_mul"``)."""
     carrier = carrier_from_model(model)
-    getattr(carrier, table)[label] = terms
+    getattr(carrier, table)[key] = terms
     return carrier
 
 
@@ -413,6 +432,21 @@ def oracle_carriers():
     funs3 = funs3_model()
     funs3["table"]["antipode"]["d120"] = {"d201": 2}
     yield ("funs3", "antipode"), carrier_from_model(funs3)
+    # One stray term in a label product each.  On z2line the pair samples use
+    # fewer label pairs than there are samples, so the pair laws take the
+    # label path, and on its two-label flat variant associativity does too;
+    # funs3 is checked on every basis tuple directly.
+    yield ("z2line", "product"), perturbed_caches(
+        z2line_model(), "_products", (x, ("s", (1,))),
+        ((("s", (2,)), 1), (("s", (0,)), 1)))
+    yield ("pairh3", "product"), perturbed_caches(
+        pairh3_model(), "_products", (p, ("ayx", (0, 1, 0))),
+        ((("axx", (1, 1, 0)), 1), (("axx", unit), 1)))
+    yield ("funs3", "product"), perturbed_caches(
+        funs3_model(), "_mul", ("d012", "d021"), (("d012", 1),))
+    e, s = ("e", ()), ("s", ())
+    yield ("flat z2line", "product"), perturbed_caches(
+        flat_z2line_model(4), "_products", (e, s), ((s, 1), (e, 1)))
 
 
 def test_labelwise_report_equals_evaluating_every_sample(monkeypatch):
@@ -428,8 +462,9 @@ def test_labelwise_report_equals_evaluating_every_sample(monkeypatch):
         if not report["ok"]:
             failing.add(key)
     # Each perturbation is caught, so witnesses are compared too.
-    assert failing == {(name, table) for name in ("z2line", "pairh3", "funs3")
-                       for table in ("delta", "antipode")}
+    perturbed = {(name, table) for name in ("z2line", "pairh3", "funs3")
+                 for table in ("delta", "antipode", "product")}
+    assert failing == perturbed | {("flat z2line", "product")}
 
 
 def test_a_linear_law_passes_a_sample_whose_failing_labels_cancel():
@@ -449,14 +484,105 @@ def test_a_linear_law_passes_a_sample_whose_failing_labels_cancel():
         return None if carrier.delta(a).counit_leg(0).to_element() == a else a.text()
 
     X, Y, S = (carrier.basis_element(l) for l in (x, y, ("s", (1,))))
-    check = run_law("counit_law_left", [X + Y, S.scale(3), X + Y.scale(2)],
-                    counit_left, carrier)
+    items = [X + Y, S.scale(3), X + Y.scale(2)]
+    check = run_law("counit_law_left", items, counit_left, label_tuples(items))
     assert (check.ok, check.checked) == (False, 3)
     assert check.witness == (X + Y.scale(2)).text() == "1*X@e + 2*X^2@e"
     # x fails, so x + y is evaluated with y unread; the label of 3 S, but not
     # 3 S itself; then x + 2y, whose label x is known to fail.
     assert evaluated == [X.text(), (X + Y).text(), S.text(), check.witness]
     assert counit_left(X) and counit_left(Y) and counit_left(X + Y) is None
+
+
+def test_a_bilinear_law_passes_a_pair_whose_failing_label_pairs_cancel():
+    """The counit is multiplicative on a pair exactly when eps(ab) equals
+    eps(a eps(b)).  With opposite stray units in the products of the label
+    pairs (x, x) and (x, y), it fails on both and holds on (x, x + y): that
+    pair is evaluated, counts as checked and passes.  A later failing pair
+    is its own witness, and a pair of label pairs that hold is counted
+    without being evaluated."""
+    x, y, one = ("e", (1,)), ("e", (2,)), ("e", (0,))
+    carrier = carrier_from_model(z2line_model())
+    for pair, c in (((x, x), 1), ((x, y), -1)):
+        carrier._products[pair] = carrier.mul_label(*pair) + ((one, c),)
+    counit, embed = carrier._counit_values, carrier._embed_values
+    evaluated = []
+
+    def counit_mult(pair):
+        a, b = pair
+        evaluated.append(f"{a.text()}; {b.text()}")
+        ok = counit(carrier.mul(a, b)) == counit(carrier.mul(a, embed(counit(b))))
+        return None if ok else evaluated[-1]
+
+    X, Y, S = (carrier.basis_element(l) for l in (x, y, ("s", (1,))))
+    items = [(X, X + Y), (S.scale(3), S), (X, X + Y.scale(2))]
+    tuples = label_tuples(items)
+    assert list(tuples) == [(x, x), (x, y), (("s", (1,)), ("s", (1,)))]
+    check = run_law("axiom_iii_counit_multiplicative", items, counit_mult, tuples)
+    assert (check.ok, check.checked) == (False, 3)
+    assert check.witness == "1*X@e; 1*X@e + 2*X^2@e"
+    # (x, x) fails, so (x, x + y) is evaluated with (x, y) unread; the label
+    # pair of (3 S, S), but not that pair itself; then (x, x + 2y), whose
+    # label pair (x, x) is known to fail.
+    assert evaluated == ["1*X@e; 1*X@e", "1*X@e; 1*X@e + 1*X^2@e", "1*X@s; 1*X@s",
+                         check.witness]
+    assert counit_mult((X, X)) and counit_mult((X, Y)) and counit_mult((X, X + Y)) is None
+
+
+def multilinear_operations(carrier, seed):
+    """Each operation the axiom laws read, with seeded sample arguments:
+    elements, or coproducts of elements where it takes tensors."""
+    rng = random.Random(seed)
+    a, b, c, d = (carrier.random_element(rng) for _ in range(4))
+    t, u = carrier.delta(c), carrier.delta(d)
+    return [
+        ("mul", carrier.mul, (a, b)),
+        ("delta", carrier.delta, (a,)),
+        ("antipode", carrier.antipode, (a,)),
+        ("_counit_values", carrier._counit_values, (a,)),
+        ("mul_pairwise", FiberTensor.mul_pairwise, (t, u)),
+        ("collapse", FiberTensor.collapse, (t,)),
+        *((f"delta_leg {leg}", partial(FiberTensor.delta_leg, leg=leg), (t,)) for leg in (0, 1)),
+        *((f"counit_leg {leg}", partial(FiberTensor.counit_leg, leg=leg), (t,)) for leg in (0, 1)),
+        *((f"right_mul_leg {leg}", lambda v, e, leg=leg: v.right_mul_leg(leg, e), (t, b))
+          for leg in (0, 1)),
+    ]
+
+
+def basis_terms(x):
+    """``x`` as ``(coefficient, basis element or basis tensor)`` terms."""
+    return [(c, type(x)._of(x.carrier, x.arity, {key: 1})) for key, c in x._c.items()]
+
+
+def weighted_sum(terms):
+    """The sum of ``c * value`` over the terms, for values that are elements,
+    tensors or tuples of scalars."""
+    total = None
+    for c, value in terms:
+        if isinstance(value, tuple):
+            value = tuple(c * v for v in value)
+            total = value if total is None else tuple(map(operator.add, total, value))
+        else:
+            value = value.scale(c)
+            total = value if total is None else total + value
+    return total
+
+
+def test_the_operations_the_laws_read_are_multilinear():
+    """What the label path of ``run_law`` rests on: each operation that a law
+    reads is the coefficient-weighted sum of its values on the basis labels,
+    or label tuples, of its arguments' supports."""
+    carriers = [("sl2", carrier_from_model(load("workloads").sl2_model(4))),
+                ("pairh3", carrier_from_model(pairh3_model())),
+                ("funs3", carrier_from_model(funs3_model()))]
+    carriers += [(("random", s), carrier_from_model(random_model(s))) for s in range(40)]
+    for key, carrier in carriers:
+        for seed in (1, 2):
+            for name, operation, args in multilinear_operations(carrier, seed):
+                expected = weighted_sum(
+                    (math.prod(c for c, _ in combo), operation(*(x for _, x in combo)))
+                    for combo in itertools.product(*map(basis_terms, args)))
+                assert operation(*args) == expected, (key, name, seed)
 
 
 SAMPLED_LAWS = {
@@ -560,7 +686,8 @@ def test_an_overflow_in_a_law_is_an_error(monkeypatch):
         raise TruncationOverflow(5, 4)
 
     with pytest.raises(TruncationOverflow):
-        run_law("law", [carrier.basis_element(("e", (1,)))], overflows, carrier)
+        items = [carrier.basis_element(("e", (1,)))]
+        run_law("law", items, overflows, label_tuples(items))
 
     draw_up_to_the_truncation(monkeypatch)
     with pytest.raises(TruncationOverflow):
@@ -572,16 +699,24 @@ def test_an_overflow_in_a_law_is_an_error(monkeypatch):
 
 def test_zero_samples_are_inconclusive_not_a_pass():
     carrier = carrier_from_model(pairh3_model())
-    for samples in (0, -3):
-        report = check_axioms(carrier, samples=samples, seed=1)
-        statuses = {c.name: c.status for c in report.checks}
-        # the base laws run on every point, the sampled ones on nothing
-        assert statuses["axiom_i_counit_on_base"] == "pass"
-        assert statuses["associativity"] == "inconclusive"
-        assert not report.failures() and not report.ok
-        assert report.to_json()["ok"] is False
-        assert "INCONCLUSIVE associativity (checked 0)" in report.text()
-        assert report.text().endswith("INCONCLUSIVE overall")
+    report = check_axioms(carrier, samples=0, seed=1)
+    statuses = {c.name: c.status for c in report.checks}
+    # the base laws run on every point, the sampled ones on nothing
+    assert statuses["axiom_i_counit_on_base"] == "pass"
+    assert statuses["associativity"] == "inconclusive"
+    assert not report.failures() and not report.ok
+    assert report.to_json()["ok"] is False
+    assert "INCONCLUSIVE associativity (checked 0)" in report.text()
+    assert report.text().endswith("INCONCLUSIVE overall")
+
+
+def test_a_negative_sample_count_raises_before_drawing(monkeypatch):
+    """A negative count is a caller's error, not zero samples."""
+    carrier = carrier_from_model(pairh3_model())
+    monkeypatch.setattr(HopfAlgebroid, "random_element",
+                        lambda *args, **kwargs: pytest.fail("drew a sample"))
+    with pytest.raises(ValueError, match="nonnegative, got -3"):
+        check_axioms(carrier, samples=-3, seed=1)
 
 
 # ---------------------------------------------------------------------------

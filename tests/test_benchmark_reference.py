@@ -60,3 +60,25 @@ def test_job_matches_its_reference_digest(key, tmp_path):
     result = ENTRY_POINTS[entry](modelio.load_carrier(path), **workloads.ENTRY_DEFAULTS[entry])
     expect = checks.expectations(name, doc)
     assert checks.job_problems(entry, result, expect, REFERENCE["digests"][key]) == []
+
+
+def test_every_corpus_pool_job_matches_its_reference_digest(tmp_path):
+    """Every ``check-axioms`` and ``roundtrip`` job on every ``random_model``
+    that some bench seed can draw into ``corpus-mixed``: one stratum of one
+    seed each gives the whole pool, built as the benchmark builds it."""
+    pool = [[s] for stratum in REFERENCE["corpus_strata"] for s in stratum]
+    docs, jobs = workloads.model_documents("corpus-mixed", 0, pool)
+    jobs = [job for job in jobs if job.model.startswith("random-")]
+    assert (len(pool), len(jobs)) == (128, 256)
+    problems = {}
+    for job in jobs:
+        doc = docs[job.model]
+        path = tmp_path / f"{job.model}.json"
+        modelio.save_model(doc, path)
+        result = ENTRY_POINTS[job.entry](modelio.load_carrier(path),
+                                         **workloads.ENTRY_DEFAULTS[job.entry])
+        found = checks.job_problems(job.entry, result, checks.expectations(job.model, doc),
+                                    REFERENCE["digests"][job.key])
+        if found:
+            problems[job.key] = found
+    assert problems == {}

@@ -94,6 +94,13 @@ def test_zero_samples_are_inconclusive(model_files, capsys):
     assert out.rstrip().endswith("INCONCLUSIVE overall")
 
 
+@pytest.mark.parametrize("command", ["check-axioms", "cgk", "roundtrip"])
+def test_a_negative_sample_count_is_a_usage_error(model_files, command, capsys):
+    code, out, err = run([command, model_files["pairh3"], "--samples", "-3"], capsys)
+    assert code == EXIT_INPUT_ERROR and out == ""
+    assert "argument --samples: must be nonnegative, got -3" in err
+
+
 def test_an_overflow_in_a_law_is_an_input_error(model_files, monkeypatch, capsys):
     draw_up_to_the_truncation(monkeypatch)
     code, out, err = run(["check-axioms", model_files["z2line"]], capsys)
