@@ -46,11 +46,12 @@ labels uniformly from those under the degree cap, each with a coefficient
 in -3..3 other than 0, from ``getrandbits`` alone.  Every sampled law is
 linear in each element of its sample, a single, a pair or a triple, and one
 harness, ``run_law``, checks them all.  When a list of samples has no more
-distinct label tuples (supp a x supp b ...) than samples, each law checks
-every tuple once, as basis elements, and evaluates a sample itself only
-when one of its tuples fails; otherwise, and on full bases, each sample is
-evaluated directly.  ``checked`` still counts samples, each proved directly
-or by multilinearity from its label tuples.
+distinct label tuples (supp a x supp b ...) than samples, as a full basis
+with one per sample has, each law checks every tuple once, as basis
+elements, and after a failing tuple evaluates the samples from the first
+that contains it; otherwise each sample is evaluated.  ``checked`` still
+counts samples, each proved directly or by multilinearity from its label
+tuples.
 """
 
 from __future__ import annotations
@@ -835,39 +836,38 @@ class AxiomReport:
         return "\n".join(lines)
 
 
-def _label_keys(item):
-    """The label tuples of a sample: the labels of an element, or
-    supp a x supp b (x supp c) of a tuple of elements."""
-    if isinstance(item, AlgebroidElement):
-        return item._c
-    return itertools.product(*(x._c for x in item))
-
-
-def _basis_item(item, key):
-    """The sample of basis elements at the label tuple ``key`` of ``item``."""
-    if isinstance(item, AlgebroidElement):
-        return AlgebroidElement._of(item.carrier, 1, {key: _ONE})
-    return tuple(AlgebroidElement._of(x.carrier, 1, {l: _ONE}) for x, l in zip(item, key))
-
-
 def label_tuples(items):
     """The distinct label tuples of samples of a multilinear law, or None.
 
-    An item is an element or a tuple of elements.  Walking the items in
-    order, each label tuple of their supports is kept once, in order of first
-    appearance, as ``key -> (index of that item, basis item)``.  The walk
-    stops with None as soon as the tuples outnumber the items: checking each
-    would then take more evaluations than checking each item.
+    An item is an element or a tuple of elements, all of one carrier.
+    Walking the items in order, each label tuple of their supports (supp a x
+    supp b ...) is kept once, in order of first appearance, as ``key ->
+    (index of that item, basis item)``; the basis items share one element
+    per label.  The walk stops with None as soon as the tuples outnumber the
+    items: checking each would then take more evaluations than checking each
+    item.  A list of basis items has exactly one tuple per item.
     """
     first = {}
     limit = len(items)
     for i, item in enumerate(items):
-        for key in _label_keys(item):
+        if isinstance(item, AlgebroidElement):
+            keys = item._c
+        else:
+            keys = itertools.product(*(x._c for x in item))
+        for key in keys:
             if key not in first:
                 if len(first) == limit:
                     return None
                 first[key] = i
-    return {key: (i, _basis_item(items[i], key)) for key, i in first.items()}
+    units = {}
+
+    def unit(x, label):
+        if label not in units:
+            units[label] = AlgebroidElement._of(x.carrier, 1, {label: _ONE})
+        return units[label]
+
+    return {key: (i, unit(items[i], key) if isinstance(items[i], AlgebroidElement)
+                  else tuple(map(unit, items[i], key))) for key, i in first.items()}
 
 
 def run_law(name, items, predicate, tuples=None):
@@ -878,36 +878,22 @@ def run_law(name, items, predicate, tuples=None):
     is an error: ``TruncationOverflow`` leaves ``run_law``.
 
     Given ``tuples``, the ``label_tuples`` of ``items``, the law is linear in
-    each element of an item.  Each label tuple is then checked once, as its
-    basis item, in order of first appearance; when all hold, every item is
-    counted checked without being evaluated, since it is a combination of
-    them.  From the item where a tuple first fails, the items are walked in
-    turn: one whose tuples all hold is counted, and one with a failing tuple
-    is evaluated itself.  So a cancellation still passes, a failing item is
-    its own witness, and the tuples checked, the items evaluated and
-    ``checked`` are those of checking each item's tuples before it, in turn.
-    Without ``tuples``, every item is evaluated.
+    each element of an item, and each label tuple is checked once, as its
+    basis item, in order of first appearance.  When all hold, every item
+    holds by multilinearity and is counted checked.  When one fails, the
+    items are evaluated from the first that contains it, as they all are
+    without ``tuples``; every item before that one is a combination of
+    tuples that hold, so the report is that of evaluating every item.
     """
     start = 0
     if tuples is not None:
-        holds = {}
-        for key, (first, basis) in tuples.items():
+        for first, basis in tuples.values():
             if predicate(basis) is not None:
-                holds[key], start = False, first
+                start = first
                 break
-            holds[key] = True
         else:
             return AxiomCheck(name, True, len(items))
-
-        def tuple_holds(key):
-            ok = holds.get(key)
-            if ok is None:
-                ok = holds[key] = predicate(tuples[key][1]) is None
-            return ok
-
     for checked, item in enumerate(items[start:], start + 1):
-        if tuples is not None and all(tuple_holds(key) for key in _label_keys(item)):
-            continue
         witness = predicate(item)
         if witness is not None:
             return AxiomCheck(name, False, checked, witness)
@@ -921,18 +907,15 @@ def check_axioms(carrier: HopfAlgebroid, samples: int = 100, seed: int = 1) -> A
     violation a failed check named ``validate`` with its message as the
     witness; the sampled laws still run, and ``analyze`` stops on any failed
     check.  A carrier with truncation 0 and at most ``EXHAUSTIVE_MAX_LABELS``
-    labels is checked on every basis tuple, each evaluated directly.  Any
-    other is sampled, deterministically in ``seed`` and inside the degree cap
-    of ``random_element``, so a ``TruncationOverflow`` is an error and leaves
+    labels is checked on every basis tuple.  Any other is sampled,
+    deterministically in ``seed`` and inside the degree cap of
+    ``random_element``, so a ``TruncationOverflow`` is an error and leaves
     ``check_axioms``; ``resampled`` stays 0.  The draws read
     ``random.Random(seed)`` through ``getrandbits`` alone.  On a valid model
     every law passes every sample, so the report is the same at every seed.
-    Every sampled law is linear in each of its samples.  So each list of
-    singles, pairs or triples whose distinct label tuples are no more than
-    its samples is checked by ``run_law`` on those tuples, and a sample is
-    evaluated only when one of its tuples fails; a list with more tuples is
-    evaluated sample by sample.  A negative ``samples`` raises
-    ``ValueError`` before any draw.
+    Every law on a list of singles, pairs or triples is multilinear, so
+    ``run_law`` checks it on the list's ``label_tuples``.  A negative
+    ``samples`` raises ``ValueError`` before any draw.
     """
     if samples < 0:
         raise ValueError(f"sample count must be nonnegative, got {samples}")
@@ -940,11 +923,9 @@ def check_axioms(carrier: HopfAlgebroid, samples: int = 100, seed: int = 1) -> A
     report = AxiomReport()
     report.checks.extend(AxiomCheck("validate", False, 1, v) for v in carrier.validate())
 
-    exhaustive = carrier.truncation == 0 and carrier.dim <= EXHAUSTIVE_MAX_LABELS
-    if exhaustive:
+    if carrier.truncation == 0 and carrier.dim <= EXHAUSTIVE_MAX_LABELS:
         report.mode = "exhaustive-basis"
-        basis = [carrier.basis_element(l) for l in carrier.labels]
-        singles = list(basis)
+        singles = basis = [carrier.basis_element(l) for l in carrier.labels]
         pairs = [(a, b) for a in basis for b in basis]
         triples = [(a, b, c) for a in basis for b in basis for c in basis]
     else:
@@ -954,15 +935,14 @@ def check_axioms(carrier: HopfAlgebroid, samples: int = 100, seed: int = 1) -> A
         singles = [draw() for _ in range(samples)]
         pairs = [(draw(), draw()) for _ in range(samples)]
         triples = [(draw(), draw(), draw()) for _ in range(samples)]
-    # Decided once per list, for every law that reads it.  A full basis is
-    # its own list of label tuples, so it is evaluated directly.
+    # Decided once per list, for every law that reads it.
     single_tuples, pair_tuples, triple_tuples = (
-        None if exhaustive else label_tuples(items) for items in (singles, pairs, triples))
+        label_tuples(items) for items in (singles, pairs, triples))
 
     # Three laws read each pair's product, so it is built on first use and
-    # shared.  A pair, sampled or of basis elements, lives as long as its list
-    # and is keyed by its identity.  Two samples of degree <= N // 3 multiply
-    # to degree <= 2N/3, so none overflows.
+    # shared.  A pair, a sample or a basis item of ``pair_tuples``, lives as
+    # long as this call and is keyed by its identity.  Two samples of degree
+    # <= N // 3 multiply to degree <= 2N/3, so none overflows.
     products = {}
 
     def product(ab):

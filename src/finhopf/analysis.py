@@ -82,6 +82,14 @@ class PrimBasis:
     s_negates: bool = True
     anchor_trivial: bool = True
     bracket_closed: bool = True
+    # point -> the pivot label of each basis vector there, its first label
+    pivots: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.pivots = {
+            p: [next(l for l in self.carrier.labels_at(p) if l in b._c) for b in basis]
+            for p, basis in self.per_point.items()
+        }
 
     def rank_at(self, point) -> int:
         return len(self.per_point.get(point, []))
@@ -118,19 +126,17 @@ class PrimBasis:
         """Coordinates of a single-fiber element in the basis at ``point``.
 
         The basis at a point is a reduced echelon form with pivot entries 1,
-        so the coordinates are the element's entries at the pivot labels (the
-        first label of each basis vector); they are the answer exactly when
-        they rebuild the element, and None means it is outside the span.
+        so the coordinates are the element's entries at the ``pivots``; they
+        are the answer exactly when they rebuild the element, and None means
+        it is outside the span.
         """
         if any(t != point for t in element.target_points()):
             return None
-        labels = self.carrier.labels_at(point)
         basis = self.per_point.get(point, [])
-        coords = tuple(
-            element.coeffs.get(next(l for l in labels if l in b.coeffs), _ZERO) for b in basis
-        )
+        coeffs = element.coeffs
+        coords = tuple(coeffs.get(l, _ZERO) for l in self.pivots.get(point, ()))
         rebuilt = linear(enumerate(coords), lambda i: basis[i].coeffs.items())
-        return coords if rebuilt == element.coeffs else None
+        return coords if rebuilt == coeffs else None
 
 
 def _primitives_constructed(carrier: ConvolutionAlgebroid, point, _unit):

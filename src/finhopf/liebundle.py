@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .groupoid import BaseSpace, FiniteGroupoid
 from .linalg import QMatrix
-from .rationals import rat
+from .rationals import add_terms, bilinear, linear, rat
 
 _ZERO = Fraction(0)
 
@@ -26,6 +26,8 @@ class LieFiber:
 
     basis: tuple[str, ...]
     brackets: tuple[tuple[tuple[Fraction, ...], ...], ...]
+    # terms[i][j]: the (k, c[i][j][k]) with c[i][j][k] != 0, in order of k.
+    terms: tuple = field(init=False, repr=False, compare=False)
     # The tables of U(fiber), filled by ``enveloping`` on first use and owned
     # by this fiber object; not part of its value.  ``pbw_table`` maps
     # (monomial, generator) to the normal form of m * x_i; ``product_table``
@@ -45,6 +47,9 @@ class LieFiber:
         ):
             raise ValueError("bracket table must be dim x dim x dim")
         object.__setattr__(self, "brackets", table)
+        object.__setattr__(self, "terms", tuple(
+            tuple(tuple((k, c) for k, c in enumerate(row) if c) for row in plane)
+            for plane in table))
 
     @property
     def dim(self) -> int:
@@ -97,23 +102,20 @@ class LieFiber:
     def validate(self) -> list[str]:
         report = []
         n = self.dim
+        t = self.terms
         for i in range(n):
             for j in range(n):
-                expect = tuple(-c for c in self.brackets[j][i])
-                if self.brackets[i][j] != expect:
+                if t[i][j] != tuple((k, -c) for k, c in t[j][i]):
                     report.append(
                         f"antisymmetry fails on ({self.basis[i]}, {self.basis[j]})"
                     )
-        # [[e_f, e_s], e_t] has coordinates sum_a c[f][s][a] c[a][t][m].
-        c = self.brackets
+        # [[e_f, e_s], e_u] has coordinates sum_a c[f][s][a] c[a][u][m].
         for i, j, k in itertools.product(range(n), repeat=3):
-            acc = [_ZERO] * n
-            for f, s, t in ((i, j, k), (j, k, i), (k, i, j)):
-                for a, x in enumerate(c[f][s]):
-                    if x:
-                        for m, y in enumerate(c[a][t]):
-                            acc[m] += x * y
-            if any(acc):
+            acc = {}
+            for f, s, u in ((i, j, k), (j, k, i), (k, i, j)):
+                for a, x in t[f][s]:
+                    add_terms(acc, ((m, x * y) for m, y in t[a][u]))
+            if acc:
                 report.append(
                     f"Jacobi fails on ({self.basis[i]}, {self.basis[j]}, {self.basis[k]})"
                 )
@@ -170,11 +172,13 @@ class BundleAction:
             if tgt.dim == src.dim and not m.is_invertible():
                 report.append(f"matrix of {arrow!r} is singular")
                 continue
+            columns = [[(r, x) for r, x in enumerate(m.column(k)) if x]
+                       for k in range(src.dim)]
             for i in range(src.dim):
                 for j in range(i + 1, src.dim):
-                    lhs = m.matvec(src.bracket_coeffs(i, j))
-                    rhs = tgt.bracket_of_vectors(m.column(i), m.column(j))
-                    if lhs != tuple(rhs):
+                    lhs = linear(src.terms[i][j], columns.__getitem__)
+                    rhs = bilinear(columns[i], columns[j], lambda a, b: tgt.terms[a][b])
+                    if lhs != rhs:
                         report.append(
                             f"matrix of {arrow!r} does not preserve the bracket "
                             f"({src.basis[i]}, {src.basis[j]})"

@@ -470,9 +470,9 @@ def test_labelwise_report_equals_evaluating_every_sample(monkeypatch):
 def test_a_linear_law_passes_a_sample_whose_failing_labels_cancel():
     """``counit_law_left`` fails on the labels x and y of a carrier whose
     coproducts of x and y carry opposite stray terms, and holds on x + y: that
-    sample is evaluated, counts as checked and passes.  A later failing
-    sample is its own witness, and a sample of labels that pass is counted
-    without being evaluated."""
+    sample is evaluated, counts as checked and passes.  After the failing
+    label, every later sample is evaluated, and the first that fails is the
+    witness."""
     x, y, one = ("e", (1,)), ("e", (2,)), ("e", (0,))
     carrier = carrier_from_model(z2line_model())
     for label, c in ((x, 1), (y, -1)):
@@ -488,9 +488,9 @@ def test_a_linear_law_passes_a_sample_whose_failing_labels_cancel():
     check = run_law("counit_law_left", items, counit_left, label_tuples(items))
     assert (check.ok, check.checked) == (False, 3)
     assert check.witness == (X + Y.scale(2)).text() == "1*X@e + 2*X^2@e"
-    # x fails, so x + y is evaluated with y unread; the label of 3 S, but not
-    # 3 S itself; then x + 2y, whose label x is known to fail.
-    assert evaluated == [X.text(), (X + Y).text(), S.text(), check.witness]
+    # x fails, so the samples are evaluated from x + y on, with y and the
+    # label of 3 S unread.
+    assert evaluated == [X.text(), (X + Y).text(), S.scale(3).text(), check.witness]
     assert counit_left(X) and counit_left(Y) and counit_left(X + Y) is None
 
 
@@ -498,9 +498,9 @@ def test_a_bilinear_law_passes_a_pair_whose_failing_label_pairs_cancel():
     """The counit is multiplicative on a pair exactly when eps(ab) equals
     eps(a eps(b)).  With opposite stray units in the products of the label
     pairs (x, x) and (x, y), it fails on both and holds on (x, x + y): that
-    pair is evaluated, counts as checked and passes.  A later failing pair
-    is its own witness, and a pair of label pairs that hold is counted
-    without being evaluated."""
+    pair is evaluated, counts as checked and passes.  After the failing
+    label pair, every later pair is evaluated, and the first that fails is
+    the witness."""
     x, y, one = ("e", (1,)), ("e", (2,)), ("e", (0,))
     carrier = carrier_from_model(z2line_model())
     for pair, c in (((x, x), 1), ((x, y), -1)):
@@ -521,10 +521,9 @@ def test_a_bilinear_law_passes_a_pair_whose_failing_label_pairs_cancel():
     check = run_law("axiom_iii_counit_multiplicative", items, counit_mult, tuples)
     assert (check.ok, check.checked) == (False, 3)
     assert check.witness == "1*X@e; 1*X@e + 2*X^2@e"
-    # (x, x) fails, so (x, x + y) is evaluated with (x, y) unread; the label
-    # pair of (3 S, S), but not that pair itself; then (x, x + 2y), whose
-    # label pair (x, x) is known to fail.
-    assert evaluated == ["1*X@e; 1*X@e", "1*X@e; 1*X@e + 1*X^2@e", "1*X@s; 1*X@s",
+    # (x, x) fails, so the pairs are evaluated from (x, x + y) on, with
+    # (x, y) and the label pair of (3 S, S) unread.
+    assert evaluated == ["1*X@e; 1*X@e", "1*X@e; 1*X@e + 1*X^2@e", "3*X@s; 1*X@s",
                          check.witness]
     assert counit_mult((X, X)) and counit_mult((X, Y)) and counit_mult((X, X + Y)) is None
 
@@ -631,6 +630,17 @@ def flat_z2line_model(truncation):
     return model
 
 
+def wide_z2line_model(dim, truncation):
+    """``z2line`` with a ``dim``-dimensional abelian fiber that ``s`` negates:
+    all dim**3 structure constants are 0."""
+    model = at_truncation(z2line_model(), truncation)
+    model["bundle"][0]["basis"] = [f"X{i}" for i in range(1, dim + 1)]
+    model["action"] = [
+        {"arrow": g, "matrix": [[c if i == j else 0 for j in range(dim)] for i in range(dim)]}
+        for g, c in (("e", 1), ("s", -1))]
+    return model
+
+
 def test_truncation_zero_is_checked_on_every_basis_tuple():
     """The exhaustive mode follows the bound, not the carrier class: at N=0
     no product of labels overflows, so a convolution carrier of at most 12
@@ -656,6 +666,14 @@ def test_a_zero_dimensional_fiber_does_not_grow_with_the_truncation():
     carrier = carrier_from_model(flat_z2line_model(10**12))
     assert carrier.labels == (("e", ()), ("s", ()))
     assert analyze(carrier).decision.verdict == "ISO"
+
+
+def test_a_wide_abelian_fiber_is_decided_iso():
+    """Each generator of an abelian fiber is a primitive, and the bundle of
+    primitives is the fiber again."""
+    analysis = analyze(carrier_from_model(wide_z2line_model(8, 1)))
+    assert analysis.decision.verdict == "ISO"
+    assert analysis.prim.ranks() == {"x": 8}
 
 
 def draw_up_to_the_truncation(monkeypatch):

@@ -187,6 +187,24 @@ def test_roundtrip(model_files, capsys):
     assert err == "error: [roundtrip] round trip needs a constructed (convolution) model\n"
 
 
+def test_roundtrip_at_truncation_zero_rebuilds_no_fiber(tmp_path, capsys):
+    """At N=0 the carrier is the groupoid algebra: it is decided ISO, but it
+    has no primitives, so the rebuilt fibers are 0-dimensional and the round
+    trip fails on ranks and action matrices, with exit 1."""
+    for make, points in ((z2line_model, ["x"]), (pairh3_model, ["x", "y"])):
+        path = tmp_path / f"{make.__name__}.json"
+        model = make()
+        model["truncation"] = 0
+        save_model(model, path)
+        code, out, _ = run(["roundtrip", str(path), "--json"], capsys)
+        data = json.loads(out)
+        assert code == EXIT_PROPERTY_FAILS, make
+        assert data["decision"]["verdict"] == "ISO"
+        assert data["decision"]["primRank"] == dict.fromkeys(points, 0)
+        assert data["groupoidIsomorphic"] is True
+        assert (data["rankMatches"], data["actionMatches"], data["ok"]) == (False, False, False)
+
+
 def test_a_repeated_json_key_is_a_model_error(tmp_path, capsys):
     # Were the last value kept, Fun(S3) would load with counit(d012) = 0: a
     # valid model that only the axiom suite rejects.

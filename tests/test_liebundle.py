@@ -136,6 +136,39 @@ def test_action_catches_non_bracket_preserving():
     assert any("bracket" in v for v in action.validate())
 
 
+def test_bracket_preservation_matches_the_dense_check():
+    """Seeded random fibers and matrices on the sign flip: the messages of
+    bracket preservation, and their order, are those of comparing m [e_i, e_j]
+    with [m e_i, m e_j] as dense vectors."""
+    rng = random.Random(34)
+    scalars = (0, 0, 0, 1, -1, 2, Fraction(1, 2))
+    g = z2()
+    caught = 0
+    for _ in range(80):
+        n = rng.randint(1, 4)
+        entries = [(i, j, tuple(rng.choice(scalars) for _ in range(n)))
+                   for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5]
+        fiber = LieFiber.from_sparse([f"e{k}" for k in range(n)], entries)
+        m = QMatrix([[rng.choice(scalars) for _ in range(n)] for _ in range(n)])
+        if rng.random() < 0.3:
+            m = QMatrix.identity(n)
+        action = BundleAction(g, LieBundle(g.base, (fiber,)), {"e": QMatrix.identity(n), "s": m})
+        c, expected = fiber.brackets, []
+        if m.is_invertible():
+            for i in range(n):
+                for j in range(i + 1, n):
+                    u, v = m.column(i), m.column(j)
+                    image = tuple(sum(u[a] * v[b] * c[a][b][k] for a in range(n) for b in range(n))
+                                  for k in range(n))
+                    if m.matvec(c[i][j]) != image:
+                        expected.append(
+                            f"matrix of 's' does not preserve the bracket (e{i}, e{j})")
+        found = [v for v in action.validate() if "preserve" in v]
+        assert found == expected, (entries, m)
+        caught += bool(found)
+    assert 0 < caught < 80
+
+
 def test_action_catches_non_functorial():
     g = z2()
     bundle = LieBundle(g.base, (abelian(("X",)),))
