@@ -76,7 +76,8 @@ class PrimBasis:
 
     carrier: HopfAlgebroid
     per_point: dict
-    # point -> [i][j]: coordinates of [b_i, b_j] in the basis there, or None
+    # point -> [i][j]: the nonzero (k, c) of [b_i, b_j] = sum c b_k in the
+    # basis there, in order of k, or None where it leaves the span
     brackets: dict
     s_invariant: bool = True
     s_negates: bool = True
@@ -135,7 +136,8 @@ class PrimBasis:
         basis = self.per_point.get(point, [])
         coeffs = element.coeffs
         coords = tuple(coeffs.get(l, _ZERO) for l in self.pivots.get(point, ()))
-        rebuilt = linear(enumerate(coords), lambda i: basis[i].coeffs.items())
+        rebuilt = linear(((i, c) for i, c in enumerate(coords) if c),
+                         lambda i: basis[i].coeffs.items())
         return coords if rebuilt == coeffs else None
 
 
@@ -214,14 +216,16 @@ def solve_primitives(carrier: HopfAlgebroid) -> PrimBasis:
     # the first overflow; same-point brackets form the table ``prim_bundle``
     # reads.  [y, x] = -[x, y] and [x, x] = 0 by arithmetic, so they are filled in.
     for k, (p, i, x) in enumerate(indexed):
-        brackets[p][i][i] = (_ZERO,) * len(per_point[p])
+        brackets[p][i][i] = ()
         for q, j, y in indexed[k + 1:]:
             lie = carrier.bracket(x, y)
             if p == q:
                 coords = prim.coords_in_basis(lie, p)
-                brackets[p][i][j] = coords
-                brackets[p][j][i] = None if coords is None else tuple(-c for c in coords)
                 closed = coords is not None
+                if closed:
+                    row = tuple((a, c) for a, c in enumerate(coords) if c)
+                    brackets[p][i][j] = row
+                    brackets[p][j][i] = tuple((a, -c) for a, c in row)
             else:
                 closed = prim.contains(lie)
             if not closed:

@@ -121,9 +121,8 @@ def _entry(fiber: LieFiber, m: Monomial, i: int):
         for j in trailing[stored:]:
             rest = tuple(q)
             q[j] += 1
-            bracket = [(k, exact(c)) for k, c in enumerate(fiber.bracket_coeffs(j, i)) if c]
             out = _times(fiber, entry, ((j, 1),))
-            add_terms(out, _times(fiber, ((rest, 1),), bracket).items())
+            add_terms(out, _times(fiber, ((rest, 1),), fiber.terms[j][i]).items())
             entry = table[(tuple(q), i)] = tuple((u, exact(c)) for u, c in out.items())
     return entry
 

@@ -1,33 +1,35 @@
 """Bundles of finite-dimensional rational Lie algebras over a finite base.
 
-A fiber is a Lie algebra given by structure constants in a named basis; a
-bundle assigns a fiber to every base point; an action equips every groupoid
-arrow with an invertible matrix transporting the source fiber to the target
-fiber.  Validation checks antisymmetry, Jacobi, bracket preservation,
-unitality and functoriality, and reports each violation by name.
+A fiber is a Lie algebra given by its nonzero structure constants in a named
+basis; a bundle assigns a fiber to every base point; an action equips every
+groupoid arrow with an invertible matrix transporting the source fiber to the
+target fiber.  Validation checks antisymmetry, Jacobi, bracket preservation,
+unitality and functoriality, and reports each violation by name.  No check
+walks a zero structure constant, so a fiber with no brackets costs dim**2
+empty rows.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .groupoid import BaseSpace, FiniteGroupoid
 from .linalg import QMatrix
-from .rationals import add_terms, bilinear, linear, rat
-
-_ZERO = Fraction(0)
+from .rationals import add_terms, bilinear, exact, linear
 
 
 @dataclass(frozen=True)
 class LieFiber:
-    """Structure constants c[i][j][k] in a named basis: [e_i, e_j] = sum c[i][j][k] e_k."""
+    """A Lie algebra by its nonzero structure constants in a named basis.
+
+    ``terms[i][j]`` lists the ``(k, c)`` with [e_i, e_j] = sum c e_k, in
+    order of k, each c nonzero and kept as ``rationals.exact`` returns it.
+    The table must be dim x dim, and a row may not name a k out of range or
+    twice; zero coefficients are dropped and rows are sorted by k.
+    """
 
     basis: tuple[str, ...]
-    brackets: tuple[tuple[tuple[Fraction, ...], ...], ...]
-    # terms[i][j]: the (k, c[i][j][k]) with c[i][j][k] != 0, in order of k.
-    terms: tuple = field(init=False, repr=False, compare=False)
+    terms: tuple
     # The tables of U(fiber), filled by ``enveloping`` on first use and owned
     # by this fiber object; not part of its value.  ``pbw_table`` maps
     # (monomial, generator) to the normal form of m * x_i; ``product_table``
@@ -38,18 +40,22 @@ class LieFiber:
 
     def __post_init__(self):
         n = len(self.basis)
-        table = tuple(
-            tuple(tuple(rat(c) for c in row) for row in plane)
-            for plane in self.brackets
-        )
-        if len(table) != n or any(
-            len(plane) != n or any(len(row) != n for row in plane) for plane in table
-        ):
-            raise ValueError("bracket table must be dim x dim x dim")
-        object.__setattr__(self, "brackets", table)
-        object.__setattr__(self, "terms", tuple(
-            tuple(tuple((k, c) for k, c in enumerate(row) if c) for row in plane)
-            for plane in table))
+        if len(self.terms) != n or any(len(plane) != n for plane in self.terms):
+            raise ValueError("bracket table must be dim x dim")
+        table = []
+        for plane in self.terms:
+            rows = []
+            for row in plane:
+                coeffs = {}
+                for k, c in row:
+                    if type(k) is not int or not 0 <= k < n:
+                        raise ValueError(f"bracket index {k!r} out of range")
+                    if k in coeffs:
+                        raise ValueError(f"bracket index {k} repeated")
+                    coeffs[k] = exact(c)
+                rows.append(tuple((k, c) for k, c in sorted(coeffs.items()) if c))
+            table.append(tuple(rows))
+        object.__setattr__(self, "terms", tuple(table))
 
     @property
     def dim(self) -> int:
@@ -57,7 +63,7 @@ class LieFiber:
 
     @classmethod
     def from_sparse(cls, basis, entries) -> "LieFiber":
-        """Build from sparse entries [(i, j, coeffs)].
+        """Build from sparse entries [(i, j, coeffs)], each coeffs dense.
 
         A pair (j, i) that is never mentioned defaults to the antisymmetric
         completion of (i, j); mentioning both leaves both verbatim, so
@@ -65,39 +71,20 @@ class LieFiber:
         """
         basis = tuple(basis)
         n = len(basis)
-        table = [[None] * n for _ in range(n)]
+        given = {}
         for i, j, coeffs in entries:
-            coeffs = tuple(rat(c) for c in coeffs)
+            coeffs = tuple(exact(c) for c in coeffs)
             if len(coeffs) != n:
                 raise ValueError(f"bracket ({i},{j}) needs {n} coefficients")
             if not (0 <= i < n and 0 <= j < n):
                 raise ValueError(f"bracket index ({i},{j}) out of range")
-            table[i][j] = coeffs
-        for i in range(n):
-            for j in range(n):
-                if table[i][j] is None:
-                    if table[j][i] is not None and i != j:
-                        table[i][j] = tuple(-c for c in table[j][i])
-                    else:
-                        table[i][j] = tuple(_ZERO for _ in range(n))
-        return cls(basis, tuple(tuple(row for row in plane) for plane in table))
-
-    def bracket_coeffs(self, i, j) -> tuple[Fraction, ...]:
-        return self.brackets[i][j]
-
-    def bracket_of_vectors(self, u, v) -> tuple[Fraction, ...]:
-        n = self.dim
-        out = [_ZERO] * n
-        for i, a in enumerate(u):
-            if not a:
-                continue
-            for j, b in enumerate(v):
-                if not b:
-                    continue
-                for k, c in enumerate(self.brackets[i][j]):
-                    if c:
-                        out[k] += a * b * c
-        return tuple(out)
+            given[i, j] = tuple((k, c) for k, c in enumerate(coeffs) if c)
+        table = [[()] * n for _ in range(n)]
+        for (i, j), row in given.items():
+            table[i][j] = row
+            if (j, i) not in given:
+                table[j][i] = tuple((k, -c) for k, c in row)
+        return cls(basis, table)
 
     def validate(self) -> list[str]:
         report = []
@@ -109,8 +96,15 @@ class LieFiber:
                     report.append(
                         f"antisymmetry fails on ({self.basis[i]}, {self.basis[j]})"
                     )
-        # [[e_f, e_s], e_u] has coordinates sum_a c[f][s][a] c[a][u][m].
-        for i, j, k in itertools.product(range(n), repeat=3):
+        # [[e_f, e_s], e_u] has coordinates sum_a c[f][s][a] c[a][u][m], so a
+        # triple can fail only where one of its cyclic pairs has a bracket.
+        triples = set()
+        for i in range(n):
+            for j in range(n):
+                if t[i][j]:
+                    for k in range(n):
+                        triples.update(((i, j, k), (k, i, j), (j, k, i)))
+        for i, j, k in sorted(triples):
             acc = {}
             for f, s, u in ((i, j, k), (j, k, i), (k, i, j)):
                 for a, x in t[f][s]:

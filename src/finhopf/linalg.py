@@ -193,15 +193,14 @@ class QMatrix:
             raise DimensionMismatch(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
+        right = [[(j, b) for j, b in enumerate(r) if b] for r in other.data]
         out = []
         for ra in self.data:
-            row = []
-            for j in range(other.cols):
-                acc = _ZERO
-                for k, a in enumerate(ra):
-                    if a:
-                        acc += a * other.data[k][j]
-                row.append(acc)
+            row = [_ZERO] * other.cols
+            for k, a in enumerate(ra):
+                if a:
+                    for j, b in right[k]:
+                        row[j] += a * b
             out.append(row)
         return QMatrix(out, cols=other.cols)
 

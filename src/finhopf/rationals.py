@@ -10,7 +10,8 @@ keeps its coefficients as ``exact`` returns them, integral ones as plain
 coefficients and coordinates as ``Fraction``s; only its label-level
 structure constants keep the internal form.  It only adds, subtracts and
 multiplies, which are exact on mixed ``int`` and ``Fraction`` operands; it
-never divides, since ``int / int`` is a float.
+never divides, since ``int / int`` is a float.  A Lie fiber keeps its
+structure constants (``LieFiber.terms``) in the same form.
 
 Every sparse coefficient map is built by one of three folds: ``add_terms``
 adds ``(key, c)`` pairs into a map, ``linear`` folds terms through a linear

@@ -203,7 +203,7 @@ def test_a_table_primitive_matches_the_dense_system():
     prim = solve_primitives(carrier)
     assert prim.per_point == {"pt": [carrier.basis_element("x")]}
     # [x, x] is taken by the table's ``bracket``.
-    assert prim.brackets == {"pt": [[(0,)]]} and prim.bracket_closed
+    assert prim.brackets == {"pt": [[()]]} and prim.bracket_closed
 
 
 def eliminations_in_solve(monkeypatch, carrier):
@@ -386,9 +386,9 @@ def test_prim_bundle_recovers_bracket():
     fiber = bundle.fiber("x")
     assert fiber.dim == 3
     # [X1, X2] = X3 in the reconstructed basis, everything else flat
-    assert fiber.brackets[0][1] == (0, 0, 1)
-    assert fiber.brackets[1][0] == (0, 0, -1)
-    assert fiber.brackets[0][2] == (0, 0, 0)
+    assert fiber.terms[0][1] == ((2, 1),)
+    assert fiber.terms[1][0] == ((2, -1),)
+    assert fiber.terms[0][2] == ()
 
 
 def test_prim_bundle_reads_the_bracket_table_and_multiplies_nothing(monkeypatch):
@@ -404,7 +404,7 @@ def test_prim_bundle_reads_the_bracket_table_and_multiplies_nothing(monkeypatch)
     monkeypatch.setattr(HopfAlgebroid, "_product", counting)
     bundle = prim_bundle(prim)
     assert products == []
-    assert {p: bundle.fiber(p).brackets for p in prim.carrier.base.points} == expected
+    assert {p: bundle.fiber(p).terms for p in prim.carrier.base.points} == expected
     # a commutator outside the span at a point fails that point
     prim.brackets["y"][0][1] = None
     with pytest.raises(AnalysisError, match="leaves the fiber span at 'y'"):
@@ -437,7 +437,9 @@ def test_each_primitive_commutator_is_computed_once(monkeypatch):
         for i, x in enumerate(basis):
             for j, y in enumerate(basis):
                 lie = carrier.mul(x, y) - carrier.mul(y, x)
-                assert prim.brackets[p][i][j] == prim.coords_in_basis(lie, p), (p, i, j)
+                coords = prim.coords_in_basis(lie, p)
+                row = tuple((k, c) for k, c in enumerate(coords) if c)
+                assert prim.brackets[p][i][j] == row, (p, i, j)
 
 
 def test_one_generator_fibers_are_decided_at_truncation_one():

@@ -285,9 +285,8 @@ def _straighten(fiber, word, coeff):
             continue
         x, y = w[descent], w[descent + 1]
         stack.append((w[:descent] + (y, x) + w[descent + 2:], c))
-        for k, ck in enumerate(fiber.bracket_coeffs(x, y)):
-            if ck:
-                stack.append((w[:descent] + (k,) + w[descent + 2:], c * ck))
+        for k, ck in fiber.terms[x][y]:
+            stack.append((w[:descent] + (k,) + w[descent + 2:], c * ck))
     return add_terms({}, done)
 
 
@@ -493,7 +492,9 @@ def bracket_tables(draw):
                 top = max(i, j) + 1 if kind == "nilpotent" else 0
                 row = [draw(BRACKET_ENTRIES) if k >= top else Fraction(0) for k in range(dim)]
                 table[i][j], table[j][i] = row, [-c for c in row]
-    return LieFiber(tuple("ABC"[:dim]), table)
+    # every pair is given, so ``from_sparse`` keeps the table verbatim
+    return LieFiber.from_sparse(tuple("ABC"[:dim]),
+                                [(i, j, table[i][j]) for i in range(dim) for j in range(dim)])
 
 
 @st.composite
@@ -576,10 +577,10 @@ def test_a_deep_pbw_entry_is_filled_without_recursion():
     line = LieFiber.from_sparse(("X", "Y"), [(0, 1, (0, 1))])  # [X, Y] = Y
     expected = (((0, 1200), -1200), ((1, 1200), 1))
     assert mono_mul(line, (0, 1200), (1, 0), 1201) == expected
-    line = LieFiber(line.basis, line.brackets)  # the same algebra with empty tables
+    line = LieFiber(line.basis, line.terms)  # the same algebra with empty tables
     power = UElement(line, "x", 1201, {(0, 1200): 1})
     assert power * UElement.generator(line, "x", 1201, 0) == UElement(line, "x", 1201, dict(expected))
-    sl2 = LieFiber(SL2.basis, SL2.brackets)
+    sl2 = LieFiber(SL2.basis, SL2.terms)
     assert mono_mul(sl2, (0, 0, 1200), (1, 0, 0), 1201) == (
         ((0, 0, 1200), 2400), ((1, 0, 1200), 1))
     assert mono_mul(sl2, (0, 600, 600), (1, 0, 0), 1201) == (((1, 600, 600), 1),)

@@ -22,21 +22,45 @@ def abelian(basis):
     return LieFiber.from_sparse(basis, [])
 
 
+def dense(fiber):
+    """The fiber's dim x dim x dim table of structure constants, zeros included."""
+    n = fiber.dim
+    table = []
+    for plane in fiber.terms:
+        rows = []
+        for row in plane:
+            coeffs = [Fraction(0)] * n
+            for k, c in row:
+                coeffs[k] = Fraction(c)
+            rows.append(tuple(coeffs))
+        table.append(tuple(rows))
+    return tuple(table)
+
+
+def dense_bracket(table, u, v):
+    """[u, v] as a dense vector, from a dense table of structure constants."""
+    n = len(table)
+    return tuple(sum((u[i] * v[j] * table[i][j][k] for i in range(n) for j in range(n)),
+                     Fraction(0))
+                 for k in range(n))
+
+
 def test_heisenberg_structure():
     h = heisenberg()
     assert h.dim == 3
     assert h.basis == ("P", "Q", "Z")
-    assert h.bracket_coeffs(0, 1) == (0, 0, 1)
-    assert h.bracket_coeffs(1, 0) == (0, 0, -1)
+    assert h.terms[0][1] == ((2, 1),) and dense(h)[0][1] == (0, 0, 1)
+    assert h.terms[1][0] == ((2, -1),) and dense(h)[1][0] == (0, 0, -1)
     assert h.validate() == []
     # [P+Q, Q] = [P,Q] = Z
-    assert h.bracket_of_vectors((1, 1, 0), (0, 1, 0)) == (0, 0, Fraction(1))
+    assert dense_bracket(dense(h), (1, 1, 0), (0, 1, 0)) == (0, 0, Fraction(1))
 
 
 def test_abelian_fiber():
     a = abelian(("X", "Y"))
     assert a.validate() == []
-    assert a.bracket_of_vectors((1, 0), (0, 1)) == (0, 0)
+    assert a.terms == (((), ()), ((), ()))
+    assert dense_bracket(dense(a), (1, 0), (0, 1)) == (0, 0)
     zero = abelian(())
     assert zero.dim == 0 and zero.validate() == []
 
@@ -44,8 +68,42 @@ def test_abelian_fiber():
 def test_from_sparse_antisymmetric_completion():
     # the affine algebra [A,B] = A; the mirror entry is filled automatically
     f = LieFiber.from_sparse(("A", "B"), [(0, 1, (1, 0))])
-    assert f.bracket_coeffs(1, 0) == (-1, 0)
+    assert f.terms[1][0] == ((0, -1),) and dense(f)[1][0] == (-1, 0)
     assert f.validate() == []
+
+
+def test_terms_are_checked_sorted_and_zero_free():
+    with pytest.raises(ValueError, match="dim x dim"):
+        LieFiber(("A", "B"), [[(), ()]])
+    with pytest.raises(ValueError, match="dim x dim"):
+        LieFiber(("A", "B"), [[(), ()], [()]])
+    with pytest.raises(ValueError, match="out of range"):
+        LieFiber(("A", "B"), [[(), ((2, 1),)], [(), ()]])
+    with pytest.raises(ValueError, match="out of range"):
+        LieFiber(("A", "B"), [[(), ((-1, 1),)], [(), ()]])
+    with pytest.raises(ValueError, match="repeated"):
+        LieFiber(("A", "B"), [[(), ((0, 1), (0, 2))], [(), ()]])
+    f = LieFiber(("A", "B"), [[((1, 0),), ((1, "1/2"), (0, 0))], [((1, Fraction(-1, 2)),), ()]])
+    assert f.terms == (((), ((1, Fraction(1, 2)),)), (((1, Fraction(-1, 2)),), ()))
+    # coefficients are kept as ``exact`` gives them, rows in order of k
+    g = LieFiber(("A", "B"), [[(), ((1, Fraction(3)), (0, -1))], [((0, 1), (1, -3)), ()]])
+    assert g.terms[0][1] == ((0, -1), (1, 3)) and type(g.terms[0][1][1][1]) is int
+
+
+def test_zeros_given_densely_or_omitted_make_equal_fibers():
+    basis = ("P", "Q", "Z")
+    dense_zeros = LieFiber.from_sparse(basis, [(0, 1, (0, 0, 1)), (0, 2, (0, 0, 0)),
+                                               (2, 2, (0, 0, 0))])
+    assert dense_zeros == heisenberg()
+    assert dense_zeros == LieFiber(basis, [[(), ((2, 1),), ()], [((2, -1),), (), ()],
+                                           [(), (), ()]])
+    assert abelian(basis) == LieFiber.from_sparse(basis, [(1, 2, (0, 0, 0))])
+
+
+def test_a_wide_abelian_fiber_stores_only_empty_rows():
+    fiber = abelian(tuple(f"X{i}" for i in range(60)))
+    assert fiber.terms == (((),) * 60,) * 60
+    assert fiber.validate() == []
 
 
 def test_from_sparse_keeps_explicit_violations():
@@ -66,10 +124,10 @@ def test_jacobi_violation_detected():
 def reference_validate(fiber):
     """The violation list as ``LieFiber.validate`` built it by bracketing each
     inner bracket with a unit vector."""
-    report, n = [], fiber.dim
+    report, n, c = [], fiber.dim, dense(fiber)
     for i in range(n):
         for j in range(n):
-            if fiber.brackets[i][j] != tuple(-c for c in fiber.brackets[j][i]):
+            if c[i][j] != tuple(-x for x in c[j][i]):
                 report.append(f"antisymmetry fails on ({fiber.basis[i]}, {fiber.basis[j]})")
     for i in range(n):
         for j in range(n):
@@ -77,7 +135,7 @@ def reference_validate(fiber):
                 acc = [Fraction(0)] * n
                 for first, second, third in ((i, j, k), (j, k, i), (k, i, j)):
                     unit = tuple(Fraction(int(t == third)) for t in range(n))
-                    term = fiber.bracket_of_vectors(fiber.brackets[first][second], unit)
+                    term = dense_bracket(c, c[first][second], unit)
                     acc = [a + b for a, b in zip(acc, term)]
                 if any(acc):
                     report.append("Jacobi fails on "
@@ -153,7 +211,7 @@ def test_bracket_preservation_matches_the_dense_check():
         if rng.random() < 0.3:
             m = QMatrix.identity(n)
         action = BundleAction(g, LieBundle(g.base, (fiber,)), {"e": QMatrix.identity(n), "s": m})
-        c, expected = fiber.brackets, []
+        c, expected = dense(fiber), []
         if m.is_invertible():
             for i in range(n):
                 for j in range(i + 1, n):

@@ -108,6 +108,19 @@ MATRICES = st.one_of(
 )
 
 
+@settings(derandomize=True, database=None, max_examples=200)
+@given(MATRICES, st.data())
+def test_product_matches_summing_over_every_inner_index(left, data):
+    """The product, which walks only nonzero entries, equals the sums of
+    a_ik * b_kj over every k, zeros included."""
+    cols = data.draw(st.integers(0, 5))
+    right = QMatrix([[data.draw(ENTRIES) for _ in range(cols)] for _ in range(left.cols)],
+                    cols=cols)
+    expected = [[sum((left.data[i][k] * right.data[k][j] for k in range(left.cols)), F(0))
+                 for j in range(cols)] for i in range(left.rows)]
+    assert left * right == QMatrix(expected, cols=cols)
+
+
 def test_rref_golden():
     m = QMatrix([[1, 2, 3], [2, 4, 6], [1, 1, 1]])
     reduced, pivots = m.rref()
