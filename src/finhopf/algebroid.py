@@ -900,6 +900,12 @@ def run_law(name, items, predicate, tuples=None):
     return AxiomCheck(name, True, len(items))
 
 
+def validate_checks(carrier: HopfAlgebroid) -> list:
+    """One failed check named ``validate`` per violation of
+    ``carrier.validate()``, its message as the witness."""
+    return [AxiomCheck("validate", False, 1, v) for v in carrier.validate()]
+
+
 def check_axioms(carrier: HopfAlgebroid, samples: int = 100, seed: int = 1) -> AxiomReport:
     """Run the full axiom suite and report each law separately.
 
@@ -921,7 +927,7 @@ def check_axioms(carrier: HopfAlgebroid, samples: int = 100, seed: int = 1) -> A
         raise ValueError(f"sample count must be nonnegative, got {samples}")
     rng = random.Random(seed)
     report = AxiomReport()
-    report.checks.extend(AxiomCheck("validate", False, 1, v) for v in carrier.validate())
+    report.checks.extend(validate_checks(carrier))
 
     if carrier.truncation == 0 and carrier.dim <= EXHAUSTIVE_MAX_LABELS:
         report.mode = "exhaustive-basis"

@@ -25,7 +25,8 @@ may have been built from:
 5. ``analyze``: the Cartier-Gabriel-Kostant decision: the decomposition
    holds exactly when the map is bijective at every point.
 6. ``roundtrip``: for a constructed input, the rebuilt groupoid, primitive
-   bases and action matrices compared with the input directly.
+   bases and action matrices compared with the input directly, after an
+   axiom stage decided exactly by ``validate``.
 
 Every computation is exact; failures surface as typed errors naming the
 pipeline stage, never as approximate answers.
@@ -47,6 +48,7 @@ from .algebroid import (
     label_tuples,
     pair_terms,
     run_law,
+    validate_checks,
 )
 from .errors import (
     AnalysisError,
@@ -792,17 +794,24 @@ def analyze(carrier: HopfAlgebroid, samples: int = 60, seed: int = 11) -> Analys
     """Decide the Cartier-Gabriel-Kostant decomposition for the carrier.
 
     Runs the full pipeline, collecting its artifacts and the decision report.
-    The axiom stage stops on every failed check of ``check_axioms``, each
-    ``validate`` violation included, naming each failed check once in report
-    order; so a carrier that ``validate`` rejects gets verdict ``ERROR`` at
-    stage ``axioms`` and no later artifact is built.  A convolution carrier
-    is G ⋉ U(g), a Hopf algebroid, exactly when ``validate`` accepts it.
+    The axiom stage is ``check_axioms`` at ``samples`` and ``seed``, and stops
+    on every failed check, each ``validate`` violation included, naming each
+    failed check once in report order; so a carrier that ``validate`` rejects
+    gets verdict ``ERROR`` at stage ``axioms`` and no later artifact is built.
+    A convolution carrier is G ⋉ U(g), a Hopf algebroid, exactly when
+    ``validate`` accepts it.
     """
+    return _analyze(carrier, lambda c: check_axioms(c, samples=samples, seed=seed))
+
+
+def _analyze(carrier: HopfAlgebroid, axiom_stage) -> Analysis:
+    """The pipeline after ``axiom_stage``, which maps the carrier to its
+    ``AxiomReport``; a failed or inconclusive check stops it there."""
     analysis = Analysis(carrier)
     report = analysis.decision
     stage = "axioms"
     try:
-        analysis.axiom_report = check_axioms(carrier, samples=samples, seed=seed)
+        analysis.axiom_report = axiom_stage(carrier)
         report.axioms_ok = analysis.axiom_report.ok
         failing = list(dict.fromkeys(c.name for c in analysis.axiom_report.failures()))
         if failing:
@@ -902,8 +911,20 @@ class RoundTripReport:
         }
 
 
+def _exact_axioms(carrier: ConvolutionAlgebroid) -> AxiomReport:
+    """The axiom stage of a convolution carrier, decided by ``validate``."""
+    return AxiomReport(validate_checks(carrier), mode="validate")
+
+
 def roundtrip(carrier: ConvolutionAlgebroid, samples: int = 60, seed: int = 11) -> RoundTripReport:
     """Reconstruct the groupoid and action from the algebroid and compare.
+
+    The decision is that of ``analyze`` with an exact axiom stage: a
+    convolution carrier is G ⋉ U(g), a Hopf algebroid, exactly when
+    ``validate`` accepts it, so the axiom report holds one failed check
+    named ``validate`` per violation, mode ``validate``, and no law is
+    sampled.  ``samples`` and ``seed`` are unused; they stay because the
+    benchmark's job runner passes them.
 
     The action matches when three direct checks hold: each input arrow's
     indicator (the unit coefficient over it) is a spectral representative;
@@ -917,7 +938,7 @@ def roundtrip(carrier: ConvolutionAlgebroid, samples: int = 60, seed: int = 11) 
     """
     if carrier.kind != "convolution":
         raise AnalysisError("roundtrip", "round trip needs a constructed (convolution) model")
-    analysis = analyze(carrier, samples=samples, seed=seed)
+    analysis = _analyze(carrier, _exact_axioms)
     report = RoundTripReport(analysis.decision)
     if analysis.prim is None or analysis.gsp is None or analysis.prim_action is None:
         return report

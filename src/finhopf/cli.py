@@ -140,7 +140,7 @@ def _cmd_cgk(args):
 
 def _cmd_roundtrip(args):
     carrier = load_carrier(args.model)
-    report = roundtrip(carrier, samples=args.samples, seed=args.seed)
+    report = roundtrip(carrier)
     lines = [
         f"decision: {report.decision.verdict}",
         f"groupoid reconstructed up to isomorphism: {report.groupoid_isomorphic}",
@@ -213,10 +213,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=_sample_count, default=60)
     p.add_argument("--seed", type=int, default=11)
 
-    p = add("roundtrip", _cmd_roundtrip,
-            "rebuild groupoid and action from a constructed model and compare")
-    p.add_argument("--samples", type=_sample_count, default=60)
-    p.add_argument("--seed", type=int, default=11)
+    add("roundtrip", _cmd_roundtrip,
+        "rebuild groupoid and action from a constructed model and compare")
 
     p = sub.add_parser("gen", help="emit a built-in model")
     p.add_argument("--preset", required=True,

@@ -467,6 +467,19 @@ def test_labelwise_report_equals_evaluating_every_sample(monkeypatch):
     assert failing == perturbed | {("flat z2line", "product")}
 
 
+@pytest.mark.parametrize("build, unit", [(z2line_model, ("e", (0,))),
+                                         (pairh3_model, ("axx", (0, 0, 0)))])
+def test_check_axioms_catches_a_doubled_unit_square(build, unit):
+    """``validate`` reads no product, and ``roundtrip`` decides its axiom
+    stage by ``validate`` alone; so a wrong label product is caught by the
+    sampled laws of ``check_axioms``, here at its defaults."""
+    carrier = perturbed_caches(build(), "_products", (unit, unit), ((unit, 2),))
+    assert carrier.mul_label(unit, unit) == ((unit, 2),)
+    assert carrier.validate() == []
+    report = check_axioms(carrier)
+    assert not report.ok and "associativity" in {c.name for c in report.failures()}
+
+
 def test_a_linear_law_passes_a_sample_whose_failing_labels_cancel():
     """``counit_law_left`` fails on the labels x and y of a carrier whose
     coproducts of x and y carry opposite stray terms, and holds on x + y: that

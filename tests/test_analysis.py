@@ -1045,12 +1045,54 @@ def test_large_rational_entries_have_a_pinned_answer():
 
 def test_roundtrip_refuses_a_table_carrier_before_any_stage(monkeypatch):
     called = []
-    monkeypatch.setattr(analysis_module, "analyze", lambda *a, **k: called.append(a))
+    monkeypatch.setattr(analysis_module, "_analyze", lambda *a, **k: called.append(a))
     with pytest.raises(AnalysisError) as err:
         roundtrip(funs3())
     assert err.value.stage == "roundtrip"
     assert "constructed (convolution) model" in err.value.message
     assert called == []
+
+
+def test_roundtrip_draws_only_on_the_theta_domain(monkeypatch):
+    """``roundtrip`` samples no axiom law: ``random_element`` runs on no
+    carrier but theta's domain, for theta's homomorphy checks, while
+    ``analyze`` still samples the input."""
+    drawn, thetas = [], []
+    real_draw, real_theta = HopfAlgebroid.random_element, analysis_module.build_theta
+
+    def draw(self, *args, **kwargs):
+        drawn.append(self)
+        return real_draw(self, *args, **kwargs)
+
+    def theta(*args):
+        thetas.append(real_theta(*args))
+        return thetas[-1]
+
+    monkeypatch.setattr(HopfAlgebroid, "random_element", draw)
+    monkeypatch.setattr(analysis_module, "build_theta", theta)
+    for carrier in (z2line(), pairh3()):
+        drawn.clear()
+        thetas.clear()
+        assert roundtrip(carrier).ok
+        (built,) = thetas
+        assert drawn and all(c is built.domain for c in drawn)
+        drawn.clear()
+        analyze(carrier)
+        assert any(c is carrier for c in drawn)
+
+
+def test_roundtrip_decides_as_analyze_on_the_presets():
+    """The exact axiom stage gives the decision of the sampled one on every
+    valid model of the ladders and the random models."""
+    sl2 = load("workloads").sl2_model
+    models = [dict(build(), truncation=n)
+              for build in (pairh3_model, z2line_model) for n in range(9)]
+    models += [sl2(n) for n in range(1, 7)] + [random_model(seed) for seed in range(40)]
+    for model in models:
+        carrier = carrier_from_model(model)
+        assert carrier.validate() == []
+        expected = analyze(carrier).decision.to_json()
+        assert roundtrip(carrier).decision.to_json() == expected, model["truncation"]
 
 
 def change_of_basis_matches(carrier, analysis):
@@ -1113,7 +1155,7 @@ RECONSTRUCTION_CHANGES = {
 def roundtrip_with_oracle(carrier, monkeypatch, change=None):
     """``roundtrip`` on the carrier, its analysis changed by ``change``, and the
     oracle's answer on that same analysis."""
-    real, seen = analyze, []
+    real, seen = analysis_module._analyze, []
 
     def changed(*args, **kwargs):
         result = real(*args, **kwargs)
@@ -1122,8 +1164,8 @@ def roundtrip_with_oracle(carrier, monkeypatch, change=None):
         seen.append(result)
         return result
 
-    monkeypatch.setattr(analysis_module, "analyze", changed)
-    report = roundtrip(carrier, samples=20)
+    monkeypatch.setattr(analysis_module, "_analyze", changed)
+    report = roundtrip(carrier)
     monkeypatch.undo()
     return report, change_of_basis_matches(carrier, seen[0])
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from finhopf.cli import EXIT_INPUT_ERROR, EXIT_OK, EXIT_PROPERTY_FAILS, build_parser, main
-from finhopf import models
+from finhopf import analysis, models
 from finhopf.modelio import FORMAT_NAME, carrier_from_model, model_to_text, save_model
 from finhopf.models import funs3_model, pairh3_model, random_model, z2line_model
 
@@ -94,11 +94,18 @@ def test_zero_samples_are_inconclusive(model_files, capsys):
     assert out.rstrip().endswith("INCONCLUSIVE overall")
 
 
-@pytest.mark.parametrize("command", ["check-axioms", "cgk", "roundtrip"])
+@pytest.mark.parametrize("command", ["check-axioms", "cgk"])
 def test_a_negative_sample_count_is_a_usage_error(model_files, command, capsys):
     code, out, err = run([command, model_files["pairh3"], "--samples", "-3"], capsys)
     assert code == EXIT_INPUT_ERROR and out == ""
     assert "argument --samples: must be nonnegative, got -3" in err
+
+
+def test_roundtrip_takes_no_sample_count(model_files, capsys):
+    """``roundtrip`` samples no axiom law, so it has no ``--samples``."""
+    code, out, err = run(["roundtrip", model_files["pairh3"], "--samples", "3"], capsys)
+    assert code == EXIT_INPUT_ERROR and out == ""
+    assert "unrecognized arguments: --samples 3" in err
 
 
 def test_an_overflow_in_a_law_is_an_input_error(model_files, monkeypatch, capsys):
@@ -506,6 +513,33 @@ def test_cli_digests_tool_runs_every_model_command_in_both_formats():
     assert invalid["uneven-orbit"] == uneven_orbit_model()
     assert invalid["pairh3-misplaced-unit"] == misplaced_unit_model()
     assert all(carrier_from_model(doc).validate() for doc in invalid.values())
+
+
+def test_roundtrip_stops_at_the_axiom_stage_on_the_invalid_models(monkeypatch):
+    """On each model the loader accepts and ``validate`` rejects, the axiom
+    report holds only ``validate`` checks, mode ``validate``, and no later
+    artifact is built."""
+    seen, real = [], analysis._analyze
+
+    def recorded(*args):
+        seen.append(real(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(analysis, "_analyze", recorded)
+    invalid = load_tool("cli_digests").invalid_models(models)
+    for name, model in invalid.items():
+        seen.clear()
+        report = analysis.roundtrip(carrier_from_model(model))
+        decision = report.decision
+        assert decision.verdict == "ERROR" and decision.axioms_ok is False, name
+        assert decision.stage_error == ("axioms", "axiom checks failed: validate"), name
+        assert not report.ok and not report.groupoid_isomorphic
+        (run,) = seen
+        axioms = run.axiom_report
+        assert axioms.mode == "validate" and axioms.checks, name
+        assert {c.name for c in axioms.checks} == {"validate"}
+        assert [c.witness for c in axioms.checks] == run.carrier.validate()
+        assert (run.prim, run.gsp, run.prim_action, run.theta) == (None,) * 4, name
 
 
 def test_roundtrip_decides_the_pair_groupoid_on_nine_points(tmp_path, capsys):

@@ -30,7 +30,7 @@ SOURCES = {
 }
 COMMANDS = ("validate", "check-axioms", "primitives", "grouplikes", "spectral", "cgk", "roundtrip")
 # Fewer samples than the defaults keep the sampled commands quick.
-SAMPLED = {"check-axioms", "cgk", "roundtrip"}
+SAMPLED = {"check-axioms", "cgk"}
 SCALARS = (0, 1, -1, 2, "1/2", "-5/3", f"{10**30}/7")
 DOCUMENTS_PER_SOURCE = 3
 # Edited documents per convolution source in the axiom-stage test.
@@ -266,7 +266,8 @@ def test_analyze_stops_at_the_axiom_stage_exactly_when_validate_fails(tmp_path, 
         assert artifacts == (None,) * 4, (source, k, edits)
         path = tmp_path / f"{source}-{k}.json"
         save_model(model, path)
-        for command, expected in (("cgk", EXIT_INPUT_ERROR), ("roundtrip", EXIT_PROPERTY_FAILS)):
-            assert main([command, str(path), "--samples", "10"]) == expected, (command, source, k)
+        for args, expected in ((["cgk", "--samples", "10"], EXIT_INPUT_ERROR),
+                               (["roundtrip"], EXIT_PROPERTY_FAILS)):
+            assert main([*args, str(path)]) == expected, (args, source, k)
             capsys.readouterr()
     assert ("z2line", "X-X") in rejected and len(rejected) > len(documents) // 3
