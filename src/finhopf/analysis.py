@@ -20,7 +20,8 @@ may have been built from:
    rep_g is a normalized grouplike, 1_y * rep_g = rep_g and
    S(rep_g) = rep_(g^-1).  The matrices form a bundle action.
 4. ``build_theta``: the comparison map from the reconstructed convolution
-   algebroid onto the input, kept as the images of the domain labels, with
+   algebroid onto the input, kept as the images of the domain labels (on a
+   convolution carrier one label each, read off the construction), with
    the exact rank of those images at each base point.
 5. ``analyze``: the Cartier-Gabriel-Kostant decision: the decomposition
    holds exactly when the map is bijective at every point.
@@ -85,12 +86,14 @@ class PrimBasis:
     s_negates: bool = True
     anchor_trivial: bool = True
     bracket_closed: bool = True
-    # point -> the pivot label of each basis vector there, its first label
+    # point -> {pivot label: index} of the basis there; a basis vector's
+    # pivot is its first label
     pivots: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.pivots = {
-            p: [next(l for l in self.carrier.labels_at(p) if l in b._c) for b in basis]
+            p: {next(l for l in self.carrier.labels_at(p) if l in b._c): i
+                for i, b in enumerate(basis)}
             for p, basis in self.per_point.items()
         }
 
@@ -126,20 +129,22 @@ class PrimBasis:
         )
 
     def coords_in_basis(self, element: AlgebroidElement, point):
-        """Coordinates of a single-fiber element in the basis at ``point``.
+        """The nonzero coordinates of a single-fiber element in the basis at
+        ``point``, as ``(index, c)`` pairs in index order, or None where the
+        element is outside the span.
 
         The basis at a point is a reduced echelon form with pivot entries 1,
-        so the coordinates are the element's entries at the ``pivots``; they
-        are the answer exactly when they rebuild the element, and None means
-        it is outside the span.
+        so the coordinates are the element's entries at the pivots, found by
+        walking its support through ``pivots``; they are the answer exactly
+        when they rebuild the element.
         """
         if any(t != point for t in element.target_points()):
             return None
-        basis = self.per_point.get(point, [])
+        index = self.pivots.get(point, {})
         coeffs = element.coeffs
-        coords = tuple(coeffs.get(l, _ZERO) for l in self.pivots.get(point, ()))
-        rebuilt = linear(((i, c) for i, c in enumerate(coords) if c),
-                         lambda i: basis[i].coeffs.items())
+        coords = tuple(sorted((index[l], c) for l, c in coeffs.items() if l in index))
+        basis = self.per_point.get(point, [])
+        rebuilt = linear(coords, lambda i: basis[i].coeffs.items())
         return coords if rebuilt == coeffs else None
 
 
@@ -222,10 +227,9 @@ def solve_primitives(carrier: HopfAlgebroid) -> PrimBasis:
         for q, j, y in indexed[k + 1:]:
             lie = carrier.bracket(x, y)
             if p == q:
-                coords = prim.coords_in_basis(lie, p)
-                closed = coords is not None
+                row = prim.coords_in_basis(lie, p)
+                closed = row is not None
                 if closed:
-                    row = tuple((a, c) for a, c in enumerate(coords) if c)
                     brackets[p][i][j] = row
                     brackets[p][j][i] = tuple((a, -c) for a, c in row)
             else:
@@ -328,9 +332,13 @@ def solve_grouplikes_at(carrier: HopfAlgebroid, point) -> list:
 
 
 def _source_of(carrier, rep, point):
+    """The point x whose indicator the anchor of ``rep`` sends to 1 at
+    ``point``, read as the counit of rep * unit_at(x) there: embedding the
+    indicator of x gives unit_at(x)."""
+    at = carrier.base.index(point)
     source = None
     for x in carrier.base.points:
-        val = carrier.anchor(rep, BaseFun.indicator(carrier.base, x))(point)
+        val = carrier._counit_values(carrier.mul(rep, carrier.unit_at(x)))[at]
         if val == 0:
             continue
         if val != 1 or source is not None:
@@ -504,7 +512,7 @@ def build_prim_action(carrier: HopfAlgebroid, gsp: SpectralGroupoid,
     for arrow in groupoid.arrows:
         x, y = groupoid.source[arrow], groupoid.target[arrow]
         rep, rep_inverse = reps[arrow], reps[groupoid.inverse[arrow]]
-        columns = []
+        height, columns = prim.rank_at(y), []
         for basis_el in prim.per_point.get(x, []):
             image = carrier.mul(carrier.mul(rep, basis_el), rep_inverse)
             if any(t != y for t in image.target_points()):
@@ -517,8 +525,11 @@ def build_prim_action(carrier: HopfAlgebroid, gsp: SpectralGroupoid,
                     "prim-action",
                     f"conjugation along {arrow!r} does not land in the primitive fiber",
                 )
-            columns.append(coords)
-        m = QMatrix.from_columns(columns, rows=prim.rank_at(y))
+            column = [_ZERO] * height
+            for i, c in coords:
+                column[i] = c
+            columns.append(column)
+        m = QMatrix.from_columns(columns, rows=height)
         if m.rows != m.cols:
             raise AnalysisError(
                 "prim-action",
@@ -542,11 +553,14 @@ class ThetaMap:
     """The comparison map, kept as the images of the domain labels.
 
     At each point their sparse rows (``_rows_at``) are the one system behind
-    ``ranks``, ``witnesses`` and the dense ``matrices``; ``build_theta``
-    solves it once.  Its kernel is the canonical basis of the vectors
-    orthogonal to every image: the rank is the codomain dimension minus the
-    kernel's, and where the kernel is not empty the witness is the codomain
-    label at the pivot of its first vector, a label outside the image.
+    ``ranks``, ``witnesses`` and the dense ``matrices``.  Where the images
+    there are distinct single labels that cover the codomain labels, as on
+    a convolution carrier, the rank is the label count and there is no
+    witness.  Otherwise ``build_theta`` solves the system once.  Its kernel
+    is the canonical basis of the vectors orthogonal to every image: the
+    rank is the codomain dimension minus the kernel's, and where the kernel
+    is not empty the witness is the codomain label at the pivot of its
+    first vector, a label outside the image.
     """
 
     domain: ConvolutionAlgebroid
@@ -605,6 +619,14 @@ def build_theta(carrier: HopfAlgebroid, gsp: SpectralGroupoid, prim: PrimBasis,
                 action: BundleAction) -> ThetaMap:
     """Assemble the map (PBW monomial over arrow) -> product of representatives.
 
+    The image of the domain label (s, m) at y is the ordered product of the
+    primitives of P_y, with exponents m, times the representative rep_s.  On
+    a convolution carrier that image is one label, read off the construction
+    (``_theta_constructed``); on any other carrier the products are
+    multiplied out (``_theta_of_products``).  Where the images at a point are
+    distinct labels that cover the codomain labels there, the rank is their
+    count; otherwise the kernel of the images gives the rank and the witness.
+
     The reconstructed side has the carrier's own ``truncation``, 0 on a
     table, where no bound would change the result: a nonzero
     primitive x has linearly independent powers (delta(x^n) is the binomial
@@ -614,7 +636,54 @@ def build_theta(carrier: HopfAlgebroid, gsp: SpectralGroupoid, prim: PrimBasis,
     maps to a product of k degree-1 primitives, or to a table.
     """
     domain = ConvolutionAlgebroid(gsp.groupoid, action.bundle, action, carrier.truncation)
+    build = (_theta_constructed if isinstance(carrier, ConvolutionAlgebroid)
+             else _theta_of_products)
+    theta = build(carrier, domain, gsp, prim)
+    theta.hom_checks = _verify_theta_hom(theta, carrier.truncation)
+    return theta
 
+
+def _theta_constructed(carrier: ConvolutionAlgebroid, domain, gsp, prim) -> ThetaMap:
+    # Exactness of the closed form.  At y the primitive basis is the
+    # generators x_i = (u_y, e_(k_i)), with k_i increasing in i
+    # (``solve_primitives``), and rep_s is the arrow indicator (g_s, 0)
+    # (``solve_grouplikes_at``).  The ordered product x_0^(m_0) x_1^(m_1) ...
+    # is a chain of appends with coefficient 1: each factor (u_y, e_k) is
+    # transported along the unit u_y, which is the identity, and e_k is at or
+    # after every letter already there, so the PBW product appends it.  So
+    # the product is (u_y, m') with coefficient 1, where m' puts m_i at
+    # letter k_i and 0 at every other letter (all of them at truncation 0,
+    # where P_y is 0 and m = ()).  Then (u_y, m') * (g_s, 0) = (g_s, m'), as
+    # u_y after g_s is g_s and the monomial 0 transports to itself.  Its
+    # degree is that of m, at most the truncation, so nothing overflows.
+    # ``validate`` checks that units act as the identity and that u_y after
+    # g = g, and both ``analyze`` and ``roundtrip`` stop on a violation
+    # before this stage.  Only where the images are not a bijection of the
+    # labels at a point is the kernel taken there.
+    fiber_dims = {p: carrier.bundle.fiber(p).dim for p in carrier.base.points}
+    letters = {p: [l[1].index(1) for l in pivots] for p, pivots in prim.pivots.items()}
+    arrows = {s: next(iter(rep._c))[0] for s, rep in gsp.representatives.items()}
+    images = {}
+    for label in domain.labels:
+        s, m = label
+        y = domain.label_target(label)
+        exponents = [0] * fiber_dims[y]
+        for k, e in zip(letters[y], m):
+            exponents[k] = e
+        images[label] = AlgebroidElement._of(carrier, 1, {(arrows[s], tuple(exponents)): 1})
+    theta = ThetaMap(domain, carrier, images)
+    for p in carrier.base.points:
+        sources = domain.labels_at(p)
+        hit = {next(iter(images[l]._c)) for l in sources}
+        if len(hit) == len(sources) and hit == set(carrier.labels_at(p)):
+            theta.ranks[p] = len(sources)
+        else:
+            _rank_by_kernel(theta, p)
+    return theta
+
+
+def _theta_of_products(carrier: HopfAlgebroid, domain, gsp, prim) -> ThetaMap:
+    """Theta with each image multiplied out, and its rank by kernel at each point."""
     product_cache = {}
 
     def monomial_product(point, mono):
@@ -638,14 +707,18 @@ def build_theta(carrier: HopfAlgebroid, gsp: SpectralGroupoid, prim: PrimBasis,
 
     theta = ThetaMap(domain, carrier, images)
     for p in carrier.base.points:
-        labels = carrier.labels_at(p)
-        kernel = nullspace_of_rows(theta._rows_at(p), len(labels))
-        theta.ranks[p] = len(labels) - len(kernel)
-        if kernel:
-            first = next(i for i, c in enumerate(kernel[0]) if c)
-            theta.witnesses[p] = carrier.format_label(labels[first])
-    theta.hom_checks = _verify_theta_hom(theta, carrier.truncation)
+        _rank_by_kernel(theta, p)
     return theta
+
+
+def _rank_by_kernel(theta: ThetaMap, point):
+    """The rank at ``point``, and the witness where the kernel is not empty."""
+    labels = theta.codomain.labels_at(point)
+    kernel = nullspace_of_rows(theta._rows_at(point), len(labels))
+    theta.ranks[point] = len(labels) - len(kernel)
+    if kernel:
+        first = next(i for i, c in enumerate(kernel[0]) if c)
+        theta.witnesses[point] = theta.codomain.format_label(labels[first])
 
 
 def _verify_theta_hom(theta: ThetaMap, truncation):

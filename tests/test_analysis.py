@@ -364,10 +364,11 @@ def test_each_germ_law_and_action_kernel_is_checked_once(monkeypatch):
     carrier = pairh3_at(4)
     prim = solve_primitives(carrier)
     # 4 germs: the coproduct of each antipode image, and 2 anchors each in
-    # ``_source_of``; the germs themselves are read off the construction.
-    calls = carrier_calls(monkeypatch, carrier, ("delta", "counit"))
+    # ``_source_of``, read through ``_counit_values`` with no ``counit``; the
+    # germs themselves are read off the construction.
+    calls = carrier_calls(monkeypatch, carrier, ("delta", "counit", "_counit_values"))
     gsp = build_spectral_groupoid(carrier)
-    assert calls == {"delta": 4, "counit": 8}
+    assert calls == {"delta": 4, "_counit_values": 8}
     kernels, real = [], QMatrix.nullspace
 
     def counting(self):
@@ -437,9 +438,8 @@ def test_each_primitive_commutator_is_computed_once(monkeypatch):
         for i, x in enumerate(basis):
             for j, y in enumerate(basis):
                 lie = carrier.mul(x, y) - carrier.mul(y, x)
-                coords = prim.coords_in_basis(lie, p)
-                row = tuple((k, c) for k, c in enumerate(coords) if c)
-                assert prim.brackets[p][i][j] == row, (p, i, j)
+                row = tuple((k, c) for k, c in enumerate(dense_coords(prim, lie, p)) if c)
+                assert prim.brackets[p][i][j] == row == prim.coords_in_basis(lie, p), (p, i, j)
 
 
 def test_one_generator_fibers_are_decided_at_truncation_one():
@@ -793,7 +793,7 @@ def test_prim_action_is_the_good_pair_conjugation():
         for arrow in groupoid.arrows:
             x, y = groupoid.source[arrow], groupoid.target[arrow]
             pair = canonical_good_pair(carrier, gsp.representatives[arrow], y)
-            columns = [prim.coords_in_basis(conjugate_by_pair(pair, b), y)
+            columns = [dense_coords(prim, conjugate_by_pair(pair, b), y)
                        for b in prim.per_point.get(x, [])]
             assert action.matrix(arrow) == QMatrix.from_columns(columns, rows=prim.rank_at(y)), (
                 key, arrow)
@@ -827,10 +827,15 @@ def test_theta_detects_missing_group_algebra_part():
     assert theta.witnesses.get("pt") is not None
 
 
-def theta_of(carrier):
+def theta_stages(carrier):
+    """The arguments of ``build_theta`` for the carrier."""
     prim = solve_primitives(carrier)
     gsp = build_spectral_groupoid(carrier)
-    return build_theta(carrier, gsp, prim, build_prim_action(carrier, gsp, prim))
+    return carrier, gsp, prim, build_prim_action(carrier, gsp, prim)
+
+
+def theta_of(carrier):
+    return build_theta(*theta_stages(carrier))
 
 
 def test_a_theta_that_is_not_multiplicative_is_a_theta_error(monkeypatch):
@@ -879,6 +884,90 @@ def test_theta_builds_no_dense_matrix(make_carrier, monkeypatch):
     assert built == []
     assert [w is None for w in witnesses] == [theta.bijective_at(p) for p in carrier.base.points]
     assert len(theta.matrices) == len(built) == len(carrier.base.points)
+
+
+def theta_by_products(carrier, gsp, prim, domain):
+    """Theta with every image multiplied out and every rank by kernel: the
+    general path, as an oracle for the closed form."""
+    theta = analysis_module._theta_of_products(carrier, domain, gsp, prim)
+    theta.hom_checks = analysis_module._verify_theta_hom(theta, carrier.truncation)
+    return theta
+
+
+def assert_same_theta(theta, oracle):
+    def exact_images(t):
+        return {l: [(k, type(c), c) for k, c in e._c.items()] for l, e in t.images.items()}
+
+    assert exact_images(theta) == exact_images(oracle)
+    assert theta.ranks == oracle.ranks
+    assert theta.witnesses == oracle.witnesses
+    assert theta.matrices == oracle.matrices
+    assert theta.hom_checks == oracle.hom_checks
+
+
+def test_closed_form_theta_matches_the_products():
+    """On convolution carriers the closed-form theta has the images, ranks,
+    witnesses, matrices and homomorphy checks of the general path, truncation
+    0 included, where the primitive fibers are 0-dimensional."""
+    from test_algebroid import wide_z2line_model
+
+    sl2 = load("workloads").sl2_model
+    models = [dict(build(), truncation=n)
+              for build in (z2line_model, pairh3_model) for n in range(9)]
+    models += [sl2(n) for n in range(1, 7)] + [random_model(seed) for seed in range(40)]
+    models.append(wide_z2line_model(8, 1))
+    for model in models:
+        carrier, gsp, prim, action = theta_stages(carrier_from_model(model))
+        theta = build_theta(carrier, gsp, prim, action)
+        assert theta.all_bijective and not theta.witnesses
+        assert_same_theta(theta, theta_by_products(carrier, gsp, prim, theta.domain))
+
+
+def test_a_closed_form_theta_that_is_no_bijection_takes_the_kernel():
+    """With one arrow's representative swapped for another's, two domain
+    labels share each image, so the closed form falls back on the kernel and
+    gives the rank and witness of the general path."""
+    for carrier in (z2line(), pairh3()):
+        carrier, gsp, prim, action = theta_stages(carrier)
+        units = set(gsp.groupoid.units.values())
+        arrow = next(a for a in gsp.groupoid.arrows if a not in units)
+        target = gsp.groupoid.target[arrow]
+        gsp.representatives[arrow] = gsp.representatives[gsp.groupoid.units[target]]
+        theta = build_theta(carrier, gsp, prim, action)
+        assert not theta.bijective_at(target) and theta.witnesses[target]
+        assert_same_theta(theta, theta_by_products(carrier, gsp, prim, theta.domain))
+
+
+@pytest.mark.parametrize("name", ["z2line", "pairh3", "funs3", "disguised"])
+def test_a_theta_that_permutes_labels_multiplies_and_eliminates_nothing(name, monkeypatch):
+    """Before its homomorphy checks, theta on a convolution carrier calls
+    neither ``carrier.mul`` nor ``nullspace_of_rows``; a table and a
+    disguised carrier still multiply out each image and take each kernel."""
+    make = {"z2line": z2line, "pairh3": pairh3, "funs3": funs3,
+            "disguised": lambda: Disguised(carrier_from_model(dict(z2line_model(), truncation=2)), 1)}
+    carrier, gsp, prim, action = theta_stages(make[name]())
+    calls = carrier_calls(monkeypatch, carrier, ("mul",))
+    kernels, before_checks = [], []
+    real_kernel, real_checks = analysis_module.nullspace_of_rows, analysis_module._verify_theta_hom
+
+    def kernel(*args):
+        kernels.append(args)
+        return real_kernel(*args)
+
+    def checks(*args):
+        before_checks.append((dict(calls), len(kernels)))
+        return real_checks(*args)
+
+    monkeypatch.setattr(analysis_module, "nullspace_of_rows", kernel)
+    monkeypatch.setattr(analysis_module, "_verify_theta_hom", checks)
+    theta = build_theta(carrier, gsp, prim, action)
+    ((products, eliminations),) = before_checks
+    if isinstance(carrier, ConvolutionAlgebroid):
+        assert theta.all_bijective
+        assert products == {} and eliminations == 0 == len(kernels)
+    else:
+        assert products["mul"] >= len(theta.images)
+        assert eliminations == len(carrier.base.points)
 
 
 def test_witness_is_the_first_pivot_of_the_dense_left_kernel():
@@ -1263,6 +1352,20 @@ def _solve_coords(prim, element, point):
     return m.solve(block)
 
 
+def dense_coords(prim, element, point):
+    """The dense coordinate tuple of an element in the basis at ``point``, as
+    an oracle for ``coords_in_basis``: its entries at every pivot, in basis
+    order, where they rebuild it, else None."""
+    if any(t != point for t in element.target_points()):
+        return None
+    basis = prim.per_point.get(point, [])
+    labels, coeffs = prim.carrier.labels_at(point), element.coeffs
+    pivots = [next(l for l in labels if l in b.coeffs) for b in basis]
+    coords = tuple(coeffs.get(l, Fraction(0)) for l in pivots)
+    rebuilt = linear(((i, c) for i, c in enumerate(coords) if c), lambda i: basis[i].coeffs.items())
+    return coords if rebuilt == coeffs else None
+
+
 def test_pivot_coordinates_match_elimination():
     rng = random.Random(5)
     for carrier in (z2line(), pairh3(), funs3(), h3_z2_carrier(z_sign=1)):
@@ -1277,7 +1380,10 @@ def test_pivot_coordinates_match_elimination():
                 candidates += [combo, combo + carrier.random_element(rng).at_point(p)]
             candidates += [carrier.random_element(rng) for _ in range(6)]
             for element in candidates:
-                assert prim.coords_in_basis(element, p) == _solve_coords(prim, element, p)
+                dense = _solve_coords(prim, element, p)
+                assert dense_coords(prim, element, p) == dense
+                sparse = None if dense is None else tuple((i, c) for i, c in enumerate(dense) if c)
+                assert prim.coords_in_basis(element, p) == sparse
 
 
 def renamed(model):
