@@ -55,6 +55,7 @@ from .groupoid import (
     FiniteGroupoid,
     GroupoidIsomorphism,
     groupoid_isomorphic,
+    is_isomorphism,
 )
 from .liebundle import BundleAction, LieBundle, LieFiber
 from .linalg import QMatrix, rational_eigenvalues, rational_roots
@@ -116,6 +117,7 @@ __all__ = [
     "conjugate_by_pair",
     "funs3_model",
     "groupoid_isomorphic",
+    "is_isomorphism",
     "load_carrier",
     "load_model",
     "make_good_pair",

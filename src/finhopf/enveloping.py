@@ -69,8 +69,11 @@ def mono_word(m: Monomial) -> tuple[int, ...]:
 
 
 def mono_key(m: Monomial):
-    """Canonical ordering key: by degree, then lexicographically by word."""
-    return (mono_degree(m), mono_word(m))
+    """Canonical ordering key: by degree, then lexicographically by word.
+
+    Within one degree the word order is the exponent order reversed (more of
+    the first differing letter is a smaller word), so no word is built."""
+    return (sum(m), tuple([-a for a in m]))
 
 
 def unit_mono(dim: int) -> Monomial:

@@ -144,13 +144,22 @@ class FiniteGroupoid:
         return out
 
     def validate(self) -> list[str]:
-        """All groupoid-law violations, each naming the offending arrows."""
+        """All groupoid-law violations, each naming the offending arrows.
+
+        Only the pairs that compose or have an entry, and the chains of two
+        entries, are visited, each in arrow order: not every pair and triple."""
         report = []
         for x, u in self.units.items():
             if self.source[u] != x or self.target[u] != x:
                 report.append(f"unit {u!r} of {x!r} is not an endo-arrow at {x!r}")
+        order = {g: i for i, g in enumerate(self.arrows)}
+        into, entries = {x: [] for x in self.base.points}, {g: [] for g in self.arrows}
+        for h in self.arrows:
+            into[self.target[h]].append(h)
+        for g, h in sorted(self.compose_table, key=lambda gh: order[gh[1]]):
+            entries[g].append(h)
         for g in self.arrows:
-            for h in self.arrows:
+            for h in sorted({*into[self.source[g]], *entries[g]}, key=order.__getitem__):
                 composable = self.source[g] == self.target[h]
                 defined = (g, h) in self.compose_table
                 if composable and not defined:
@@ -178,12 +187,8 @@ class FiniteGroupoid:
             if self.inverse[inv] != g:
                 report.append(f"inverse is not involutive at {g!r}")
         for g in self.arrows:
-            for h in self.arrows:
-                if (g, h) not in self.compose_table:
-                    continue
-                for k in self.arrows:
-                    if (h, k) not in self.compose_table:
-                        continue
+            for h in entries[g]:
+                for k in entries[h]:
                     left = self.compose_table.get((self.compose_table[(g, h)], k))
                     right = self.compose_table.get((g, self.compose_table[(h, k)]))
                     if left != right or left is None:
@@ -210,7 +215,7 @@ def groupoid_isomorphic(a: FiniteGroupoid, b: FiniteGroupoid):
     an isotropy group isomorphic by some phi; then, with b's arrows u_x,
     g: x -> y goes to u_y phi(t_y^-1 g t_x) u_x^-1.  Since isomorphism is an
     equivalence, this finds a map whenever one exists between groupoids that
-    pass ``validate``; a map is returned only if ``_full_check`` accepts it.
+    pass ``validate``; a map is returned only if ``is_isomorphism`` accepts it.
     Isotropy groups above ``ISOTROPY_MAX_ORDER`` are refused, since the group
     search is the one step that can take exponential time.
     """
@@ -233,7 +238,7 @@ def groupoid_isomorphic(a: FiniteGroupoid, b: FiniteGroupoid):
             if x in t and y in t:
                 k = phi.get(a.compose(a.inverse[t[y]], a.compose(g, t[x])))
                 amap[g] = b.compose(b.compose(u[pmap[y]], k), b.inverse[u[pmap[x]]])
-    return GroupoidIsomorphism(pmap, amap) if _full_check(a, b, pmap, amap) else None
+    return GroupoidIsomorphism(pmap, amap) if is_isomorphism(a, b, pmap, amap) else None
 
 
 def _group_isomorphism(a, ca, b, cb):
@@ -278,13 +283,20 @@ def _closure(a, b, ua, ub, images):
     return phi if len(set(phi.values())) == len(phi) else None
 
 
-def _full_check(a, b, pmap, amap):
-    if set(amap.values()) != set(b.arrows) or len(b.compose_table) != len(a.compose_table):
+def is_isomorphism(a: FiniteGroupoid, b: FiniteGroupoid, point_map, arrow_map) -> bool:
+    """Whether the maps, defined on every point and arrow of a, are an
+    isomorphism from a onto b, for groupoids that pass ``validate``: a
+    bijection of the arrows that sends each unit to the unit at the mapped
+    point, each inverse to the inverse of the image, and each composite of a
+    to the composite of the images."""
+    if (len(a.arrows) != len(b.arrows) or set(arrow_map.values()) != set(b.arrows)
+            or len(b.compose_table) != len(a.compose_table)):
         return False
     for x in a.base.points:
-        if amap[a.units[x]] != b.units[pmap[x]]:
+        if arrow_map[a.units[x]] != b.units[point_map[x]]:
             return False
     for g in a.arrows:
-        if amap[a.inverse[g]] != b.inverse[amap[g]]:
+        if arrow_map[a.inverse[g]] != b.inverse[arrow_map[g]]:
             return False
-    return all(b.compose(amap[g], amap[h]) == amap[gh] for (g, h), gh in a.compose_table.items())
+    return all(b.compose(arrow_map[g], arrow_map[h]) == arrow_map[gh]
+               for (g, h), gh in a.compose_table.items())

@@ -156,36 +156,6 @@ class QMatrix:
         body = "; ".join(" ".join(str(x) for x in r) for r in self.data)
         return f"QMatrix[{self.rows}x{self.cols}: {body}]"
 
-    def __add__(self, other):
-        self._same_shape(other)
-        return QMatrix(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.data, other.data)
-            ],
-            cols=self.cols,
-        )
-
-    def __sub__(self, other):
-        self._same_shape(other)
-        return QMatrix(
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.data, other.data)
-            ],
-            cols=self.cols,
-        )
-
-    def scale(self, c) -> "QMatrix":
-        c = rat(c)
-        return QMatrix([[c * x for x in r] for r in self.data], cols=self.cols)
-
-    def _same_shape(self, other):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise DimensionMismatch(
-                f"{self.rows}x{self.cols} vs {other.rows}x{other.cols}"
-            )
-
     def __mul__(self, other):
         if not isinstance(other, QMatrix):
             return NotImplemented
@@ -203,14 +173,6 @@ class QMatrix:
                         row[j] += a * b
             out.append(row)
         return QMatrix(out, cols=other.cols)
-
-    def matvec(self, v) -> Vector:
-        v = vec(v)
-        if len(v) != self.cols:
-            raise DimensionMismatch(f"vector of length {len(v)} vs {self.cols} columns")
-        return tuple(
-            sum((a * x for a, x in zip(r, v) if a), _ZERO) for r in self.data
-        )
 
     def rref(self):
         """Reduced row echelon form and the tuple of pivot columns."""

@@ -38,7 +38,7 @@ from finhopf.analysis import (
     solve_grouplikes_at,
     solve_primitives,
 )
-from finhopf.errors import AnalysisError, NotAGoodPair, SolverIncomplete
+from finhopf.errors import AnalysisError, NotAGoodPair, SizeGuardExceeded, SolverIncomplete
 from finhopf.groupoid import BaseFun, groupoid_isomorphic
 from finhopf.linalg import QMatrix
 from finhopf.modelio import FORMAT_NAME, FORMAT_VERSION, carrier_from_model
@@ -1222,7 +1222,9 @@ def change_of_basis_matches(carrier, analysis):
 def negate_a_rebuilt_matrix(analysis):
     units = analysis.gsp.groupoid.units.values()
     arrow = next(a for a in analysis.gsp.groupoid.arrows if a not in units)
-    analysis.prim_action.matrices[arrow] = analysis.prim_action.matrix(arrow).scale(-1)
+    matrix = analysis.prim_action.matrix(arrow)
+    analysis.prim_action.matrices[arrow] = QMatrix([[-x for x in row] for row in matrix.data],
+                                                   cols=matrix.cols)
 
 
 def add_a_label_to_a_primitive(analysis):
@@ -1281,6 +1283,18 @@ def test_direct_action_comparison_agrees_with_the_change_of_basis(monkeypatch):
         for change in RECONSTRUCTION_CHANGES.values():
             report, oracle = roundtrip_with_oracle(make_carrier(), monkeypatch, change)
             assert report.action_matches == oracle
+
+
+def test_roundtrip_certifies_the_groupoid_by_the_indicator_map():
+    """Each input arrow's indicator is the representative of a spectral arrow,
+    and that map is an isomorphism, so ``roundtrip`` needs no group search:
+    Z/80 at one point, beyond the search's isotropy bound, round-trips."""
+    carrier = carrier_from_model(cyclic_model([], [], [], 80, 0))
+    report = roundtrip(carrier)
+    assert report.ok and report.groupoid_isomorphic
+    assert report.decision.spectral_arrows == 80
+    with pytest.raises(SizeGuardExceeded):
+        groupoid_isomorphic(carrier.groupoid, carrier.groupoid)
 
 
 def test_analyze_bundles_every_stage():
@@ -1770,6 +1784,85 @@ def test_disguised_random_models_are_decided_as_themselves():
         assert any(mixed for _l, *mixed in carrier._to.values()), seed  # P is not the identity
         assert analyze(carrier).decision.to_json() == expected, seed
     assert ranks == [0, 2, 2, 2, 3, 1, 0, 3]
+
+
+def cyclic_group_algebra_model(n):
+    """The group algebra Q[Z/n] as a table model over one point."""
+    names = [f"g{i}" for i in range(n)]
+    return {
+        "format": FORMAT_NAME,
+        "version": FORMAT_VERSION,
+        "kind": "table",
+        "base": ["pt"],
+        "table": {
+            "basis": [{"id": nm, "target": "pt"} for nm in names],
+            "baseEmbedding": {"pt": {"g0": 1}},
+            "mul": [[f"g{i}", f"g{j}", {f"g{(i + j) % n}": 1}]
+                    for i in range(n) for j in range(n)],
+            "delta": {nm: [[nm, nm, 1]] for nm in names},
+            "counit": {nm: 1 for nm in names},
+            "antipode": {f"g{i}": {f"g{(-i) % n}": 1} for i in range(n)},
+        },
+    }
+
+
+def dense_table_grouplikes(carrier, point):
+    """The table grouplike search with each eigenspace a dense ``QMatrix`` of
+    basis columns, refined by the dense kernel of op * basis - lam * basis."""
+    labels = carrier.labels_at(point)
+    d = len(labels)
+    idx = {l: i for i, l in enumerate(labels)}
+    ops = [[[Fraction(0)] * d for _ in range(d)] for _ in range(d)]
+    for i, l in enumerate(labels):
+        for (l1, l2), c in carrier.delta_label(l):
+            if l2 in idx:
+                ops[idx[l2]][idx[l1]][i] += c
+    spaces = [(QMatrix.identity(d), [])]
+    for op in map(QMatrix, ops):
+        refined = []
+        for basis, tup in spaces:
+            opb = op * basis
+            for lam in linalg.rational_eigenvalues(op):
+                shifted = [[a - lam * b for a, b in zip(ra, rb)]
+                           for ra, rb in zip(opb.data, basis.data)]
+                kernel = QMatrix(shifted, cols=basis.cols).nullspace()
+                if kernel:
+                    cols = [tuple(sum((a * x for a, x in zip(r, k)), Fraction(0))
+                                  for r in basis.data) for k in kernel]
+                    refined.append((QMatrix.from_columns(cols, rows=d), tup + [lam]))
+        spaces = refined
+    out = []
+    for _basis, tup in spaces:
+        candidate = AlgebroidElement(carrier, {l: lam for l, lam in zip(labels, tup) if lam})
+        if (not candidate.is_zero() and carrier.counit(candidate)(point) == 1
+                and carrier.delta(candidate) == FiberTensor.of_pair(candidate, candidate)):
+            out.append(candidate)
+    out.sort(key=lambda e: e.signature())
+    return out
+
+
+def test_sparse_grouplike_refinement_matches_the_dense_one():
+    """The table grouplike search refines sparse eigenspace bases; refining
+    dense basis matrices finds the same grouplikes in the same order, on
+    function and group algebras of cyclic groups, rescaled Q[Z/2], and
+    convolution carriers in disguise."""
+    tables = [funs3(), *(fun_cyclic_table(n) for n in (2, 3, 4, 5, 6, 12)),
+              *(carrier_from_model(cyclic_group_algebra_model(n)) for n in (2, 3, 4, 5, 6, 12)),
+              *(carrier_from_model(rescaled_group_algebra_model(k)) for k in (1, 3, 10**6))]
+    for make, truncation in ((z2line_model, 1), (z2line_model, 2), (pairh3_model, 1)):
+        inner = carrier_from_model(dict(make(), truncation=truncation))
+        tables += [Disguised(inner, seed) for seed in (1, 2)]
+    for seed in DISGUISED_RANDOM_SEEDS:
+        tables.append(Disguised(carrier_from_model(dict(random_model(seed), truncation=1)), seed))
+    counts = []
+    for carrier in tables:
+        for p in carrier.base.points:
+            found = solve_grouplikes_at(carrier, p)
+            assert found == dense_table_grouplikes(carrier, p), (carrier, p)
+            counts.append(len(found))
+    # the characters of S3 and of Z/n, the elements of Z/n, and e and b / k
+    assert counts[:16] == [2, 2, 1, 2, 1, 2, 2, 2, 3, 4, 5, 6, 12, 2, 2, 2]
+    assert all(counts[16:])  # each arrow indicator is a grouplike in disguise too
 
 
 def test_valid_models_answer_alike_at_every_seed():

@@ -551,6 +551,16 @@ def test_roundtrip_decides_the_pair_groupoid_on_nine_points(tmp_path, capsys):
     assert code == EXIT_OK and out.endswith("round trip: ok\n")
 
 
+def test_pair_models_above_ten_points_load_and_validate():
+    """Arrow ids stay unambiguous above 10 points, where ``a{t}{s}`` would
+    name (1, 11) and (11, 1) alike; up to 10 points they are unchanged."""
+    tool = load_tool("cli_digests")
+    carrier = carrier_from_model(tool.pair_model(12))
+    assert len(carrier.groupoid.arrows) == 144 and carrier.validate() == []
+    assert {"a1_11", "a11_1"} <= set(carrier.groupoid.arrows)
+    assert tool.pair_model(10)["groupoid"]["units"]["p9"] == "a99"
+
+
 def test_root_search_bound_is_an_input_error(tmp_path, capsys):
     path = tmp_path / "rescaled.json"
     save_model(rescaled_group_algebra_model(10**30), path)

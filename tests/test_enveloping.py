@@ -56,6 +56,21 @@ def test_monomials_up_to_is_every_exponent_vector_in_canonical_order(dim):
         assert monomials_up_to(dim, degree) == sorted(every, key=mono_key)
 
 
+@pytest.mark.parametrize("dim", range(5))
+def test_mono_key_orders_as_degree_then_word(dim):
+    """Every pair of monomials of degree at most 6 compares under ``mono_key``
+    as under the key of degree, then sorted index word."""
+    every = [m for m in itertools.product(range(7), repeat=dim) if sum(m) <= 6]
+    random.Random(dim).shuffle(every)
+
+    def word_key(m):
+        return (mono_degree(m), mono_word(m))
+
+    assert sorted(every, key=mono_key) == sorted(every, key=word_key)
+    for m1, m2 in itertools.product(every, repeat=2):
+        assert (mono_key(m1) < mono_key(m2)) == (word_key(m1) < word_key(m2)), (m1, m2)
+
+
 def test_monomials_up_to_counts():
     assert len(monomials_up_to(3, 4)) == 35
     assert len(monomials_up_to(3, 3)) == 20

@@ -12,8 +12,8 @@ from finhopf.groupoid import (
     BaseSpace,
     FiniteGroupoid,
     GroupoidIsomorphism,
-    _full_check,
     groupoid_isomorphic,
+    is_isomorphism,
 )
 from finhopf.modelio import carrier_from_model
 from finhopf.models import random_model
@@ -238,7 +238,7 @@ def point_bijection_arrow_search(a, b, pmap):
 
     def extend(i):
         if i == len(order):
-            return _full_check(a, b, pmap, assignment)
+            return is_isomorphism(a, b, pmap, assignment)
         g = order[i]
         for image in b_by_ends.get((pmap[a.source[g]], pmap[a.target[g]]), ()):
             if image in used or not consistent(g, image):
@@ -277,13 +277,13 @@ def renamed(g, rng, shuffle_points):
 
 def decide_both_ways(a, b):
     """Whether a and b are isomorphic, after checking that the search agrees
-    with the point-bijection search and returns a map ``_full_check`` accepts,
+    with the point-bijection search and returns a map ``is_isomorphism`` accepts,
     the same first map when the point sets are equal."""
     iso = groupoid_isomorphic(a, b)
     reference = point_bijection_isomorphic(a, b)
     assert (iso is None) == (reference is None)
     if iso is not None:
-        assert _full_check(a, b, iso.point_map, iso.arrow_map)
+        assert is_isomorphism(a, b, iso.point_map, iso.arrow_map)
         assert sorted(iso.point_map.values()) == sorted(b.base.points)
     if set(a.base.points) == set(b.base.points):
         assert iso == reference
@@ -388,7 +388,7 @@ def test_twelve_point_groupoids_are_decided_quickly(parts_a, parts_b):
         other = renamed(x, random.Random(len(x.arrows)), True)
         iso = groupoid_isomorphic(x, other)
         assert iso is not None
-        assert _full_check(x, other, iso.point_map, iso.arrow_map)
+        assert is_isomorphism(x, other, iso.point_map, iso.arrow_map)
     assert time.perf_counter() - start < 1.0
 
 
@@ -484,7 +484,7 @@ def test_shuffled_renamings_of_a_group_are_found(group):
     for seed in range(3):
         b = renamed(a, random.Random(seed), True)
         iso = groupoid_isomorphic(a, b)
-        assert iso is not None and _full_check(a, b, iso.point_map, iso.arrow_map)
+        assert iso is not None and is_isomorphism(a, b, iso.point_map, iso.arrow_map)
 
 
 SMALL_GROUPS = {
@@ -534,10 +534,91 @@ def corrupted(g, rng):
     return FiniteGroupoid(g.base, g.arrows, g.source, target, units, inverse, compose)
 
 
+def reference_validate(g):
+    """``FiniteGroupoid.validate`` by its definition: every arrow pair, then
+    the unit and inverse laws, then every arrow triple, in arrow order."""
+    table, report = g.compose_table, []
+    for x, u in g.units.items():
+        if g.source[u] != x or g.target[u] != x:
+            report.append(f"unit {u!r} of {x!r} is not an endo-arrow at {x!r}")
+    for a, b in itertools.product(g.arrows, repeat=2):
+        composable, defined = g.source[a] == g.target[b], (a, b) in table
+        if composable and not defined:
+            report.append(f"composition ({a!r}, {b!r}) missing")
+        elif defined and not composable:
+            report.append(f"composition ({a!r}, {b!r}) defined but not composable")
+        elif defined:
+            ab = table[(a, b)]
+            if g.source[ab] != g.source[b] or g.target[ab] != g.target[a]:
+                report.append(f"composite {ab!r} of ({a!r}, {b!r}) has wrong endpoints")
+    for a in g.arrows:
+        if table.get((a, g.units[g.source[a]])) != a:
+            report.append(f"right unit law fails for {a!r}")
+        if table.get((g.units[g.target[a]], a)) != a:
+            report.append(f"left unit law fails for {a!r}")
+        inv = g.inverse[a]
+        if g.source[inv] != g.target[a] or g.target[inv] != g.source[a]:
+            report.append(f"inverse {inv!r} of {a!r} has wrong endpoints")
+        else:
+            if table.get((inv, a)) != g.units[g.source[a]]:
+                report.append(f"inverse law fails for {a!r} (left)")
+            if table.get((a, inv)) != g.units[g.target[a]]:
+                report.append(f"inverse law fails for {a!r} (right)")
+        if g.inverse[inv] != a:
+            report.append(f"inverse is not involutive at {a!r}")
+    for a, b in itertools.product(g.arrows, repeat=2):
+        if (a, b) not in table:
+            continue
+        for c in g.arrows:
+            if (b, c) in table:
+                left, right = table.get((table[(a, b)], c)), table.get((a, table[(b, c)]))
+                if left != right or left is None:
+                    report.append(f"associativity fails on ({a!r}, {b!r}, {c!r})")
+    return report
+
+
+def corrupted_table(g, rng):
+    """``g`` with one to three composites dropped, rewired, added or swapped,
+    inverses broken or units misplaced."""
+    compose, inverse, units = dict(g.compose_table), dict(g.inverse), dict(g.units)
+    for _ in range(rng.randint(1, 3)):
+        kind, keys = rng.randrange(6), sorted(compose)
+        if kind == 0 and keys:
+            del compose[rng.choice(keys)]
+        elif kind == 1 and keys:
+            compose[rng.choice(keys)] = rng.choice(g.arrows)
+        elif kind == 2:
+            compose[(rng.choice(g.arrows), rng.choice(g.arrows))] = rng.choice(g.arrows)
+        elif kind == 3 and len(keys) > 1:
+            k1, k2 = rng.sample(keys, 2)
+            compose[k1], compose[k2] = compose[k2], compose[k1]
+        elif kind == 4:
+            inverse[rng.choice(g.arrows)] = rng.choice(g.arrows)
+        else:
+            units[rng.choice(g.base.points)] = rng.choice(g.arrows)
+    return FiniteGroupoid(g.base, g.arrows, g.source, g.target, units, inverse, compose)
+
+
+def test_validate_walks_the_table_as_the_loops_over_every_pair_and_triple():
+    """On 400 seeded corruptions of pair groupoids on 1 to 4 points with
+    cyclic isotropy of order 1 to 3, ``validate`` gives the messages of the
+    loops over every arrow pair and triple, in the same order."""
+    rng = random.Random(18)
+    failing = 0
+    for _ in range(400):
+        g = components([(rng.randint(1, 4), rng.randint(1, 3))])
+        assert g.validate() == []
+        bad = corrupted_table(g, rng)
+        expected = reference_validate(bad)
+        assert bad.validate() == expected
+        failing += bool(expected)
+    assert failing > 350
+
+
 def test_corrupted_groupoids_are_compared_without_raising():
     """``FiniteGroupoid`` accepts tables that fail ``validate``; compared with
     the original or with itself, each corruption gives None or a bijection
-    that ``_full_check`` accepts, and never raises."""
+    that ``is_isomorphism`` accepts, and never raises."""
     rng = random.Random(26)
     found = 0
     for seed in range(64):
@@ -548,6 +629,6 @@ def test_corrupted_groupoids_are_compared_without_raising():
                 iso = groupoid_isomorphic(a, b)
                 if iso is not None:
                     found += 1
-                    assert _full_check(a, b, iso.point_map, iso.arrow_map)
+                    assert is_isomorphism(a, b, iso.point_map, iso.arrow_map)
                     assert sorted(iso.point_map.values()) == sorted(b.base.points)
     assert found > 0

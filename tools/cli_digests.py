@@ -73,20 +73,27 @@ def pair_model(n: int) -> dict:
     """The pair groupoid on n points, with 1-dimensional abelian fibers, the
     identity action and truncation 1: n * n arrows in one component with
     trivial isotropy, so ``roundtrip`` compares groupoids of that many arrows
-    by their components alone."""
+    by their components alone.  The arrow from point s to point t is
+    ``a{t}{s}``, or ``a{t}_{s}`` above 10 points, where ``a111`` would be
+    both (1, 11) and (11, 1)."""
     points = [f"p{i}" for i in range(n)]
-    arrows = [f"a{t}{s}" for t in range(n) for s in range(n)]
+    sep = "_" if n > 10 else ""
+
+    def arrow(t, s):
+        return f"a{t}{sep}{s}"
+
+    arrows = [arrow(t, s) for t in range(n) for s in range(n)]
     return {
         "format": "hopf-algebroid-model",
         "version": 1,
         "kind": "convolution",
         "base": points,
         "groupoid": {
-            "arrows": [{"id": f"a{t}{s}", "src": points[s], "tgt": points[t]}
+            "arrows": [{"id": arrow(t, s), "src": points[s], "tgt": points[t]}
                        for t in range(n) for s in range(n)],
-            "units": {p: f"a{i}{i}" for i, p in enumerate(points)},
-            "inverse": {f"a{t}{s}": f"a{s}{t}" for t in range(n) for s in range(n)},
-            "compose": [[f"a{z}{y}", f"a{y}{x}", f"a{z}{x}"]
+            "units": {p: arrow(i, i) for i, p in enumerate(points)},
+            "inverse": {arrow(t, s): arrow(s, t) for t in range(n) for s in range(n)},
+            "compose": [[arrow(z, y), arrow(y, x), arrow(z, x)]
                         for z in range(n) for y in range(n) for x in range(n)],
         },
         "bundle": [{"point": p, "basis": ["X"], "brackets": []} for p in points],
