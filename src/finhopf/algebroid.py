@@ -551,6 +551,7 @@ class ConvolutionAlgebroid(HopfAlgebroid):
         self._delta_cache = {}
         self._antipode_cache = {}
         self._products = {}
+        self._transported_products = {}
         self._transports = {}
 
     # The benchmark tracer patches ``mul`` in each carrier class's own namespace.
@@ -573,30 +574,49 @@ class ConvolutionAlgebroid(HopfAlgebroid):
 
     def mul_label(self, l1, l2, bound=None):
         """For l1 = (h, m1) and l2 = (k, m2) with g = h after k, the terms are
-        those of ``mono_mul`` by m1 folded over the transport of m2 along h,
-        at g.  The transported terms come in ``mono_key`` order, so an
-        overflow names the lowest-degree transported term that overflows.
-        Products under the truncation (``bound`` None) are memoized per
-        carrier, and transports per (arrow, monomial); each monomial product
-        is read from the fiber's product table, so one that recurs under
-        another arrow or another transported term is not multiplied again.
-        A pair whose arrows do not compose gives ``()`` without touching the
-        memo.  The memo holds products under the truncation only: a product
-        under a given bound is not stored, nor is a pair whose product
-        overflows, and ``mono_mul`` raises that overflow again on every call.
+        those of m1 * (h . m2), at g.  The transported terms come in
+        ``mono_key`` order, so an overflow names the lowest-degree transported
+        term that overflows.  Products under the truncation (``bound`` None)
+        are memoized per carrier twice: by label pair, read first, and by
+        (h, m1, m2), since m1 * (h . m2) does not depend on k.  A label pair
+        missing from the first memo attaches g to the terms of the second, so
+        each product is computed once per left arrow, not once per composable
+        pair; transports are memoized per (arrow, monomial), and each monomial
+        product is read from the fiber's product table.  A pair whose arrows
+        do not compose gives ``()`` and is not stored.  Neither memo holds a
+        product under a given bound, nor one that overflows, and ``mono_mul``
+        raises that overflow again on every call.
         """
+        if bound is None:
+            entry = self._products.get((l1, l2))
+            if entry is not None:
+                return entry
         g = self.groupoid.compose_table.get((l1[0], l2[0]))
         if g is None:
             return ()
-        if bound is None:
-            entry = self._products.get((l1, l2))
-            if entry is None:
-                entry = self._products[(l1, l2)] = self.mul_label(l1, l2, self.truncation)
-            return entry
         (h, m1), (_k, m2) = l1, l2
+        if bound is not None:
+            return tuple(((g, m), c) for m, c in self._transported_product(h, m1, m2, bound))
+        terms = self._transported_products.get((h, m1, m2))
+        if terms is None:
+            terms = self._transported_products[(h, m1, m2)] = self._transported_product(
+                h, m1, m2, self.truncation)
+        entry = self._products[(l1, l2)] = tuple(((g, m), c) for m, c in terms)
+        return entry
+
+    def _transported_product(self, h, m1, m2, bound):
+        """m1 * (h . m2) under ``bound`` as ``exact`` ``(monomial, c)`` terms.
+
+        ``mono_mul`` by m1 is folded over the transported terms of m2.  A
+        transport that is one term with coefficient 1 (a unit arrow, or a
+        permutation) gives ``mono_mul``'s terms as they are: already exact and
+        in ``mono_key`` order."""
         fiber = self.bundle.fiber(self.groupoid.target[h])
-        product = linear(self._transport(h, m2), lambda m: mono_mul(fiber, m1, m, bound))
-        return tuple(((g, m), exact(c)) for m, c in product.items())
+        moved = self._transport(h, m2)
+        if len(moved) == 1 and moved[0][1] == 1:
+            return mono_mul(fiber, m1, moved[0][0], bound)
+        product = linear(moved, lambda m: mono_mul(fiber, m1, m, bound))
+        return tuple((m, exact(c)) for m, c in product.items())
 
     def _transport(self, arrow, m):
         """``mono_transport`` of m along the arrow, computed once per (arrow, monomial)."""

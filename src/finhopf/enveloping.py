@@ -158,11 +158,13 @@ def mono_mul(fiber: LieFiber, m1: Monomial, m2: Monomial, truncation: int):
     table; a missing entry is filled from the longest stored prefix of m2's
     word, one letter at a time, storing each longer prefix on the way.
     """
-    total = mono_degree(m1) + mono_degree(m2)
+    total = sum(m1) + sum(m2)
     if total > truncation:
         raise TruncationOverflow(total, truncation,
                                  "product of stored monomials; no silent truncation")
-    last = max((k for k, a in enumerate(m1) if a), default=0)  # the last letter of m1
+    last = len(m1) - 1  # the last letter of m1; at most 0 when m1 has none
+    while last > 0 and not m1[last]:
+        last -= 1
     if not any(m2[:last]):  # no letter of m2 precedes it: the product is an append
         return ((tuple(a + b for a, b in zip(m1, m2)), 1),)
     table = fiber.product_table

@@ -480,6 +480,23 @@ def test_check_axioms_catches_a_doubled_unit_square(build, unit):
     assert not report.ok and "associativity" in {c.name for c in report.failures()}
 
 
+@pytest.mark.parametrize("build, unit", [(z2line_model, ("e", (0,))),
+                                         (pairh3_model, ("axx", (0, 0, 0)))])
+def test_check_axioms_catches_a_doubled_transported_unit_square(build, unit):
+    """A label pair missing from the product memo takes its terms from the
+    memo of m1 * (h . m2), so one doubled entry there, written before any
+    product is read, doubles (h, m) * (k, m) for every k with h after k, and
+    the sampled laws of ``check_axioms`` catch it at its defaults."""
+    h, m = unit
+    carrier = perturbed_caches(build(), "_transported_products", (h, m, m), ((m, 2),))
+    report = check_axioms(carrier)
+    assert not report.ok and "associativity" in {c.name for c in report.failures()}
+    assert carrier.mul_label(unit, unit) == ((unit, 2),)
+    doubled = [(l1, l2) for l1, l2 in carrier._products if l1 == unit and l2[1] == m]
+    assert len(doubled) > 1
+    assert all(carrier._products[pair] == (((pair[1][0], m), 2),) for pair in doubled)
+
+
 def test_a_linear_law_passes_a_sample_whose_failing_labels_cancel():
     """``counit_law_left`` fails on the labels x and y of a carrier whose
     coproducts of x and y carry opposite stray terms, and holds on x + y: that
@@ -923,8 +940,9 @@ def test_overflowing_label_pair_raises_the_same_overflow_every_time():
             carrier.mul(pq, p)
         assert (exc.value.degree, exc.value.truncation) == (3, 2)
         assert str(exc.value) == str(direct.value)
-    # the memo holds products only
+    # the memos hold products only
     assert (("e", (1, 1, 0)), ("e", (1, 0, 0))) not in carrier._products
+    assert carrier._transported_products == {}
     # the first overflowing label pair in term order is reported: the left
     # factor's first term decides
     big_first = AlgebroidElement(carrier, {("s", (1, 1, 0)): 1, ("e", (1, 0, 0)): 1})
@@ -1121,7 +1139,8 @@ def test_products_keep_the_order_of_the_per_carrier_loops(index, seed, cap):
 
 
 def test_product_memo_holds_only_composable_pairs():
-    """``mul_label`` answers pairs whose arrows do not compose before its memo."""
+    """``mul_label`` reads its memo first, and answers a pair whose arrows do
+    not compose after that read, with ``()``, storing nothing."""
     model = pairh3_model()
     model["truncation"] = 4
     carrier = carrier_from_model(model)
@@ -1150,7 +1169,7 @@ def test_bracket_is_the_commutator_of_the_products():
 def test_bracket_cancels_before_the_truncation_bound():
     """At N=1 the commutator [P, Q] = Z of the Heisenberg fiber is exact,
     although each product has degree 2; a degree-2 term that survives the
-    cancellation still overflows, and the product memo is never written."""
+    cancellation still overflows, and neither product memo is ever written."""
     model = pairh3_model()
     model["truncation"] = 1
     carrier = carrier_from_model(model)
@@ -1164,7 +1183,7 @@ def test_bracket_cancels_before_the_truncation_bound():
     with pytest.raises(TruncationOverflow, match="degree 2 exceeds truncation bound 1 "
                                                  r"\(commutator"):
         carrier.bracket(left, right)
-    assert carrier._products == {}
+    assert carrier._products == {} and carrier._transported_products == {}
 
 
 def test_each_transport_is_computed_once(monkeypatch):
@@ -1180,6 +1199,31 @@ def test_each_transport_is_computed_once(monkeypatch):
     monkeypatch.setattr(algebroid, "mono_transport", counted)
     assert check_axioms(carrier).ok
     assert calls and len(calls) == len(set(calls)) == len(carrier._transports)
+
+
+@pytest.mark.parametrize("model", [lambda: load("workloads").sl2_model(6),
+                                   lambda: dict(pairh3_model(), truncation=4)],
+                         ids=["sl2", "pairh3"])
+def test_each_transported_product_is_computed_once(monkeypatch, model):
+    """m1 * (h . m2) is computed once per (h, m1, m2) and shared by every
+    label pair (h, m1), (k, m2) with h after k: the memo it fills is smaller
+    than the label-pair memo."""
+    carrier = carrier_from_model(model())
+    compute = carrier._transported_product
+    calls = []
+
+    def counted(h, m1, m2, bound):
+        calls.append((h, m1, m2))
+        return compute(h, m1, m2, bound)
+
+    monkeypatch.setattr(carrier, "_transported_product", counted)
+    assert check_axioms(carrier).ok
+    memo = carrier._transported_products
+    assert calls and len(calls) == len(set(calls)) == len(memo)
+    assert len(memo) < len(carrier._products)
+    for ((h, m1), (k, m2)), entry in carrier._products.items():
+        g = carrier.groupoid.compose_table[(h, k)]
+        assert entry == tuple(((g, m), c) for m, c in memo[(h, m1, m2)])
 
 
 def test_non_injective_action_overflows_label_by_label():

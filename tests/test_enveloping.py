@@ -621,6 +621,30 @@ def test_an_append_is_returned_without_a_table_entry():
         mono_mul(fiber, (0, 0, 2), (0, 0, 2), 3)
 
 
+def test_append_decision_matches_the_scan_over_every_letter():
+    """``mono_mul`` appends exactly when no letter of m2 comes before m1's
+    last letter, as a scan over every letter of m1 decides: an append stores
+    no table entry, any other product stores (m1, m2)."""
+
+    def reference_append(m1, m2):
+        last = max((k for k, a in enumerate(m1) if a), default=0)
+        return not any(m2[:last])
+
+    fiber = heisenberg()
+    monos = monomials_up_to(3, 4)
+    assert unit_mono(3) in monos
+    for m1, m2 in itertools.product(monos, repeat=2):
+        terms = mono_mul(fiber, m1, m2, 8)
+        appended = (m1, m2) not in fiber.product_table
+        assert appended == reference_append(m1, m2), (m1, m2)
+        if appended:
+            assert terms == ((tuple(a + b for a, b in zip(m1, m2)), 1),)
+    point = LieFiber.from_sparse((), [])
+    assert reference_append((), ())
+    assert mono_mul(point, (), (), 0) == (((), 1),)
+    assert point.product_table == {}
+
+
 def test_an_overflowing_product_stores_nothing():
     fiber = heisenberg()
     with pytest.raises(TruncationOverflow):
