@@ -581,11 +581,12 @@ class ConvolutionAlgebroid(HopfAlgebroid):
         (h, m1, m2), since m1 * (h . m2) does not depend on k.  A label pair
         missing from the first memo attaches g to the terms of the second, so
         each product is computed once per left arrow, not once per composable
-        pair; transports are memoized per (arrow, monomial), and each monomial
-        product is read from the fiber's product table.  A pair whose arrows
-        do not compose gives ``()`` and is not stored.  Neither memo holds a
-        product under a given bound, nor one that overflows, and ``mono_mul``
-        raises that overflow again on every call.
+        pair; a repeated read finds its labelled terms in the first memo and
+        rebuilds no tuple.  Transports are memoized per (arrow, monomial), and
+        each monomial product is read from the fiber's product table.  A pair
+        whose arrows do not compose gives ``()`` and is not stored.  Neither
+        memo holds a product under a given bound, nor one that overflows, and
+        ``mono_mul`` raises that overflow again on every call.
         """
         if bound is None:
             entry = self._products.get((l1, l2))

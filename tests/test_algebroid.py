@@ -32,7 +32,7 @@ from finhopf.liebundle import BundleAction, LieBundle
 from finhopf.linalg import QMatrix
 from finhopf.modelio import carrier_from_model
 from finhopf.models import funs3_model, pairh3_model, random_model, z2line_model
-from finhopf.rationals import add_terms, rat_str
+from finhopf.rationals import add_terms, exact, linear, rat_str
 
 from test_benchmark_reference import load
 from test_groupoid import base_fun, z2
@@ -401,8 +401,10 @@ def every_sample(name, items, predicate, tuples=None):
 def perturbed_caches(model, table, key, terms):
     """The carrier of ``model`` with one entry of a memoized table replaced
     by ``terms``: a label's coproduct or antipode (``table`` is
-    ``"_delta_cache"`` or ``"_antipode_cache"``), or a label pair's product
-    (``"_products"``, or a table carrier's ``"_mul"``)."""
+    ``"_delta_cache"`` or ``"_antipode_cache"``), a label pair's product
+    (``"_products"``, or a table carrier's ``"_mul"``), or a convolution
+    carrier's m1 * (h . m2) keyed by (h, m1, m2)
+    (``"_transported_products"``)."""
     carrier = carrier_from_model(model)
     getattr(carrier, table)[key] = terms
     return carrier
@@ -1207,7 +1209,9 @@ def test_each_transport_is_computed_once(monkeypatch):
 def test_each_transported_product_is_computed_once(monkeypatch, model):
     """m1 * (h . m2) is computed once per (h, m1, m2) and shared by every
     label pair (h, m1), (k, m2) with h after k: the memo it fills is smaller
-    than the label-pair memo."""
+    than the label-pair memo.  Each entry is the fold of ``mono_mul`` over the
+    transported terms, also where a one-term transport skips that fold (most
+    of sl2's keys, and all of pairh3's)."""
     carrier = carrier_from_model(model())
     compute = carrier._transported_product
     calls = []
@@ -1221,6 +1225,11 @@ def test_each_transported_product_is_computed_once(monkeypatch, model):
     memo = carrier._transported_products
     assert calls and len(calls) == len(set(calls)) == len(memo)
     assert len(memo) < len(carrier._products)
+    for (h, m1, m2), terms in memo.items():
+        fiber = carrier.bundle.fiber(carrier.groupoid.target[h])
+        fold = linear(carrier._transport(h, m2),
+                      lambda m: enveloping.mono_mul(fiber, m1, m, carrier.truncation))
+        assert terms == tuple((m, exact(c)) for m, c in fold.items())
     for ((h, m1), (k, m2)), entry in carrier._products.items():
         g = carrier.groupoid.compose_table[(h, k)]
         assert entry == tuple(((g, m), c) for m, c in memo[(h, m1, m2)])
