@@ -184,14 +184,6 @@ class AlgebroidElement(_CoefficientMap):
     def __neg__(self):
         return AlgebroidElement._of(self.carrier, 1, {l: -c for l, c in self._c.items()})
 
-    def __rmul__(self, c):
-        return self.scale(c)
-
-    def __mul__(self, other):
-        if isinstance(other, AlgebroidElement):
-            return self.carrier.mul(self, other)
-        return self.scale(other)
-
     def target_points(self) -> set:
         return {self.carrier.label_target(l) for l in self._c}
 

@@ -865,6 +865,18 @@ def test_a_theta_that_is_not_multiplicative_is_a_theta_error(monkeypatch):
         "theta", f"homomorphy check theta_multiplicative failed: {witness}")
 
 
+def test_a_theta_that_moves_a_unit_fails_on_the_base_at_that_point():
+    """Doubling the image of the unit label at y fails ``theta_on_base``, with
+    y, not the first point x, as the witness."""
+    carrier = pairh3()
+    theta = theta_of(carrier)
+    (label,) = theta.domain.unit_at("y").coeffs
+    theta.images[label] = theta.images[label].scale(2)
+    checks = {c.name: c for c in analysis_module._verify_theta_hom(theta, carrier.truncation)}
+    on_base = checks["theta_on_base"]
+    assert (on_base.ok, on_base.checked, on_base.witness) == (False, 1, "y")
+
+
 @pytest.mark.parametrize("make_carrier", [z2line, funs3])
 def test_theta_builds_no_dense_matrix(make_carrier, monkeypatch):
     carrier = make_carrier()

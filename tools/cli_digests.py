@@ -2,19 +2,21 @@
 
 Usage::
 
-    python3 tools/cli_digests.py [ROOT] > digests.txt
+    python3 tools/cli_digests.py > tools/cli_digests.txt
 
-ROOT is a checkout of this repository (default: the one holding this
-script); its ``src/finhopf`` answers and its ``perfbench/workloads.py``
-gives the benchmark's ``sl2`` model.  Every model is run through the seven
-model commands, text and ``--json``, each with its CLI defaults, and each
-run gives one line: model, command, format, exit code, and the sha256 of
-stdout and of stderr.  Two checkouts answer alike exactly when their
-outputs diff empty::
+The script runs the ``src/finhopf`` of the checkout that holds it, and takes
+the benchmark's ``sl2`` model from that checkout's ``perfbench/workloads.py``.
+Every model is run through the seven model commands, text and ``--json``,
+each with its CLI defaults, and each run gives one line: model, command,
+format, exit code, and the sha256 of stdout and of stderr.
 
-    python3 tools/cli_digests.py /path/to/parent > before.txt
-    python3 tools/cli_digests.py > after.txt
-    diff before.txt after.txt
+``tools/cli_digests.txt`` is this output, checked in as the golden of the
+CLI's answers; ``tests/test_cli.py`` fails, naming each run that differs,
+when the output no longer equals it.  A change that alters an answer on
+purpose regenerates the golden with the command above in the same commit
+and lists each changed line in ``CHANGES.md``; the golden's ``git diff``
+shows them.  To compare two checkouts, run each checkout's own copy of
+this script.
 
 The models: the presets, ``pairh3`` and ``z2line`` at truncations 0 to 8,
 ``sl2`` at 1 to 6, ``random_model`` seeds 0 to 39, the pair groupoids on
@@ -165,9 +167,10 @@ def digest_lines(docs: dict):
             os.chdir(cwd)
 
 
-def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    root = Path(argv[0] if argv else Path(__file__).resolve().parents[1]).resolve()
+def main() -> int:
+    if sys.argv[1:]:
+        sys.exit(f"usage: python3 {sys.argv[0]} > tools/cli_digests.txt (takes no argument)")
+    root = Path(__file__).resolve().parents[1]
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     from finhopf import models
     from workloads import sl2_model
