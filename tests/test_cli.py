@@ -414,24 +414,63 @@ def load_tool(name):
     return module
 
 
+def golden_runs():
+    """(model, command, format) -> (exit, out, err) fields of each line of
+    the checked-in ``tools/cli_digests.txt``."""
+    golden = Path(__file__).resolve().parents[1] / "tools" / "cli_digests.txt"
+    return {tuple(fields[:3]): tuple(fields[3:])
+            for fields in map(str.split, golden.read_text(encoding="utf-8").splitlines())}
+
+
+# The golden names a preset by its rung: preset z2line is truncation 4.
+GOLDEN_RUNG = {"z2line": "z2line-N4"}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_MODELS))
+def test_stage_command_goldens(name, tmp_path, capsys):
+    """Each stage command, as text and with --json, answers a preset as the
+    golden records for its rung."""
+    path = tmp_path / f"{name}.json"
+    save_model(GOLDEN_MODELS[name](), path)
+    want = golden_runs()
+    rung = GOLDEN_RUNG.get(name, name)
+    for command in ("validate", "primitives", "grouplikes", "spectral"):
+        for fmt, extra in (("text", []), ("json", ["--json"])):
+            code, out, _ = run([command, str(path), *extra], capsys)
+            digest = hashlib.sha256(out.encode()).hexdigest()
+            assert (f"exit={code}", f"out={digest}") == want[(rung, command, fmt)][:2], (command, fmt)
+
+
+def test_cli_digests_tool_runs_every_model_command_in_both_formats():
+    tool = load_tool("cli_digests")
+    docs = {name: GOLDEN_MODELS[name]() for name in ("z2line-N1", "funs3")}
+    lines = [line.split() for line in tool.digest_lines(docs)]
+    assert [(m, c, f) for m, c, f, *_ in lines] == [
+        (m, c, f) for m in docs for c in tool.COMMANDS for f in ("text", "json")]
+    # exit code and stdout and stderr digests of each run, as the golden records them
+    want = golden_runs()
+    for m, c, f, *digests in lines:
+        assert tuple(digests) == want[(m, c, f)], (m, c, f)
+    # the z2line and pairh3 presets are rungs of their ladders
+    full = tool.model_set(models, workloads.sl2_model)
+    names = list(full)
+    assert len(names) == 70 and names[-1] == "funs3" and {"pair8-N1", "pair9-N1"} <= set(names)
+    assert full["z2line-N4"] == z2line_model()
+    invalid = tool.invalid_models(models)
+    assert all(full.get(name) == doc for name, doc in invalid.items())
+    assert invalid["uneven-orbit"] == uneven_orbit_model()
+    assert invalid["pairh3-misplaced-unit"] == misplaced_unit_model()
+    assert all(carrier_from_model(doc).validate() for doc in invalid.values())
+
+
 def test_cli_answers_match_the_golden():
     """Every run of ``tools/cli_digests.py`` equals its line of the checked-in
     ``tools/cli_digests.txt``; a change that alters an answer on purpose
     regenerates that file in the same commit."""
     tool = load_tool("cli_digests")
-    docs = tool.model_set(models, workloads.sl2_model)
-    # the z2line and pairh3 presets are rungs of their ladders
-    names = list(docs)
-    assert len(names) == 70 and names[-1] == "funs3" and {"pair8-N1", "pair9-N1"} <= set(names)
-    invalid = tool.invalid_models(models)
-    assert all(docs.get(name) == doc for name, doc in invalid.items())
-    assert invalid["uneven-orbit"] == uneven_orbit_model()
-    assert invalid["pairh3-misplaced-unit"] == misplaced_unit_model()
-    assert all(carrier_from_model(doc).validate() for doc in invalid.values())
-
     golden = Path(tool.__file__).with_suffix(".txt")
     expected = golden.read_text(encoding="utf-8").splitlines()
-    actual = list(tool.digest_lines(docs))
+    actual = list(tool.digest_lines(tool.model_set(models, workloads.sl2_model)))
 
     def by_run(lines):
         return {tuple(line.split()[:3]): line for line in lines}
